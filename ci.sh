@@ -51,6 +51,14 @@ cargo test -q --release -p csched-eval --test explain_grid -- --include-ignored
 step "golden (II, copies, attempts) triples on the full grid (release)"
 cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 
+# Decision-stream golden: an FNV-1a digest of every trace event and the
+# final schedule of the 40 grid cells under five configurations and the
+# anytime ladder must match the pinned digests, so a pure speed-up that
+# changes any search decision (even at an earlier II) fails here.
+# Ignored under the debug profile; about half a minute on release.
+step "golden decision-stream digests on the full grid (release)"
+cargo test -q --release -p csched-core --test decision_golden -- --include-ignored
+
 # Perf-regression bench smoke: re-measure a small kernel×arch grid and
 # diff it against the committed baseline. Deterministic fields (ok, II,
 # copies, attempts) must match exactly; wall clock is advisory because

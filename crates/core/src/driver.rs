@@ -306,10 +306,6 @@ pub(crate) fn schedule_kernel_impl(
     } = prep;
     let (mii, has_loop) = (*mii, *has_loop);
 
-    // Larger kernels legitimately need more placement attempts per II.
-    let attempts_cap = config
-        .max_attempts_per_ii
-        .saturating_mul(1 + kernel.num_ops() as u64 / 48);
     let mut slack = config.cross_block_copy_slack;
     for slack_round in 0..2 {
         let mut ii = mii;
@@ -317,7 +313,6 @@ pub(crate) fn schedule_kernel_impl(
         while ii <= config.max_ii {
             let mut cfg = config.clone();
             cfg.cross_block_copy_slack = slack;
-            cfg.max_attempts_per_ii = attempts_cap;
             let mut engine = Engine::with_cache(
                 arch,
                 kernel,

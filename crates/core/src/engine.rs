@@ -24,11 +24,19 @@
 //! # Hot-path discipline (DESIGN.md §14)
 //!
 //! The attempt loop — [`Engine::place_ext`] down through stub permutation
-//! and route search — is engineered for zero steady-state allocation and
-//! O(1) probes:
+//! and route search — is engineered for O(1) probes and reused buffers.
+//! Its one steady-state allocation is the engine savepoint each attempt
+//! that passes the timing check takes (a `Vec` of one table position per
+//! block).
 //!
 //! - resource claims go through the dense modulo tables of
-//!   [`crate::table`];
+//!   [`crate::table`], and a permutation resolves its row once;
+//! - the full §4.3 re-permutation takes its participants from a per-row
+//!   index of the placed operations (`RowIndex`), not from a scan of
+//!   every operation or communication;
+//! - the write-stub search is [`WriteSearch`], which checks each
+//!   candidate against the row's existing claims once and memoises the
+//!   verdict;
 //! - every copy-distance score is a flat-array read from the shared
 //!   [`ConnCache`] (`Arc`-held, so the whole II search and retry ladder
 //!   reuse one cache);
@@ -42,8 +50,9 @@
 //!   attempts.
 //!
 //! Any change here must preserve *schedule identity*: identical candidate
-//! sets, identical orderings, identical tiebreaks — see the invariants in
-//! DESIGN.md §14 and the byte-identity gates in `ci.sh`.
+//! sets, identical orderings, identical tiebreaks, identical table
+//! contents — see the invariants in DESIGN.md §14 and the byte-identity
+//! gates in `ci.sh`.
 
 use std::sync::Arc;
 
@@ -56,7 +65,7 @@ use crate::budget::{BudgetStop, StepBudget};
 use crate::config::SchedulerConfig;
 use crate::error::SchedError;
 use crate::schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
-use crate::table::{ResourceTable, TableMode};
+use crate::table::{ResourceTable, TableMode, WriteSearch};
 use crate::trace::{RejectReason, TraceEvent, TraceSink};
 use crate::universe::{Comm, CommId, SOpId, Universe};
 
@@ -122,11 +131,11 @@ pub struct OrderEdge {
 
 /// Reusable scratch buffers for the permutation searches of §4.3 steps
 /// 2–3 and the closing machinery of steps 4–5. Buffers keep their
-/// capacity across placement attempts, so the steady-state attempt loop
-/// allocates nothing. None of them is live across a recursive
-/// [`Engine::place`] (copy insertion): the permutation buffers are taken
-/// and restored within one permutation call, and the closing list uses a
-/// pop/push pool so each recursion depth gets its own vector.
+/// capacity across placement attempts. None of them is live across a
+/// recursive [`Engine::place`] (copy insertion): the permutation
+/// buffers are taken and restored within one permutation call, and the
+/// closing list uses a pop/push pool so each recursion depth gets its
+/// own vector.
 #[derive(Default)]
 struct Scratch {
     rperm: RPermBufs,
@@ -135,12 +144,15 @@ struct Scratch {
     revise: Vec<(u32, WriteStub)>,
 }
 
+/// A read-permutation participant: a consumer operand `(op, slot)`.
+type RParticipant = (SOpId, usize);
+
 /// Buffers for one read-stub permutation (participants, §4.4 ordering,
 /// flattened candidate lists, and the backtracking state).
 #[derive(Default)]
 struct RPermBufs {
-    participants: Vec<(SOpId, usize, i64)>,
-    keyed: Vec<(i64, usize, (SOpId, usize, i64))>,
+    participants: Vec<RParticipant>,
+    keyed: Vec<(i64, usize, RParticipant)>,
     scored: Vec<(i64, ReadStub)>,
     cand: Vec<ReadStub>,
     ranges: Vec<(u32, u32)>,
@@ -148,9 +160,9 @@ struct RPermBufs {
     chosen: Vec<Option<ReadStub>>,
 }
 
-/// A write-permutation participant: the communication, its completion
-/// cycle, and the producing unit.
-type WParticipant = (CommId, i64, FuId);
+/// A write-permutation participant: the communication and the producing
+/// unit.
+type WParticipant = (CommId, FuId);
 
 /// Buffers for one write-stub permutation.
 #[derive(Default)]
@@ -159,10 +171,48 @@ struct WPermBufs {
     keyed: Vec<(i64, i64, u32, WParticipant)>,
     /// `(score, rotated port, port-run index)` per candidate port run.
     scored: Vec<(i64, u32, u32)>,
-    cand: Vec<WriteStub>,
-    ranges: Vec<(u32, u32)>,
-    pos: Vec<usize>,
-    chosen: Vec<Option<WriteStub>>,
+    search: WriteSearch,
+}
+
+/// The placed operations of one block by table row, each list in
+/// placement order: `issue[r]` holds the operations issuing on row `r`,
+/// `completion[r]` those completing on it. Placement adds to the lists
+/// and rollback removes from them, so they always match `placements`.
+#[derive(Clone, Debug, Default)]
+struct RowIndex {
+    issue: Vec<Vec<SOpId>>,
+    completion: Vec<Vec<SOpId>>,
+}
+
+impl RowIndex {
+    fn add(&mut self, issue_row: usize, completion_row: usize, op: SOpId) {
+        for (rows, row) in [
+            (&mut self.issue, issue_row),
+            (&mut self.completion, completion_row),
+        ] {
+            if rows.len() <= row {
+                rows.resize_with(row + 1, Vec::new);
+            }
+            rows[row].push(op);
+        }
+    }
+
+    /// Removes `op` from its rows. Rollback unwinds placements in
+    /// reverse, so `op` is the last entry of each.
+    fn remove(&mut self, issue_row: usize, completion_row: usize, op: SOpId) {
+        for (rows, row) in [
+            (&mut self.issue, issue_row),
+            (&mut self.completion, completion_row),
+        ] {
+            let list = rows.get_mut(row);
+            debug_assert_eq!(list.as_ref().and_then(|l| l.last()), Some(&op));
+            if let Some(list) = list {
+                if let Some(pos) = list.iter().rposition(|&o| o == op) {
+                    list.remove(pos);
+                }
+            }
+        }
+    }
 }
 
 /// The scheduling engine. See the module docs.
@@ -176,6 +226,8 @@ pub struct Engine<'a> {
     pub(crate) universe: Universe,
     tables: Vec<ResourceTable>,
     placements: Vec<Option<ScheduledOp>>,
+    /// Placed operations by table row, one index per block.
+    row_index: Vec<RowIndex>,
     comm_info: Vec<CommInfo>,
     /// Chosen read stub per consumer operand (shared by the operand's
     /// communications).
@@ -288,6 +340,7 @@ impl<'a> Engine<'a> {
             cache,
             config,
             universe,
+            row_index: vec![RowIndex::default(); tables.len()],
             tables,
             placements: vec![None; num_ops],
             comm_info: vec![CommInfo::default(); num_comms],
@@ -432,6 +485,10 @@ impl<'a> Engine<'a> {
                 Undo::Place(op) => {
                     if let Some(p) = self.placements[op.index()] {
                         self.fu_load[p.fu.index()] -= 1;
+                        let block = self.block_of(op);
+                        let issue_row = self.row_slot(block, p.cycle);
+                        let completion_row = self.row_slot(block, p.completion());
+                        self.row_index[block.index()].remove(issue_row, completion_row, op);
                     }
                     self.placements[op.index()] = None;
                 }
@@ -502,6 +559,17 @@ impl<'a> Engine<'a> {
             a.rem_euclid(self.ii as i64) == b.rem_euclid(self.ii as i64)
         } else {
             a == b
+        }
+    }
+
+    /// The row of `block`'s table that `cycle` folds onto: `cycle mod II`
+    /// in the loop block, the cycle itself in straight-line blocks (where
+    /// placed cycles are never negative).
+    fn row_slot(&self, block: BlockId, cycle: i64) -> usize {
+        if self.is_loop_block(block) {
+            cycle.rem_euclid(self.ii as i64) as usize
+        } else {
+            cycle.max(0) as usize
         }
     }
 
@@ -702,12 +770,18 @@ impl<'a> Engine<'a> {
             return false;
         }
         self.journal.push(Undo::Place(op));
-        self.placements[op.index()] = Some(ScheduledOp {
+        let placed = ScheduledOp {
             fu,
             cycle,
             latency: cap.latency,
-        });
+        };
+        self.placements[op.index()] = Some(placed);
         self.fu_load[fu.index()] += 1;
+        let (issue_row, completion_row) = (
+            self.row_slot(block, cycle),
+            self.row_slot(block, placed.completion()),
+        );
+        self.row_index[block.index()].add(issue_row, completion_row, op);
 
         // Fast path: choose stubs only for the new operation against the
         // existing claims. If any of steps 2-5 then fails, fall back to the
@@ -777,7 +851,7 @@ impl<'a> Engine<'a> {
 
     /// Collects participants for [`Engine::permute_reads`]: non-frozen
     /// operands of `o` with at least one unclosed communication.
-    fn read_participants_of(&self, o: SOpId, cycle: i64, out: &mut Vec<(SOpId, usize, i64)>) {
+    fn read_participants_of(&self, o: SOpId, out: &mut Vec<RParticipant>) {
         for slot in 0..self.universe.op(o).num_operands {
             let idx = self.universe.operand_index(o, slot);
             if self.operand_frozen[idx] {
@@ -790,8 +864,26 @@ impl<'a> Engine<'a> {
             if comms.iter().all(|&c| self.comm_closed(c)) {
                 continue;
             }
-            out.push((o, slot, cycle));
+            out.push((o, slot));
         }
+    }
+
+    /// The participants of a full read permutation on `cycle`'s row found
+    /// by scanning every operation: the reference debug builds check the
+    /// row index against.
+    fn read_participants_scan(&self, block: BlockId, cycle: i64) -> Vec<RParticipant> {
+        let mut out = Vec::new();
+        for o in self.universe.op_ids() {
+            if self.block_of(o) != block {
+                continue;
+            }
+            if let Some(p) = self.placements[o.index()] {
+                if self.same_row(block, p.cycle, cycle) {
+                    self.read_participants_of(o, &mut out);
+                }
+            }
+        }
+        out
     }
 
     fn permute_reads_inner(
@@ -802,55 +894,56 @@ impl<'a> Engine<'a> {
         bufs: &mut RPermBufs,
     ) -> bool {
         // Participants: non-frozen operands of ops placed in `block` whose
-        // issue shares this row, having at least one unclosed communication,
-        // each carrying its operation's issue cycle. With `only`, restrict
-        // to that operation's operands (fast path: skip the full op scan).
+        // issue shares this row, having at least one unclosed
+        // communication, in (op, slot) order. With `only`, restrict to that
+        // operation's operands (fast path).
         bufs.participants.clear();
         match only {
             Some(o) => {
-                if self.block_of(o) == block {
-                    if let Some(p) = self.placements[o.index()] {
-                        if self.same_row(block, p.cycle, cycle) {
-                            self.read_participants_of(o, p.cycle, &mut bufs.participants);
-                        }
-                    }
+                let on_row = self.placements[o.index()]
+                    .is_some_and(|p| self.same_row(block, p.cycle, cycle));
+                if self.block_of(o) == block && on_row {
+                    self.read_participants_of(o, &mut bufs.participants);
                 }
             }
             None => {
-                for o in self.universe.op_ids() {
-                    if self.block_of(o) != block {
-                        continue;
+                let row = self.row_slot(block, cycle);
+                if let Some(ops) = self.row_index[block.index()].issue.get(row) {
+                    for &o in ops {
+                        self.read_participants_of(o, &mut bufs.participants);
                     }
-                    let Some(p) = self.placements[o.index()] else {
-                        continue;
-                    };
-                    if !self.same_row(block, p.cycle, cycle) {
-                        continue;
-                    }
-                    self.read_participants_of(o, p.cycle, &mut bufs.participants);
                 }
+                bufs.participants.sort_unstable();
+                debug_assert_eq!(
+                    bufs.participants,
+                    self.read_participants_scan(block, cycle),
+                    "row index disagrees with a full scan"
+                );
             }
         }
         if bufs.participants.is_empty() {
             return true;
         }
+        let Some(row) = self.tables[block.index()].claim_row(cycle) else {
+            return false;
+        };
 
         // Release current tentative stubs.
-        for &(o, slot, pcycle) in &bufs.participants {
+        for &(o, slot) in &bufs.participants {
             let idx = self.universe.operand_index(o, slot);
             if let Some(stub) = self.operand_stub[idx] {
-                self.tables[block.index()].unplace_read_stub(pcycle, stub, o, slot);
+                self.tables[block.index()].unplace_read_stub_at(row, stub, o, slot);
                 self.set_operand(idx, None, false);
             }
         }
 
         // Order: operands with closing communications first, smallest copy
-        // range first (§4.4).
+        // range first (§4.4); ties keep the (op, slot) order.
         if self.config.closing_first {
             bufs.keyed.clear();
-            for (i, &(o, slot, pcycle)) in bufs.participants.iter().enumerate() {
+            for (i, &(o, slot)) in bufs.participants.iter().enumerate() {
                 let key = self.operand_search_key(o, slot);
-                bufs.keyed.push((key, i, (o, slot, pcycle)));
+                bufs.keyed.push((key, i, (o, slot)));
             }
             bufs.keyed.sort_unstable();
             bufs.participants.clear();
@@ -863,7 +956,7 @@ impl<'a> Engine<'a> {
         bufs.cand.clear();
         bufs.ranges.clear();
         for i in 0..bufs.participants.len() {
-            let (o, slot, _) = bufs.participants[i];
+            let (o, slot) = bufs.participants[i];
             let start = bufs.cand.len() as u32;
             self.read_candidates_into(o, slot, &mut bufs.scored, &mut bufs.cand);
             bufs.ranges.push((start, bufs.cand.len() as u32));
@@ -878,7 +971,7 @@ impl<'a> Engine<'a> {
         bufs.chosen.resize(n, None);
         let mut i = 0usize;
         while i < n {
-            let (o, slot, pcycle) = bufs.participants[i];
+            let (o, slot) = bufs.participants[i];
             let (start, end) = bufs.ranges[i];
             let ncand = (end - start) as usize;
             let mut advanced = false;
@@ -888,7 +981,7 @@ impl<'a> Engine<'a> {
                 }
                 budget -= 1;
                 let stub = bufs.cand[start as usize + bufs.pos[i]];
-                if self.tables[block.index()].place_read_stub(pcycle, stub, o, slot) {
+                if self.tables[block.index()].place_read_stub_at(row, stub, o, slot) {
                     bufs.chosen[i] = Some(stub);
                     advanced = true;
                     break;
@@ -905,19 +998,19 @@ impl<'a> Engine<'a> {
                     return false;
                 }
                 i -= 1;
-                let (po, pslot, ppcycle) = bufs.participants[i];
+                let (po, pslot) = bufs.participants[i];
                 let Some(stub) = bufs.chosen[i].take() else {
                     return self.fail_internal(
                         "permute_reads",
                         format!("backtracked to {po} slot {pslot} with no chosen stub"),
                     );
                 };
-                self.tables[block.index()].unplace_read_stub(ppcycle, stub, po, pslot);
+                self.tables[block.index()].unplace_read_stub_at(row, stub, po, pslot);
                 bufs.pos[i] += 1;
             }
         }
         for k in 0..n {
-            let (o, slot, _) = bufs.participants[k];
+            let (o, slot) = bufs.participants[k];
             let idx = self.universe.operand_index(o, slot);
             self.set_operand(idx, bufs.chosen[k], false);
             if let Some(stub) = bufs.chosen[k] {
@@ -1011,13 +1104,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether `cid` participates in a write permutation on `completion`'s
-    /// row of `block`; returns the producer's completion cycle and unit.
+    /// row of `block`; returns it with the producing unit.
     fn write_participant(
         &self,
         cid: CommId,
         block: BlockId,
         completion: i64,
-    ) -> Option<(CommId, i64, FuId)> {
+    ) -> Option<WParticipant> {
         if self.comm_closed(cid) || self.comm_info[cid.index()].wstub_frozen {
             return None;
         }
@@ -1029,7 +1122,17 @@ impl<'a> Engine<'a> {
         if !self.same_row(block, p.completion(), completion) {
             return None;
         }
-        Some((cid, p.completion(), p.fu))
+        Some((cid, p.fu))
+    }
+
+    /// The participants of a full write permutation on `completion`'s row
+    /// found by scanning every communication: the reference debug builds
+    /// check the row index against.
+    fn write_participants_scan(&self, block: BlockId, completion: i64) -> Vec<WParticipant> {
+        self.universe
+            .comm_ids()
+            .filter_map(|cid| self.write_participant(cid, block, completion))
+            .collect()
     }
 
     fn permute_writes_inner(
@@ -1039,11 +1142,10 @@ impl<'a> Engine<'a> {
         only: Option<SOpId>,
         bufs: &mut WPermBufs,
     ) -> bool {
-        // Each participant carries its producer's completion cycle and unit
-        // (captured while the placement is known to exist). With `only`,
-        // walk just that producer's outgoing communications (fast path) —
-        // `comms_from` lists them in ascending id order, matching the full
-        // `comm_ids` scan.
+        // Participants in ascending communication id. With `only`, walk
+        // just that producer's outgoing communications (fast path), which
+        // `comms_from` lists in ascending id order; otherwise those of
+        // every operation completing on the row.
         bufs.participants.clear();
         match only {
             Some(o) => {
@@ -1054,23 +1156,36 @@ impl<'a> Engine<'a> {
                 }
             }
             None => {
-                for cid in self.universe.comm_ids() {
-                    if let Some(part) = self.write_participant(cid, block, completion) {
-                        bufs.participants.push(part);
+                let row = self.row_slot(block, completion);
+                if let Some(ops) = self.row_index[block.index()].completion.get(row) {
+                    for &o in ops {
+                        for &cid in self.universe.comms_from(o) {
+                            if let Some(part) = self.write_participant(cid, block, completion) {
+                                bufs.participants.push(part);
+                            }
+                        }
                     }
                 }
+                bufs.participants.sort_unstable_by_key(|&(cid, _)| cid);
+                debug_assert_eq!(
+                    bufs.participants,
+                    self.write_participants_scan(block, completion),
+                    "row index disagrees with a full scan"
+                );
             }
         }
         if bufs.participants.is_empty() {
             return true;
         }
+        let Some(row) = self.tables[block.index()].claim_row(completion) else {
+            return false;
+        };
 
-        for &(cid, pcompl, _) in &bufs.participants {
+        for &(cid, _) in &bufs.participants {
             let info = self.comm_info[cid.index()];
             if let Some(stub) = info.wstub {
-                let c = self.universe.comm(cid);
-                let producer = c.producer;
-                self.tables[block.index()].unplace_write_stub(pcompl, stub, producer);
+                let producer = self.universe.comm(cid).producer;
+                self.tables[block.index()].unplace_write_stub_at(row, stub, producer);
                 self.set_comm_info(
                     cid,
                     CommInfo {
@@ -1085,7 +1200,7 @@ impl<'a> Engine<'a> {
             // Sort key: closing comms first, narrowest copy range first,
             // comm index as the tiebreak.
             bufs.keyed.clear();
-            for &(cid, pcompl, pfu) in bufs.participants.iter() {
+            for &(cid, pfu) in bufs.participants.iter() {
                 let closing = self.comm_closing(cid);
                 let range = if closing {
                     self.copy_range(cid).map(|(lo, hi)| hi - lo).unwrap_or(0)
@@ -1096,7 +1211,7 @@ impl<'a> Engine<'a> {
                     if closing { 0 } else { 1 },
                     range,
                     cid.index() as u32,
-                    (cid, pcompl, pfu),
+                    (cid, pfu),
                 ));
             }
             bufs.keyed.sort_unstable();
@@ -1105,74 +1220,29 @@ impl<'a> Engine<'a> {
                 .extend(bufs.keyed.iter().map(|&(_, _, _, c)| c));
         }
 
-        bufs.cand.clear();
-        bufs.ranges.clear();
-        for i in 0..bufs.participants.len() {
-            let (cid, _, _) = bufs.participants[i];
-            let start = bufs.cand.len() as u32;
-            self.write_candidates_into(cid, &mut bufs.scored, &mut bufs.cand);
-            bufs.ranges.push((start, bufs.cand.len() as u32));
-        }
-        let mut budget = self.config.search_budget;
-        let n = bufs.participants.len();
-        bufs.pos.clear();
-        bufs.pos.resize(n, 0);
-        bufs.chosen.clear();
-        bufs.chosen.resize(n, None);
-        let mut i = 0usize;
-        while i < n {
-            let (cid, pcompl, pfu) = bufs.participants[i];
+        bufs.search.clear();
+        for &(cid, pfu) in &bufs.participants {
             let producer = self.universe.comm(cid).producer;
             let fanout = self.arch.fu(pfu).output_fanout();
-            let (start, end) = bufs.ranges[i];
-            let ncand = (end - start) as usize;
-            let mut advanced = false;
-            while bufs.pos[i] < ncand {
-                if budget == 0 {
-                    return false;
-                }
-                budget -= 1;
-                let stub = bufs.cand[start as usize + bufs.pos[i]];
-                if self.tables[block.index()].place_write_stub(pcompl, stub, producer, fanout) {
-                    bufs.chosen[i] = Some(stub);
-                    advanced = true;
-                    break;
-                }
-                bufs.pos[i] += 1;
-            }
-            if advanced {
-                i += 1;
-                if i < n {
-                    bufs.pos[i] = 0;
-                }
-            } else {
-                if i == 0 {
-                    return false;
-                }
-                i -= 1;
-                let (pc, ppcompl, _) = bufs.participants[i];
-                let producer = self.universe.comm(pc).producer;
-                let Some(stub) = bufs.chosen[i].take() else {
-                    return self.fail_internal(
-                        "permute_writes",
-                        format!("backtracked to {pc:?} with no chosen stub"),
-                    );
-                };
-                self.tables[block.index()].unplace_write_stub(ppcompl, stub, producer);
-                bufs.pos[i] += 1;
-            }
+            let out = bufs.search.add_participant(producer, fanout);
+            self.write_candidates_into(cid, &mut bufs.scored, out);
         }
-        for k in 0..n {
-            let (cid, _, _) = bufs.participants[k];
+        let budget = self.config.search_budget;
+        let table = &mut self.tables[block.index()];
+        if !bufs.search.run(table, row, budget) {
+            return false;
+        }
+        for (k, &(cid, _)) in bufs.participants.iter().enumerate() {
             let info = self.comm_info[cid.index()];
+            let chosen = bufs.search.chosen(k);
             self.set_comm_info(
                 cid,
                 CommInfo {
-                    wstub: bufs.chosen[k],
+                    wstub: chosen,
                     ..info
                 },
             );
-            if let Some(stub) = bufs.chosen[k] {
+            if let Some(stub) = chosen {
                 self.emit(TraceEvent::WriteStubAllocated {
                     comm: cid.index() as u32,
                     rf: stub.rf.index() as u32,

@@ -91,7 +91,7 @@ pub use retry::{
     RetryPolicy, ScheduleReport,
 };
 pub use schedule::{CommDisposition, PipelineSlot, Route, SchedStats, Schedule, ScheduledOp};
-pub use table::{ResourceTable, TableMode};
+pub use table::{ResourceTable, Row, TableMode, WriteSearch};
 pub use trace::{decision_filter, CappingSink, JsonlSink, RingBufferSink, TraceEvent, TraceSink};
 pub use universe::{Comm, CommId, SOp, SOpId, Universe};
 

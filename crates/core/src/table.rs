@@ -16,18 +16,26 @@
 //! and all `II` rows are allocated up front; in linear mode the row is
 //! the cycle itself and rows grow geometrically on demand. A cell is a
 //! small inline list of `(payload, refcount)` claims whose capacity is
-//! *retained* when the cell empties, so the steady-state placement loop
-//! performs no allocation at all — the previous design paid a hashmap
-//! probe (hash + bucket walk) per claim and allocated a fresh list per
-//! occupied `(cycle, resource)` key.
+//! *retained* when the cell empties, so steady-state claims and releases
+//! allocate nothing — the previous design paid a hashmap probe (hash +
+//! bucket walk) per claim and allocated a fresh list per occupied
+//! `(cycle, resource)` key.
 //!
-//! Savepoint/rollback is a generation-stamped undo log: every mutation
-//! appends a [`JournalEntry`] naming the flat cell it touched, a
-//! [`Savepoint`] is the journal length stamped with the table's rollback
-//! generation, and rolling back pops entries in reverse. The generation
-//! stamp makes stale savepoints (taken before an enclosing rollback
-//! already unwound past them) detectable in debug builds instead of
-//! silently corrupting claims.
+//! Savepoint/rollback is an undo log: every mutation appends a
+//! [`JournalEntry`] naming the flat cell it touched, a [`Savepoint`] is
+//! the journal length, and rolling back pops entries in reverse. A stale
+//! savepoint — one that points past the journal's end because an
+//! enclosing rollback already unwound past it — trips a debug assertion
+//! and is a no-op in release builds.
+//!
+//! The claim functions come in two forms: a cycle form
+//! (`place_write_stub(cycle, ..)`) and a row form
+//! (`place_write_stub_at(row, ..)`) taking a [`Row`] resolved once by
+//! [`ResourceTable::claim_row`]. The cycle forms are thin wrappers over
+//! the row forms; the §4.3 permutation searches, whose participants all
+//! share one row, resolve it once per search. The step-3 write-stub
+//! search itself lives here as [`WriteSearch`], which memoises each
+//! candidate's check against the row's existing claims.
 //!
 //! The table understands the paper's sharing rules (§4.2):
 //!
@@ -103,17 +111,19 @@ pub struct ResourceTable {
     /// that row. Emptied cells keep their capacity.
     cells: Vec<Vec<(Payload, u32)>>,
     journal: Vec<JournalEntry>,
-    /// Rollback generation: bumped by every [`ResourceTable::rollback`].
-    generation: u64,
 }
 
-/// A savepoint for rollback: a journal position stamped with the rollback
-/// generation it was taken in.
+/// A savepoint for rollback: a journal position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Savepoint {
     len: usize,
-    generation: u64,
 }
+
+/// A table row resolved by [`ResourceTable::claim_row`]: `cycle mod II`
+/// in modulo mode, the cycle itself in linear mode. A resolved row is
+/// allocated, so the row forms of the claim functions index it directly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row(usize);
 
 impl ResourceTable {
     /// Creates an empty table for an architecture's resources.
@@ -130,7 +140,6 @@ impl ResourceTable {
             rows,
             cells: vec![Vec::new(); rows * nres],
             journal: Vec::new(),
-            generation: 0,
         }
     }
 
@@ -142,7 +151,7 @@ impl ResourceTable {
     /// The row `cycle` folds onto, or `None` for a negative linear cycle
     /// (never scheduled; see the module docs).
     #[inline]
-    fn row(&self, cycle: i64) -> Option<usize> {
+    fn fold(&self, cycle: i64) -> Option<usize> {
         match self.mode {
             TableMode::Linear => (cycle >= 0).then_some(cycle as usize),
             TableMode::Modulo(ii) => Some(cycle.rem_euclid(ii as i64) as usize),
@@ -153,18 +162,26 @@ impl ResourceTable {
     /// allocated (trivially unoccupied).
     #[inline]
     fn cell_read(&self, cycle: i64, resource: Resource) -> Option<usize> {
-        let row = self.row(cycle)?;
-        if row >= self.rows {
-            return None;
-        }
-        Some(row * self.nres + self.map.index(resource))
+        let row = self.allocated_row(cycle)?;
+        Some(self.cell(row, resource))
     }
 
-    /// Flat cell index for claiming, growing linear tables on demand.
-    /// `None` only for negative linear cycles.
+    /// The row `cycle` folds onto if it is allocated.
     #[inline]
-    fn cell_claim(&mut self, cycle: i64, resource: Resource) -> Option<usize> {
-        let row = self.row(cycle)?;
+    fn allocated_row(&self, cycle: i64) -> Option<Row> {
+        self.fold(cycle).filter(|&r| r < self.rows).map(Row)
+    }
+
+    /// Flat cell index of `resource` on an allocated row.
+    #[inline]
+    fn cell(&self, row: Row, resource: Resource) -> usize {
+        row.0 * self.nres + self.map.index(resource)
+    }
+
+    /// Resolves the row `cycle` folds onto for claiming, growing linear
+    /// tables on demand. `None` only for negative linear cycles.
+    pub fn claim_row(&mut self, cycle: i64) -> Option<Row> {
+        let row = self.fold(cycle)?;
         if row >= self.rows {
             debug_assert!(matches!(self.mode, TableMode::Linear));
             // Geometric growth keeps amortised claim cost O(1); retained
@@ -173,7 +190,17 @@ impl ResourceTable {
             self.cells.resize(new_rows * self.nres, Vec::new());
             self.rows = new_rows;
         }
-        Some(row * self.nres + self.map.index(resource))
+        Some(Row(row))
+    }
+
+    /// Whether `row` is allocated in this table. Rows only ever come from
+    /// [`ResourceTable::claim_row`] and tables never shrink, so this fails
+    /// only for a row resolved by another, larger table — an engine bug,
+    /// refused (debug builds trip an assertion) rather than indexed.
+    #[inline]
+    fn owns(&self, row: Row) -> bool {
+        debug_assert!(row.0 < self.rows, "row from another table");
+        row.0 < self.rows
     }
 
     /// Number of distinct claims on `resource` at `cycle` (0 = free).
@@ -233,23 +260,19 @@ impl ResourceTable {
     pub fn savepoint(&self) -> Savepoint {
         Savepoint {
             len: self.journal.len(),
-            generation: self.generation,
         }
     }
 
     /// Reverts every claim change (addition or release) made since `sp`.
     pub fn rollback(&mut self, sp: Savepoint) {
-        // A savepoint from an older generation whose position has already
-        // been unwound past is stale; rolling back to it would corrupt the
-        // refcounts. Trip debug builds, degrade to a no-op in release
-        // (the placement fails and validation rejects the schedule).
+        // A savepoint whose position an enclosing rollback has already
+        // unwound past is stale. Trip debug builds; in release the loop
+        // below does nothing (the placement fails and validation rejects
+        // the schedule).
         debug_assert!(
             sp.len <= self.journal.len(),
             "stale savepoint: journal already unwound past it"
         );
-        if self.journal.len() > sp.len {
-            self.generation = self.generation.wrapping_add(1);
-        }
         while self.journal.len() > sp.len {
             let Some(entry) = self.journal.pop() else {
                 break; // unreachable: the loop condition guarantees an entry
@@ -308,22 +331,26 @@ impl ResourceTable {
     /// restores the claim. Releasing a stub that was never placed is an
     /// engine bug; it is skipped (debug builds trip an assertion).
     pub fn unplace_write_stub(&mut self, cycle: i64, stub: WriteStub, value: SOpId) {
-        let bus_raw = stub.bus.index() as u32;
-        let payload = Payload::Write {
-            value,
-            bus: bus_raw,
-        };
-        let Some(ocell) = self.cell_read(cycle, Resource::FuOutput(stub.fu)) else {
+        let Some(row) = self.allocated_row(cycle) else {
             debug_assert!(false, "released claim on an unallocated row");
             return;
         };
-        self.release(ocell, payload);
-        if let Some(bcell) = self.cell_read(cycle, Resource::Bus(stub.bus)) {
-            self.release(bcell, Payload::WriteBus { value });
+        self.unplace_write_stub_at(row, stub, value);
+    }
+
+    /// [`ResourceTable::unplace_write_stub`] on a resolved row.
+    pub fn unplace_write_stub_at(&mut self, row: Row, stub: WriteStub, value: SOpId) {
+        if !self.owns(row) {
+            return;
         }
-        if let Some(pcell) = self.cell_read(cycle, Resource::WritePort(stub.port)) {
-            self.release(pcell, payload);
-        }
+        let payload = Payload::Write {
+            value,
+            bus: stub.bus.index() as u32,
+        };
+        let [o, b, p] = stub.resources();
+        self.release(self.cell(row, o), payload);
+        self.release(self.cell(row, b), Payload::WriteBus { value });
+        self.release(self.cell(row, p), payload);
     }
 
     /// Releases one placement of a read stub made with
@@ -331,21 +358,26 @@ impl ResourceTable {
     /// placed is an engine bug; it is skipped (debug builds trip an
     /// assertion).
     pub fn unplace_read_stub(&mut self, cycle: i64, stub: ReadStub, op: SOpId, slot: usize) {
+        let Some(row) = self.allocated_row(cycle) else {
+            debug_assert!(false, "released claim on an unallocated row");
+            return;
+        };
+        self.unplace_read_stub_at(row, stub, op, slot);
+    }
+
+    /// [`ResourceTable::unplace_read_stub`] on a resolved row.
+    pub fn unplace_read_stub_at(&mut self, row: Row, stub: ReadStub, op: SOpId, slot: usize) {
+        if !self.owns(row) {
+            return;
+        }
         let payload = Payload::Read {
             op,
             slot: slot as u8,
         };
-        let Some(rcell) = self.cell_read(cycle, Resource::ReadPort(stub.port)) else {
-            debug_assert!(false, "released claim on an unallocated row");
-            return;
-        };
-        self.release(rcell, payload);
-        if let Some(bcell) = self.cell_read(cycle, Resource::Bus(stub.bus)) {
-            self.release(bcell, Payload::ReadBus { port: stub.port });
-        }
-        if let Some(icell) = self.cell_read(cycle, Resource::FuInput(stub.input())) {
-            self.release(icell, payload);
-        }
+        let [r, b, i] = stub.resources();
+        self.release(self.cell(row, r), payload);
+        self.release(self.cell(row, b), Payload::ReadBus { port: stub.port });
+        self.release(self.cell(row, i), payload);
     }
 
     /// Applies an admission decision computed by `admit_exclusive` /
@@ -387,9 +419,10 @@ impl ResourceTable {
         // permutation search never pays for journalling doomed claims.
         let payload = Payload::Op(op);
         for i in 0..interval as i64 {
-            let Some(cell) = self.cell_claim(cycle + i, Resource::FuIssue(fu)) else {
+            let Some(row) = self.claim_row(cycle + i) else {
                 return false;
             };
+            let cell = self.cell(row, Resource::FuIssue(fu));
             if matches!(
                 admit_exclusive(&self.cells[cell], payload),
                 Admission::Conflict
@@ -398,10 +431,11 @@ impl ResourceTable {
             }
         }
         for i in 0..interval as i64 {
-            let Some(cell) = self.cell_claim(cycle + i, Resource::FuIssue(fu)) else {
-                debug_assert!(false, "claimable cell vanished between check and apply");
+            let Some(row) = self.claim_row(cycle + i) else {
+                debug_assert!(false, "claimable row vanished between check and apply");
                 return false;
             };
+            let cell = self.cell(row, Resource::FuIssue(fu));
             let adm = admit_exclusive(&self.cells[cell], payload);
             self.apply_claim(cell, payload, adm);
         }
@@ -419,29 +453,38 @@ impl ResourceTable {
         value: SOpId,
         fanout: usize,
     ) -> bool {
-        let bus_raw = stub.bus.index() as u32;
+        match self.claim_row(cycle) {
+            Some(row) => self.place_write_stub_at(row, stub, value, fanout),
+            None => false,
+        }
+    }
+
+    /// [`ResourceTable::place_write_stub`] on a resolved row.
+    pub fn place_write_stub_at(
+        &mut self,
+        row: Row,
+        stub: WriteStub,
+        value: SOpId,
+        fanout: usize,
+    ) -> bool {
+        if !self.owns(row) {
+            return false;
+        }
         let wpayload = Payload::Write {
             value,
-            bus: bus_raw,
+            bus: stub.bus.index() as u32,
         };
 
         // The three claims live in distinct cells (distinct resource
         // kinds), so their admissions are independent: resolve every cell,
         // check every admission read-only, and mutate only when all three
-        // admit. The failure path — the common case during the §4.3
-        // permutation search — touches neither the cells nor the journal.
-        let Some(ocell) = self.cell_claim(cycle, Resource::FuOutput(stub.fu)) else {
-            return false;
-        };
-        let Some(bcell) = self.cell_claim(cycle, Resource::Bus(stub.bus)) else {
-            return false;
-        };
-        let Some(pcell) = self.cell_claim(cycle, Resource::WritePort(stub.port)) else {
-            return false;
-        };
+        // admit. The failure path touches neither the cells nor the
+        // journal.
+        let [o, b, p] = stub.resources();
+        let (ocell, bcell, pcell) = (self.cell(row, o), self.cell(row, b), self.cell(row, p));
 
         // Output: one value; up to `fanout` distinct buses.
-        let o_adm = admit_output(&self.cells[ocell], value, bus_raw, fanout);
+        let o_adm = admit_output(&self.cells[ocell], wpayload, fanout);
         if matches!(o_adm, Admission::Conflict) {
             return false;
         }
@@ -465,21 +508,25 @@ impl ResourceTable {
     /// Claims the resources of a read stub on `cycle` for consumer operand
     /// `(op, slot)`. Leaves the table untouched on failure.
     pub fn place_read_stub(&mut self, cycle: i64, stub: ReadStub, op: SOpId, slot: usize) -> bool {
+        match self.claim_row(cycle) {
+            Some(row) => self.place_read_stub_at(row, stub, op, slot),
+            None => false,
+        }
+    }
+
+    /// [`ResourceTable::place_read_stub`] on a resolved row.
+    pub fn place_read_stub_at(&mut self, row: Row, stub: ReadStub, op: SOpId, slot: usize) -> bool {
+        if !self.owns(row) {
+            return false;
+        }
         let payload = Payload::Read {
             op,
             slot: slot as u8,
         };
-        // As in `place_write_stub`: distinct cells, so check all three
+        // As in `place_write_stub_at`: distinct cells, so check all three
         // admissions read-only before mutating anything.
-        let Some(rcell) = self.cell_claim(cycle, Resource::ReadPort(stub.port)) else {
-            return false;
-        };
-        let Some(bcell) = self.cell_claim(cycle, Resource::Bus(stub.bus)) else {
-            return false;
-        };
-        let Some(icell) = self.cell_claim(cycle, Resource::FuInput(stub.input())) else {
-            return false;
-        };
+        let [r, b, i] = stub.resources();
+        let (rcell, bcell, icell) = (self.cell(row, r), self.cell(row, b), self.cell(row, i));
 
         let r_adm = admit_exclusive(&self.cells[rcell], payload);
         if matches!(r_adm, Admission::Conflict) {
@@ -549,44 +596,288 @@ fn admit_exclusive(list: &[(Payload, u32)], p: Payload) -> Admission {
     }
 }
 
-/// Admission for a unit's output: one value per cycle, broadcast onto up
-/// to `fanout` distinct buses.
-fn admit_output(list: &[(Payload, u32)], value: SOpId, bus: u32, fanout: usize) -> Admission {
-    // The distinct-bus count is over a list at most `fanout` long: count
-    // in place instead of allocating a set.
-    for (e, _) in list {
-        match e {
-            Payload::Write { value: ev, .. } => {
-                if *ev != value {
-                    return Admission::Conflict;
-                }
-            }
-            _ => return Admission::Conflict,
-        }
-    }
-    let p = Payload::Write { value, bus };
-    if let Some(pos) = list.iter().position(|(e, _)| *e == p) {
-        return Admission::Identical(pos);
-    }
-    let mut distinct = 1usize; // the new bus
+/// What a unit output's claims say about adding the claim `p`
+/// (`Write { value, bus }`): `None` when the output already carries
+/// another value; otherwise the position of an identical claim, if any,
+/// and the number of distinct buses the output already drives.
+fn output_load(list: &[(Payload, u32)], p: Payload) -> Option<(Option<usize>, usize)> {
+    let Payload::Write { value, .. } = p else {
+        return None;
+    };
+    // The list is at most `fanout` long: count distinct buses in place
+    // instead of allocating a set.
+    let mut identical = None;
+    let mut buses = 0;
     for (i, (e, _)) in list.iter().enumerate() {
-        let Payload::Write { bus: eb, .. } = e else {
-            continue;
+        let Payload::Write { value: ev, bus: eb } = *e else {
+            return None;
         };
-        if *eb == bus {
-            continue;
+        if ev != value {
+            return None;
+        }
+        if identical.is_none() && *e == p {
+            identical = Some(i);
         }
         let first = !list[..i]
             .iter()
-            .any(|(prev, _)| matches!(prev, Payload::Write { bus: pb, .. } if pb == eb));
+            .any(|(prev, _)| matches!(prev, Payload::Write { bus: pb, .. } if *pb == eb));
         if first {
-            distinct += 1;
+            buses += 1;
         }
     }
-    if distinct <= fanout {
-        Admission::Additional
-    } else {
-        Admission::Conflict
+    Some((identical, buses))
+}
+
+/// The fanout rule: a unit output admits its value onto a bus it already
+/// drives, or onto a new bus while it drives fewer than `fanout`.
+fn output_admits(drives_bus: bool, buses: usize, fanout: usize) -> bool {
+    drives_bus || buses < fanout
+}
+
+/// Admission for a unit's output: one value per cycle, broadcast onto up
+/// to `fanout` distinct buses. `p` is the `Write { value, bus }` claim.
+fn admit_output(list: &[(Payload, u32)], p: Payload, fanout: usize) -> Admission {
+    match output_load(list, p) {
+        None => Admission::Conflict,
+        Some((Some(pos), _)) => Admission::Identical(pos),
+        Some((None, buses)) if output_admits(false, buses, fanout) => Admission::Additional,
+        Some(_) => Admission::Conflict,
+    }
+}
+
+/// What a [`WriteSearch`] knows about one candidate stub.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Memo {
+    /// Not yet checked against the row's existing claims.
+    Unchecked,
+    /// Refused by the row's existing claims: its bus or write port is
+    /// held by another claim, or its unit output carries another value.
+    /// Chosen stubs only add claims, so it stays refused for the search.
+    Refused,
+    /// Admitted by the row's existing bus and port claims, with no other
+    /// value on the output. Whether the output can drive one more bus
+    /// also depends on the stubs chosen in the search, so the output's
+    /// existing load is kept: whether it already drives the stub's bus,
+    /// and how many distinct buses it drives.
+    Open { drives_bus: bool, buses: u32 },
+}
+
+impl ResourceTable {
+    /// Checks a write stub for `value` against the existing claims of an
+    /// allocated row alone, for [`WriteSearch`].
+    fn write_memo(&self, row: Row, stub: WriteStub, value: SOpId) -> Memo {
+        let wpayload = Payload::Write {
+            value,
+            bus: stub.bus.index() as u32,
+        };
+        let [o, b, p] = stub.resources();
+        let Some((identical, buses)) = output_load(&self.cells[self.cell(row, o)], wpayload) else {
+            return Memo::Refused;
+        };
+        let bus = admit_exclusive(&self.cells[self.cell(row, b)], Payload::WriteBus { value });
+        let port = admit_exclusive(&self.cells[self.cell(row, p)], wpayload);
+        if matches!(bus, Admission::Conflict) || matches!(port, Admission::Conflict) {
+            return Memo::Refused;
+        }
+        Memo::Open {
+            drives_bus: identical.is_some(),
+            buses: buses as u32,
+        }
+    }
+}
+
+/// The §4.3 step-3 search for a non-conflicting assignment of write
+/// stubs to the communications written on one table row, with buffers
+/// that keep their capacity across searches.
+///
+/// Participants are added in search order with
+/// [`WriteSearch::add_participant`], each with its value, the output
+/// fanout of its producing unit and its candidate stubs, best first.
+/// [`WriteSearch::run`] backtracks through the candidates in that order
+/// and charges one step of its budget per candidate tried. It makes the
+/// decisions that placing and releasing each candidate on the table would
+/// make, without touching the table: each candidate is checked against
+/// the row's existing claims once and the verdict is memoised, and every
+/// visit checks it against the stubs chosen so far in the search under
+/// the table's sharing rules. On success the winning assignment is
+/// claimed once, through the journalled claim path; on failure the table
+/// is untouched.
+#[derive(Clone, Debug, Default)]
+pub struct WriteSearch {
+    /// `(value, fanout, index of the first candidate)` per participant.
+    parts: Vec<(SOpId, usize, usize)>,
+    cand: Vec<WriteStub>,
+    memo: Vec<Memo>,
+    /// Per participant, the index into `cand` of the candidate being
+    /// tried; for the participants before the current one, of the chosen
+    /// candidate.
+    at: Vec<usize>,
+    spent: usize,
+    found: bool,
+}
+
+impl WriteSearch {
+    /// Empties the search for a new set of participants.
+    pub fn clear(&mut self) {
+        self.parts.clear();
+        self.cand.clear();
+        self.found = false;
+    }
+
+    /// Adds the next participant: the value its stub carries (the
+    /// producing operation) and the output fanout of the producing unit.
+    /// Returns the buffer to append its candidate stubs to, best first.
+    pub fn add_participant(&mut self, value: SOpId, fanout: usize) -> &mut Vec<WriteStub> {
+        self.parts.push((value, fanout, self.cand.len()));
+        self.found = false;
+        &mut self.cand
+    }
+
+    /// Number of participants.
+    pub fn len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Whether the search has no participants.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// The stub chosen for participant `i` by the last successful
+    /// [`WriteSearch::run`]; `None` before one or after a failed run.
+    pub fn chosen(&self, i: usize) -> Option<WriteStub> {
+        if !self.found || i >= self.parts.len() {
+            return None;
+        }
+        self.at.get(i).and_then(|&k| self.cand.get(k)).copied()
+    }
+
+    /// Candidates tried by the last [`WriteSearch::run`].
+    pub fn spent(&self) -> usize {
+        self.spent
+    }
+
+    /// One past the last candidate of participant `i`.
+    fn end(&self, i: usize) -> usize {
+        self.parts.get(i + 1).map_or(self.cand.len(), |p| p.2)
+    }
+
+    /// Searches for a stub per participant on `row` of `table`, trying
+    /// at most `budget` candidates, and claims the assignment found.
+    /// Returns `false`, leaving the table untouched, when the budget runs
+    /// out or no assignment exists.
+    pub fn run(&mut self, table: &mut ResourceTable, row: Row, budget: usize) -> bool {
+        self.spent = 0;
+        self.found = false;
+        if !table.owns(row) {
+            return false;
+        }
+        let n = self.parts.len();
+        self.memo.clear();
+        self.memo.resize(self.cand.len(), Memo::Unchecked);
+        self.at.clear();
+        self.at.extend(self.parts.iter().map(|p| p.2));
+        let mut i = 0usize;
+        while i < n {
+            let end = self.end(i);
+            let mut advanced = false;
+            while self.at[i] < end {
+                if self.spent == budget {
+                    return false;
+                }
+                self.spent += 1;
+                if self.admits(table, row, i) {
+                    advanced = true;
+                    break;
+                }
+                self.at[i] += 1;
+            }
+            if advanced {
+                i += 1;
+                if i < n {
+                    self.at[i] = self.parts[i].2;
+                }
+            } else {
+                if i == 0 {
+                    return false;
+                }
+                i -= 1;
+                self.at[i] += 1;
+            }
+        }
+        for (&(value, fanout, _), &k) in self.parts.iter().zip(&self.at) {
+            if !table.place_write_stub_at(row, self.cand[k], value, fanout) {
+                debug_assert!(false, "memoised verdict disagreed with the table");
+                return false;
+            }
+        }
+        self.found = true;
+        true
+    }
+
+    /// Whether the table would admit participant `i`'s current candidate
+    /// on `row` with the stubs of participants `0..i` placed.
+    fn admits(&mut self, table: &ResourceTable, row: Row, i: usize) -> bool {
+        let k = self.at[i];
+        let stub = self.cand[k];
+        let (value, fanout, _) = self.parts[i];
+        if self.memo[k] == Memo::Unchecked {
+            self.memo[k] = table.write_memo(row, stub, value);
+        }
+        let Memo::Open {
+            mut drives_bus,
+            buses,
+        } = self.memo[k]
+        else {
+            return false;
+        };
+        let mut buses = buses as usize;
+        for j in 0..i {
+            let c = self.cand[self.at[j]];
+            let cvalue = self.parts[j].0;
+            // A bus carries one value; a write port takes one
+            // (value, bus) pair.
+            if c.bus == stub.bus && cvalue != value {
+                return false;
+            }
+            if c.port == stub.port && (cvalue, c.bus) != (value, stub.bus) {
+                return false;
+            }
+            if c.fu != stub.fu {
+                continue;
+            }
+            // A unit output carries one value, onto `fanout` buses.
+            if cvalue != value {
+                return false;
+            }
+            if c.bus == stub.bus {
+                drives_bus = true;
+            } else if !self.drives_existing(j) && !self.chosen_drive(j, c) {
+                buses += 1;
+            }
+        }
+        output_admits(drives_bus, buses, fanout)
+    }
+
+    /// Whether participant `j`'s chosen stub uses a bus its unit output
+    /// already drove before the search.
+    fn drives_existing(&self, j: usize) -> bool {
+        matches!(
+            self.memo[self.at[j]],
+            Memo::Open {
+                drives_bus: true,
+                ..
+            }
+        )
+    }
+
+    /// Whether a participant before `j` chose a stub driving `c`'s bus
+    /// from `c`'s unit output (so that bus is already counted).
+    fn chosen_drive(&self, j: usize, c: WriteStub) -> bool {
+        self.at[..j].iter().any(|&k| {
+            let e = self.cand[k];
+            e.fu == c.fu && e.bus == c.bus
+        })
     }
 }
 
@@ -830,8 +1121,8 @@ mod tests {
         assert!(t.place_issue(0, fu, 1, op(0)));
         let inner = t.savepoint();
         t.rollback(outer);
-        // `inner` now points past the journal's end: a later-generation
-        // position. Rolling back to it must not invent claims.
+        // `inner` now points past the journal's end: a stale position.
+        // Rolling back to it must not invent claims.
         let fp = t.fingerprint();
         if !cfg!(debug_assertions) {
             t.rollback(inner);

@@ -616,3 +616,196 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Differential check of the memoised write-stub search: `WriteSearch`
+// against a probe-by-probe reference that places and releases every
+// candidate on the table. Verdict, chosen stubs, budget spent and the
+// resulting claims must all agree.
+// ---------------------------------------------------------------------------
+
+use csched_core::WriteSearch;
+use csched_machine::{ArchBuilder, Capability, FuClass, Opcode};
+
+/// Three units whose outputs each reach all four buses, and five write
+/// ports in three files, most reachable from two buses: rows where
+/// sibling broadcasts, shared ports and output fanouts all bind. One
+/// read port shares bus 1, so read claims can block write stubs too.
+fn crossbar() -> Architecture {
+    let mut b = ArchBuilder::new("crossbar");
+    let rfs: Vec<_> = (0..3)
+        .map(|i| b.register_file(format!("R{i}"), 8))
+        .collect();
+    let fus: Vec<_> = (0..3)
+        .map(|i| {
+            b.functional_unit(
+                format!("U{i}"),
+                FuClass::Alu,
+                2,
+                true,
+                [
+                    Capability::new(Opcode::IAdd, 1),
+                    Capability::new(Opcode::Copy, 1),
+                ],
+            )
+        })
+        .collect();
+    let buses: Vec<_> = (0..4).map(|i| b.bus(format!("B{i}"))).collect();
+    for &fu in &fus {
+        for &bus in &buses {
+            b.connect_output(fu, bus);
+        }
+    }
+    let ports: Vec<_> = [0, 0, 1, 1, 2]
+        .iter()
+        .map(|&r| b.write_port(rfs[r]))
+        .collect();
+    for (bus, reach) in [
+        (0, &[0, 2, 4][..]),
+        (1, &[1, 2]),
+        (2, &[0, 3, 4]),
+        (3, &[1, 3]),
+    ] {
+        for &p in reach {
+            b.connect_bus_to_write_port(buses[bus], ports[p]);
+        }
+    }
+    for (i, &fu) in fus.iter().enumerate() {
+        b.dedicated_read(rfs[i], fu, 0);
+        b.dedicated_read(rfs[(i + 1) % 3], fu, 1);
+    }
+    let shared = b.read_port(rfs[0]);
+    b.connect_read_port_to_bus(shared, buses[1]);
+    b.connect_bus_to_input(buses[1], fus[1], 0);
+    b.build().expect("crossbar machine is well-formed")
+}
+
+/// A reference participant: value, fanout, candidate stubs best first.
+type RefPart = (SOpId, usize, Vec<WriteStub>);
+
+/// Probe-by-probe backtracking over `parts` on `cycle`'s row, charging
+/// one step of `budget` per candidate tried. On failure the table is
+/// rolled back, so it is left as it was. Returns the verdict, the chosen
+/// stubs and the budget spent.
+fn probe_search(
+    table: &mut ResourceTable,
+    cycle: i64,
+    parts: &[RefPart],
+    budget: usize,
+) -> (bool, Vec<WriteStub>, usize) {
+    let sp = table.savepoint();
+    let n = parts.len();
+    let mut pos = vec![0usize; n];
+    let mut chosen: Vec<Option<WriteStub>> = vec![None; n];
+    let mut spent = 0;
+    let mut i = 0;
+    while i < n {
+        let (value, fanout, cand) = &parts[i];
+        let mut advanced = false;
+        while pos[i] < cand.len() {
+            if spent == budget {
+                table.rollback(sp);
+                return (false, Vec::new(), spent);
+            }
+            spent += 1;
+            if table.place_write_stub(cycle, cand[pos[i]], *value, *fanout) {
+                chosen[i] = Some(cand[pos[i]]);
+                advanced = true;
+                break;
+            }
+            pos[i] += 1;
+        }
+        if advanced {
+            i += 1;
+            if i < n {
+                pos[i] = 0;
+            }
+        } else {
+            if i == 0 {
+                table.rollback(sp);
+                return (false, Vec::new(), spent);
+            }
+            i -= 1;
+            let stub = chosen[i]
+                .take()
+                .expect("backtracked to a chosen participant");
+            table.unplace_write_stub(cycle, stub, parts[i].0);
+            pos[i] += 1;
+        }
+    }
+    (true, chosen.into_iter().flatten().collect(), spent)
+}
+
+/// Budgets from tiny (the search runs out) to the engine's default.
+fn budget_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![0..6usize, 6..40usize, Just(256usize)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// The memoised search decides exactly as the probe-by-probe search
+    /// on random rows: fixed write and read claims around the row, then
+    /// participants whose values repeat (sibling communications of one
+    /// producer share its unit's output, with fanout 1-3) and whose
+    /// candidate lists repeat and collide.
+    #[test]
+    fn memoised_write_search_matches_probe_search(
+        fixed_writes in prop::collection::vec((0..3usize, 0..10usize, 0..8i64, 0..6usize), 0..16),
+        fixed_reads in prop::collection::vec((0..3usize, 0..2usize, 0..2usize, 0..8i64, 0..6usize), 0..8),
+        parts in prop::collection::vec((0..4usize, prop::collection::vec(0..10usize, 0..7)), 0..8),
+        fanouts in (1..=3usize, 1..=3usize, 1..=3usize),
+        row in (prop::option::of(2u32..6), 0..6i64),
+        budget in budget_strategy(),
+    ) {
+        let arch = crossbar();
+        let (modulo, cycle) = row;
+        let mode = match modulo {
+            Some(ii) => TableMode::Modulo(ii),
+            None => TableMode::Linear,
+        };
+        let fanout_of = |fu: FuId| [fanouts.0, fanouts.1, fanouts.2][fu.index() % 3];
+        let mut table = ResourceTable::new(ResourceMap::new(&arch), mode);
+        for &(fu, stub, c, value) in &fixed_writes {
+            let fu = FuId::from_raw(fu);
+            let stubs = arch.write_stubs(fu);
+            let _ = table.place_write_stub(c, stubs[stub % stubs.len()], SOpId::from_raw(value), fanout_of(fu));
+        }
+        for &(fu, slot, stub, c, op) in &fixed_reads {
+            let fu = FuId::from_raw(fu);
+            let slot = slot % arch.fu(fu).num_inputs();
+            let stubs = arch.read_stubs(fu, slot);
+            let _ = table.place_read_stub(c, stubs[stub % stubs.len()], SOpId::from_raw(op), slot);
+        }
+        // A participant's value fixes its producing unit, so siblings
+        // (equal values) share one output.
+        let ref_parts: Vec<RefPart> = parts
+            .iter()
+            .map(|(value, picks)| {
+                let fu = FuId::from_raw(value % arch.num_fus());
+                let stubs = arch.write_stubs(fu);
+                let cand = picks.iter().map(|&k| stubs[k % stubs.len()]).collect();
+                (SOpId::from_raw(*value), fanout_of(fu), cand)
+            })
+            .collect();
+
+        let mut reference = table.clone();
+        let (want_ok, want_chosen, want_spent) = probe_search(&mut reference, cycle, &ref_parts, budget);
+
+        let mut search = WriteSearch::default();
+        for (value, fanout, cand) in &ref_parts {
+            search.add_participant(*value, *fanout).extend(cand.iter().copied());
+        }
+        let before = table.fingerprint();
+        let r = table.claim_row(cycle).expect("non-negative cycle");
+        let got_ok = search.run(&mut table, r, budget);
+        prop_assert_eq!(got_ok, want_ok, "verdict diverged");
+        prop_assert_eq!(search.spent(), want_spent, "budget spent diverged");
+        let got_chosen: Vec<WriteStub> = (0..search.len()).filter_map(|i| search.chosen(i)).collect();
+        prop_assert_eq!(got_chosen, want_chosen, "chosen stubs diverged");
+        prop_assert_eq!(table.fingerprint(), reference.fingerprint(), "claims diverged");
+        if !got_ok {
+            prop_assert_eq!(table.fingerprint(), before, "a failed search must not claim");
+        }
+    }
+}

@@ -6,14 +6,20 @@
 //! journal reloads to the exact entry set of the uncompacted cache.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use csched_eval::serve::{CacheEntry, CompactionPolicy, ScheduleCache};
 use proptest::prelude::*;
 
+/// A journal path no other call in this process gets: cases of
+/// different tests may draw the same tag, and tests run on parallel
+/// threads, so the tag alone would let two of them share a file.
 fn tmp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("csched-cache-props-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.jsonl"))
+    dir.join(format!("{tag}-{n}.jsonl"))
 }
 
 fn entry(ii: u32, attempts: u64) -> CacheEntry {
