@@ -5,16 +5,14 @@
 #
 # The lint and format steps degrade gracefully when the toolchain lacks
 # the `clippy` or `rustfmt` components (e.g. a minimal container); the
-# build and test steps are mandatory. `csched-core`, `csched-ir`, and
-# `csched-eval` (including the `explore`, `soak`, `dash`, and `oracle`
-# binaries, which carry their own crate-level attributes; the `chaosnet`,
-# `telemetry`, and `gap` modules are covered by the csched-eval lib
-# attribute, as is `csched_core::exact` by the csched-core one)
-# additionally carry
+# build and test steps are mandatory. `csched-core`, `csched-ir`,
+# `csched-eval` and each csched-eval binary (`ablation`, `chaos`, `dash`,
+# `explore`, `one-cell`, `oracle`, `paper-report`, `scale-perf`, `serve`,
+# `soak`, `table1`) carry
 # `deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)` outside
 # test code, so the clippy step doubles as the panic-free gate for the
 # scheduling pipeline, the evaluation harness, the design-space search,
-# and the chaos/soak tooling.
+# the service, and the chaos/soak tooling.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -59,16 +57,6 @@ cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 step "golden decision-stream digests on the full grid (release)"
 cargo test -q --release -p csched-core --test decision_golden -- --include-ignored
 
-# Perf-regression bench smoke: re-measure a small kernel×arch grid and
-# diff it against the committed baseline. Deterministic fields (ok, II,
-# copies, attempts) must match exactly; wall clock is advisory because
-# the baseline was recorded on different hardware.
-step "bench smoke vs BENCH_baseline.json"
-cargo run -q --release -p csched-eval --bin bench-json -- \
-    --label ci --reps 2 --kernels FFT,Merge,DCT --archs central,distributed
-cargo run -q --release -p csched-eval --bin bench-json -- \
-    --compare BENCH_baseline.json BENCH_ci.json
-
 # Design-space exploration smoke: a small sampled sweep on 2 worker
 # threads must print JSON byte-identical to the single-threaded run
 # (candidates merge in index order; the report carries no thread count
@@ -87,9 +75,9 @@ diff EXPLORE_ci_j1.json EXPLORE_ci_j2.json
 step "explore determinism suite incl. acceptance sweep (release)"
 cargo test -q --release -p csched-eval --test explore_determinism -- --include-ignored
 
-# Bottleneck-attribution smoke: the explain binary must name a binding.
+# Bottleneck-attribution smoke: one-cell's explanation must name a binding.
 step "explain smoke (FFT on distributed)"
-cargo run -q --release -p csched-eval --bin explain -- FFT distributed --json \
+cargo run -q --release -p csched-eval --bin one-cell -- FFT distributed --explain-json \
     | grep -q '"binding"'
 
 # Exact-oracle gap smoke: certify three small paper-grid cells under a

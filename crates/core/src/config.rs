@@ -1,9 +1,9 @@
 //! Scheduler configuration.
 //!
 //! The defaults implement the paper's choices; the alternative settings
-//! exist for the ablation studies in `csched-bench` (operation-order vs
-//! cycle-order scheduling, the communication-cost heuristic, stub search
-//! ordering, and the permutation-search budget).
+//! exist for the ablation studies of the csched-eval `ablation` binary
+//! (operation-order vs cycle-order scheduling, the communication-cost
+//! heuristic, stub search ordering, and the permutation-search budget).
 
 /// How the scheduler iterates over unscheduled operations (paper §4.6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

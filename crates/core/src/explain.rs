@@ -24,8 +24,7 @@
 //! full-connectivity approximation, the same what-if shape
 //! crossbar-sizing methodologies iterate on. Rendered as a text report
 //! ([`Explanation::render_text`]) and JSON ([`Explanation::to_json`]);
-//! surfaced by the `one-cell --explain` and `explain` binaries of
-//! `csched-eval`.
+//! surfaced by `one-cell --explain` / `--explain-json` in `csched-eval`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

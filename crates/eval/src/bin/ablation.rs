@@ -1,12 +1,28 @@
-//! One-shot ablation table (quality only; `cargo bench -p csched-bench
-//! --bench ablations` adds timing): the §4.4/§4.6 design choices on a
-//! subset of kernels across the distributed and clustered(4) machines.
+//! One-shot ablation table (quality only; perfbench does the timing):
+//! the §4.4/§4.6 design choices on a subset of kernels across the
+//! distributed and clustered(4) machines.
 //!
-//! Usage: `cargo run --release -p csched-eval --bin ablation`
+//! Usage: `cargo run --release -p csched-eval --bin ablation` (no
+//! arguments; any argument is a usage error, exit 2).
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::process::ExitCode;
 
 use csched_core::{schedule_kernel, SchedulerConfig};
+use csched_eval::cli::{self, Args, CliError};
 
-fn main() {
+fn main() -> ExitCode {
+    cli::main("ablation", run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    if !args.is_empty() {
+        return Err(CliError::Usage("takes no arguments".to_string()));
+    }
     let kernels = ["FFT", "DCT", "Sort", "Merge", "Block Warp"];
     let archs = [
         csched_machine::imagine::distributed(),
@@ -35,7 +51,7 @@ fn main() {
         for (label, config) in &configs {
             print!("{label:<18}");
             for k in kernels {
-                let w = csched_kernels::by_name(k).expect("known kernel");
+                let w = cli::kernel(k)?;
                 match schedule_kernel(arch, &w.kernel, config.clone()) {
                     Ok(s) => print!(
                         "{:>14}",
@@ -48,4 +64,5 @@ fn main() {
         }
         println!();
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -2,7 +2,8 @@
 //!
 //! Usage: `cargo run --release -p csched-eval --bin chaos --
 //! [--seed <n>] [--runs <n>] [--max-faults <n>] [--step-limit <n>]
-//! [--arch toy|central|clustered|distributed] [--kernels <n>]`
+//! [--arch <name>] [--kernels <n>]`, where `--arch` takes a name from
+//! `csched_eval::cli::ARCH_NAMES` (default `distributed`).
 //!
 //! Draws `--runs` pseudo-random combinations of up to `--max-faults`
 //! simultaneous resource faults (dead buses, ports, functional units),
@@ -14,50 +15,35 @@
 //!
 //! Exits 0 when every run held the robustness contract (valid schedule,
 //! typed rejection, or in-deadline stop — never a panic, never a budget
-//! overrun), 1 otherwise. CI runs a tiny seeded campaign as a smoke
-//! test.
+//! overrun), 1 otherwise, 2 on a usage error. CI runs a tiny seeded
+//! campaign as a smoke test.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::process::ExitCode;
 
 use csched_core::faultinject::{chaos_campaign, render_chaos_campaign, ChaosConfig};
 use csched_core::SchedulerConfig;
+use csched_eval::cli::{self, Args, CliError};
 use csched_ir::Kernel;
 
-fn flag_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn main() -> ExitCode {
+    cli::main("chaos", run)
 }
 
-fn numeric_flag<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    match flag_value(flag) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag}: not a number: {v}");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
-
-fn main() {
+fn run(args: &Args) -> Result<ExitCode, CliError> {
     let defaults = ChaosConfig::default();
     let chaos = ChaosConfig {
-        seed: numeric_flag("--seed", defaults.seed),
-        runs: numeric_flag("--runs", defaults.runs),
-        max_faults: numeric_flag("--max-faults", defaults.max_faults),
-        step_limit: numeric_flag("--step-limit", defaults.step_limit),
+        seed: args.num("--seed")?.unwrap_or(defaults.seed),
+        runs: args.num("--runs")?.unwrap_or(defaults.runs),
+        max_faults: args.num("--max-faults")?.unwrap_or(defaults.max_faults),
+        step_limit: args.num("--step-limit")?.unwrap_or(defaults.step_limit),
     };
-    let arch = match flag_value("--arch").as_deref() {
-        None | Some("distributed") => csched_machine::imagine::distributed(),
-        Some("central") => csched_machine::imagine::central(),
-        Some("clustered") => csched_machine::imagine::clustered(2),
-        Some("toy") => csched_machine::toy::motivating_example(),
-        Some(other) => {
-            eprintln!("--arch: unknown machine: {other}");
-            std::process::exit(2);
-        }
-    };
-    let kernel_count: usize = numeric_flag("--kernels", 3);
+    let arch = cli::arch(args.value("--arch")?.unwrap_or("distributed"))?;
+    let kernel_count: usize = args.num("--kernels")?.unwrap_or(3);
 
     let workloads = csched_kernels::all();
     let kernels: Vec<(&str, &Kernel)> = workloads
@@ -73,13 +59,15 @@ fn main() {
         .iter()
         .filter(|e| !e.verdict.contract_held() || e.attempts_spent > e.step_limit)
         .collect();
-    if !violations.is_empty() {
-        for v in violations {
-            eprintln!(
-                "CONTRACT VIOLATION: run {} kernel {} faults {:?}: {:?}",
-                v.run, v.kernel, v.fault_descs, v.verdict
-            );
-        }
-        std::process::exit(1);
+    for v in &violations {
+        eprintln!(
+            "CONTRACT VIOLATION: run {} kernel {} faults {:?}: {:?}",
+            v.run, v.kernel, v.fault_descs, v.verdict
+        );
     }
+    Ok(if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }

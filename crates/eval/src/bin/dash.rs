@@ -27,10 +27,13 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use csched_eval::cli::{self, Args, CliError};
+use csched_eval::jsonl::num_field;
 use csched_eval::serve::{client_metrics, client_stats};
-use csched_eval::telemetry::{scan_u64, MetricsSnapshot, SpanSummary};
+use csched_eval::telemetry::{MetricsSnapshot, SpanSummary};
 
 const HELP: &str = "usage: dash --addr <host:port> [flags]
   --interval-ms N   poll period (default 1000)
@@ -53,22 +56,6 @@ const OUTCOMES: [&str; 7] = [
     "internal",
 ];
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn num_flag(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad {flag} value {v}")),
-    }
-}
-
 struct Plan {
     addr: String,
     interval: Duration,
@@ -77,14 +64,16 @@ struct Plan {
     slow_rows: usize,
 }
 
-fn parse_plan(args: &[String]) -> Result<Plan, String> {
-    let addr = flag_value(args, "--addr").ok_or("need --addr <host:port>")?;
+fn parse_plan(args: &Args) -> Result<Plan, CliError> {
+    let addr = args
+        .value("--addr")?
+        .ok_or_else(|| CliError::Usage("need --addr <host:port>".to_string()))?;
     Ok(Plan {
-        addr,
-        interval: Duration::from_millis(num_flag(args, "--interval-ms")?.unwrap_or(1000).max(50)),
-        frames: num_flag(args, "--frames")?,
-        once: args.iter().any(|a| a == "--once"),
-        slow_rows: num_flag(args, "--slow")?.unwrap_or(5) as usize,
+        addr: addr.to_string(),
+        interval: Duration::from_millis(args.num("--interval-ms")?.unwrap_or(1000).max(50)),
+        frames: args.num("--frames")?,
+        once: args.has("--once"),
+        slow_rows: args.num("--slow")?.unwrap_or(5),
     })
 }
 
@@ -108,14 +97,14 @@ fn poll(addr: &str) -> Result<Frame, String> {
     let metrics = MetricsSnapshot::parse(json_line)
         .map_err(|e| format!("unparseable METRICS line ({e}): {json_line}"))?;
     Ok(Frame {
-        uptime_ms: scan_u64(&stats, "\"uptime_ms\":").unwrap_or(0),
-        requests_total: scan_u64(&stats, "\"requests\":").unwrap_or(0),
-        shed: scan_u64(&stats, "\"shed\":").unwrap_or(0),
-        degraded: scan_u64(&stats, "\"degraded\":").unwrap_or(0),
-        quarantined: scan_u64(&stats, "\"quarantined\":").unwrap_or(0),
-        write_degraded: scan_u64(&stats, "\"write_degraded\":").unwrap_or(0),
-        hits: scan_u64(&stats, "\"hits\":").unwrap_or(0),
-        misses: scan_u64(&stats, "\"misses\":").unwrap_or(0),
+        uptime_ms: num_field(&stats, "uptime_ms").unwrap_or(0),
+        requests_total: num_field(&stats, "requests").unwrap_or(0),
+        shed: num_field(&stats, "shed").unwrap_or(0),
+        degraded: num_field(&stats, "degraded").unwrap_or(0),
+        quarantined: num_field(&stats, "quarantined").unwrap_or(0),
+        write_degraded: num_field(&stats, "write_degraded").unwrap_or(0),
+        hits: num_field(&stats, "hits").unwrap_or(0),
+        misses: num_field(&stats, "misses").unwrap_or(0),
         metrics,
     })
 }
@@ -267,23 +256,20 @@ fn run(plan: &Plan) -> Result<(), String> {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") || args.is_empty() {
-        println!("{HELP}");
-        return;
-    }
-    let plan = match parse_plan(&args) {
-        Ok(plan) => plan,
-        Err(message) => {
-            eprintln!("dash: {message}\n{HELP}");
-            std::process::exit(2);
+fn main() -> ExitCode {
+    cli::main("dash", |args| {
+        if args.has("--help") || args.is_empty() {
+            println!("{HELP}");
+            return Ok(ExitCode::SUCCESS);
         }
-    };
-    if let Err(message) = run(&plan) {
-        eprintln!("dash: {message}");
-        std::process::exit(1);
-    }
+        Ok(match run(&parse_plan(args)?) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(message) => {
+                eprintln!("dash: {message}");
+                ExitCode::FAILURE
+            }
+        })
+    })
 }
 
 #[cfg(test)]

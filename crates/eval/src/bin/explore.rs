@@ -24,86 +24,60 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+use std::path::Path;
+use std::process::ExitCode;
+
 use csched_eval::campaign::Journal;
+use csched_eval::cli::{self, Args, CliError};
 use csched_eval::explore::{explore, ExploreConfig};
 use csched_ir::Kernel;
-use std::collections::HashMap;
-use std::path::PathBuf;
 
 const USAGE: &str = "usage: explore [--candidates N] [--seed N] [--rounds N] \
 [--step-limit N] [--jobs N] [--kernels A,B,...] [--no-anchors] [--json] \
 [--journal PATH] [--resume PATH]";
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn main() -> ExitCode {
+    cli::main("explore", run)
 }
 
-fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("{flag}: not a number: {v}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    if args.has("--help") || args.has("-h") {
         println!("{USAGE}");
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let config = ExploreConfig {
-        candidates: parsed_flag(&args, "--candidates", 24),
-        seed: parsed_flag(&args, "--seed", 0xC5C4ED),
-        refine_rounds: parsed_flag(&args, "--rounds", 1),
-        step_limit: parsed_flag(&args, "--step-limit", 1_000_000),
-        anchors: !args.iter().any(|a| a == "--no-anchors"),
+        candidates: args.num("--candidates")?.unwrap_or(24),
+        seed: args.num("--seed")?.unwrap_or(0xC5C4ED),
+        refine_rounds: args.num("--rounds")?.unwrap_or(1),
+        step_limit: args.num("--step-limit")?.unwrap_or(1_000_000),
+        anchors: !args.has("--no-anchors"),
         ..ExploreConfig::default()
     };
-    let jobs: usize = parsed_flag(&args, "--jobs", 1);
-
-    let workloads: Vec<csched_kernels::Workload> = match flag_value(&args, "--kernels") {
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                csched_kernels::by_name(name).unwrap_or_else(|| {
-                    eprintln!("unknown kernel {name:?}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
+    let jobs: usize = args.num("--jobs")?.unwrap_or(1);
+    let workloads = match args.value("--kernels")? {
+        Some(list) => cli::kernels(list)?,
         None => csched_kernels::all(),
     };
     let kernels: Vec<(&str, &Kernel)> = workloads
         .iter()
         .map(|w| (w.kernel.name(), &w.kernel))
         .collect();
-
-    let resume = match flag_value(&args, "--resume").map(PathBuf::from) {
-        Some(p) => Journal::load(&p).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        None => HashMap::new(),
-    };
-    let mut journal = flag_value(&args, "--journal").map(|p| {
-        Journal::open(&PathBuf::from(&p)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    });
+    let resume_path = args.value("--resume")?.map(Path::new);
+    let journal_path = args.value("--journal")?.map(Path::new);
 
     let start = std::time::Instant::now();
-    let report = explore(&config, &kernels, jobs, journal.as_mut(), &resume).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let report =
+        Journal::open_resumable(journal_path, resume_path).and_then(|(mut journal, resume)| {
+            explore(&config, &kernels, jobs, journal.as_mut(), &resume)
+        });
+    let report = match report {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("explore: {e}");
+            return Ok(ExitCode::from(2));
+        }
+    };
     // Timing and resume statistics go to stderr only: stdout must be a
     // pure function of the search, identical across --jobs and --resume.
     eprintln!(
@@ -114,9 +88,10 @@ fn main() {
         start.elapsed()
     );
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         print!("{}", report.to_json());
     } else {
         print!("{}", report.render_frontier());
     }
+    Ok(ExitCode::SUCCESS)
 }

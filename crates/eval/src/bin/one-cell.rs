@@ -23,8 +23,25 @@
 //! (open in Perfetto or `chrome://tracing`); `--gantt` simulates and
 //! renders the timeline as a terminal Gantt chart (iteration digits on
 //! FU rows, `=` on bus rows).
+//!
+//! Exit codes: 0 ok, 1 the cell failed to schedule, validate, simulate
+//! or certify, 2 usage error (unknown kernel or arch, missing value).
 
-use csched_core::{explain, schedule_kernel, validate, ScheduleMetrics, SchedulerConfig};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::process::ExitCode;
+
+use csched_core::exact::{certify_min_ii, ExactConfig, ExactVerdict};
+use csched_core::{
+    explain, schedule_kernel, validate, CommDisposition, ScheduleMetrics, SchedulerConfig,
+    StepBudget,
+};
+use csched_eval::cli::{self, Args, CliError};
+use csched_kernels::Workload;
+use csched_machine::Architecture;
 use csched_sim::Timeline;
 
 const HELP: &str = "usage: one-cell <kernel> [arch] [flags]
@@ -44,98 +61,84 @@ flags:
   --gantt           simulate and render a terminal Gantt chart
   --help            this text";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") || args.is_empty() {
+fn main() -> ExitCode {
+    cli::main("one-cell", run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    if args.has("--help") || args.is_empty() {
         println!("{HELP}");
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
-    let kernel_name = args.first().expect("kernel name");
-    let arch_name = args.get(1).map(String::as_str).unwrap_or("distributed");
-    let w = csched_kernels::by_name(kernel_name).expect("unknown kernel");
-    let arch = match arch_name {
-        "central" => csched_machine::imagine::central(),
-        "clustered2" => csched_machine::imagine::clustered(2),
-        "clustered4" => csched_machine::imagine::clustered(4),
-        "distributed" => csched_machine::imagine::distributed(),
-        other => panic!("unknown arch {other}"),
+    let names = args.positional(&["--timeline"]);
+    let Some(kernel) = names.first() else {
+        return Err(CliError::Usage(
+            "need a kernel name; see --help".to_string(),
+        ));
     };
+    let w = cli::kernel(kernel)?;
+    let arch = cli::arch(names.get(1).copied().unwrap_or("distributed"))?;
+    let timeline = args.value("--timeline")?;
+    Ok(match report(args, &w, &arch, timeline) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("one-cell: {e}");
+            ExitCode::FAILURE
+        }
+    })
+}
+
+/// Schedules, validates and reports the cell; any failure is exit 1.
+fn report(
+    args: &Args,
+    w: &Workload,
+    arch: &Architecture,
+    timeline: Option<&str>,
+) -> Result<(), String> {
     let t = std::time::Instant::now();
-    let s = schedule_kernel(&arch, &w.kernel, SchedulerConfig::default()).expect("schedules");
+    let s = schedule_kernel(arch, &w.kernel, SchedulerConfig::default()).map_err(|e| {
+        format!(
+            "scheduling {} on {} failed: {e}",
+            w.kernel.name(),
+            arch.name()
+        )
+    })?;
     println!(
         "{} on {}: II={} copies={} attempts={} rejections={} ii_tried={} in {:.2?}",
         w.kernel.name(),
         arch.name(),
-        s.ii().unwrap(),
+        s.ii().unwrap_or(0),
         s.num_copies(),
         s.stats().attempts,
         s.stats().rejections,
         s.stats().ii_tried,
         t.elapsed()
     );
-    validate::validate(&arch, &w.kernel, &s).expect("valid");
-    if args.iter().any(|a| a == "--certify") {
-        use csched_core::exact::{certify_min_ii, ExactConfig, ExactVerdict};
-        use csched_core::StepBudget;
-        let heuristic_ii = s.ii().unwrap_or(0);
-        let budget = StepBudget::new(2_000_000);
-        let report = certify_min_ii(&arch, &w.kernel, &ExactConfig::default(), &budget)
-            .expect("oracle runs");
-        match report.verdict {
-            ExactVerdict::Certified { ii } if ii == heuristic_ii => {
-                println!("  II={heuristic_ii} (optimal)");
-            }
-            ExactVerdict::Certified { ii } if ii < heuristic_ii => {
-                println!(
-                    "  II={heuristic_ii} (exact={ii}, gap={})",
-                    heuristic_ii - ii
-                );
-            }
-            ExactVerdict::Certified { ii } => {
-                // The validator accepted a schedule below the "certified
-                // minimum": one of the two checkers is wrong.
-                eprintln!(
-                    "  SOUNDNESS DISAGREEMENT: oracle certified II={ii} above the \
-                     validated heuristic II={heuristic_ii}"
-                );
-                std::process::exit(1);
-            }
-            ExactVerdict::GapUnknown { spent, limit } => {
-                println!(
-                    "  II={heuristic_ii} (exact search exhausted its budget: \
-                     {spent}/{limit} steps; gap unknown)"
-                );
-            }
-            ExactVerdict::Infeasible { max_ii } if heuristic_ii <= max_ii => {
-                eprintln!(
-                    "  SOUNDNESS DISAGREEMENT: oracle proved II<={max_ii} infeasible, \
-                     yet the validator accepted II={heuristic_ii}"
-                );
-                std::process::exit(1);
-            }
-            ExactVerdict::Infeasible { max_ii } => {
-                println!("  II={heuristic_ii} (exact search capped at II={max_ii}; gap unknown)");
-            }
-        }
+    validate::validate(arch, &w.kernel, &s).map_err(|errors| {
+        let errors: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        format!("invalid schedule: {}", errors.join("; "))
+    })?;
+    if args.has("--certify") {
+        certify(arch, w, s.ii().unwrap_or(0))?;
     }
-    if args.iter().any(|a| a == "--heatmap") {
-        let m = ScheduleMetrics::compute(&arch, &w.kernel, &s);
+    if args.has("--heatmap") {
+        let m = ScheduleMetrics::compute(arch, &w.kernel, &s);
         println!("{}", m.render_heatmap());
     }
-    if args.iter().any(|a| a == "--metrics-json") {
-        let m = ScheduleMetrics::compute(&arch, &w.kernel, &s);
+    if args.has("--metrics-json") {
+        let m = ScheduleMetrics::compute(arch, &w.kernel, &s);
         println!("{}", m.to_json());
     }
-    if args.iter().any(|a| a == "--explain") {
-        print!("{}", explain::explain(&arch, &w.kernel, &s).render_text());
+    if args.has("--explain") {
+        print!("{}", explain::explain(arch, &w.kernel, &s).render_text());
     }
-    if args.iter().any(|a| a == "--explain-json") {
-        println!("{}", explain::explain(&arch, &w.kernel, &s).to_json());
+    if args.has("--explain-json") {
+        println!("{}", explain::explain(arch, &w.kernel, &s).to_json());
     }
-    if args.iter().any(|a| a == "--copies") {
+    if args.has("--copies") {
         let u = s.universe();
         for cid in u.comm_ids() {
-            if let csched_core::CommDisposition::Via(copy) = s.disposition(cid) {
+            if let CommDisposition::Via(copy) = s.disposition(cid) {
                 let c = u.comm(cid);
                 let p = s.placement(c.producer);
                 let q = s.placement(c.consumer);
@@ -153,18 +156,14 @@ fn main() {
             }
         }
     }
-    let timeline_path = args
-        .iter()
-        .position(|a| a == "--timeline")
-        .map(|i| args.get(i + 1).expect("--timeline needs a path").clone());
-    let want_gantt = args.iter().any(|a| a == "--gantt");
-    if timeline_path.is_some() || want_gantt {
+    let want_gantt = args.has("--gantt");
+    if timeline.is_some() || want_gantt {
         let mut mem = w.memory();
         let mut tl = Timeline::new();
         let stats = csched_sim::execute_timed(&w.kernel, &s, &mut mem, w.trip, Some(&mut tl))
-            .expect("simulates");
-        if let Some(path) = timeline_path {
-            std::fs::write(&path, tl.chrome_trace(&arch, &s)).expect("writes timeline");
+            .map_err(|e| format!("simulation failed: {e}"))?;
+        if let Some(path) = timeline {
+            std::fs::write(path, tl.chrome_trace(arch, &s)).map_err(|e| format!("{path}: {e}"))?;
             println!(
                 "  timeline: {} events over {} cycles -> {path} (open in Perfetto)",
                 tl.events().len(),
@@ -172,33 +171,78 @@ fn main() {
             );
         }
         if want_gantt {
-            print!("{}", tl.render_gantt(&arch, 120));
+            print!("{}", tl.render_gantt(arch, 120));
         }
     }
-    if args.iter().any(|a| a == "--sim") {
+    if args.has("--sim") {
         let mut mem = w.memory();
-        let stats = csched_sim::execute(&w.kernel, &s, &mut mem, w.trip).expect("simulates");
-        w.verify(&mem).expect("matches reference");
+        let stats = csched_sim::execute(&w.kernel, &s, &mut mem, w.trip)
+            .map_err(|e| format!("simulation failed: {e}"))?;
+        w.verify(&mem)
+            .map_err(|e| format!("simulation does not match the reference: {e}"))?;
         println!(
             "  simulated OK: {} cycles, {} ops ({} copies), {} bus transfers",
             stats.cycles, stats.ops_executed, stats.copies_executed, stats.bus_transfers
         );
-        let mut util = stats.utilization(&arch);
+        let mut util = stats.utilization(arch);
         util.sort_by(|a, b| b.1.total_cmp(&a.1));
         for (name, u) in util.iter().take(6) {
             println!("    {name:<6} {:>5.1}%", u * 100.0);
         }
         println!("  register-file traffic (writes/reads):");
-        for (name, writes, reads) in stats.rf_traffic(&arch) {
+        for (name, writes, reads) in stats.rf_traffic(arch) {
             if writes + reads > 0 {
                 println!("    {name:<6} {writes:>6} / {reads}");
             }
         }
         println!("  bus traffic:");
-        for (name, transfers) in stats.bus_traffic(&arch) {
+        for (name, transfers) in stats.bus_traffic(arch) {
             if transfers > 0 {
                 println!("    {name:<6} {transfers:>6}");
             }
         }
     }
+    Ok(())
+}
+
+/// Grades the heuristic II against the exact oracle.
+fn certify(arch: &Architecture, w: &Workload, heuristic_ii: u32) -> Result<(), String> {
+    let budget = StepBudget::new(2_000_000);
+    let report = certify_min_ii(arch, &w.kernel, &ExactConfig::default(), &budget)
+        .map_err(|e| format!("exact oracle failed: {e}"))?;
+    match report.verdict {
+        ExactVerdict::Certified { ii } if ii == heuristic_ii => {
+            println!("  II={heuristic_ii} (optimal)");
+        }
+        ExactVerdict::Certified { ii } if ii < heuristic_ii => {
+            println!(
+                "  II={heuristic_ii} (exact={ii}, gap={})",
+                heuristic_ii - ii
+            );
+        }
+        ExactVerdict::Certified { ii } => {
+            // The validator accepted a schedule below the "certified
+            // minimum": one of the two checkers is wrong.
+            return Err(format!(
+                "SOUNDNESS DISAGREEMENT: oracle certified II={ii} above the \
+                 validated heuristic II={heuristic_ii}"
+            ));
+        }
+        ExactVerdict::GapUnknown { spent, limit } => {
+            println!(
+                "  II={heuristic_ii} (exact search exhausted its budget: \
+                 {spent}/{limit} steps; gap unknown)"
+            );
+        }
+        ExactVerdict::Infeasible { max_ii } if heuristic_ii <= max_ii => {
+            return Err(format!(
+                "SOUNDNESS DISAGREEMENT: oracle proved II<={max_ii} infeasible, \
+                 yet the validator accepted II={heuristic_ii}"
+            ));
+        }
+        ExactVerdict::Infeasible { max_ii } => {
+            println!("  II={heuristic_ii} (exact search capped at II={max_ii}; gap unknown)");
+        }
+    }
+    Ok(())
 }

@@ -27,9 +27,10 @@
 // never panic its way out of a cell.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
+use csched_eval::cli::{self, Args, CliError};
 use csched_eval::gap::{gap_json, gap_table, run_gap, run_gap_over, GapCell, GapConfig};
 
 const HELP: &str = "usage: oracle [flags]
@@ -46,107 +47,53 @@ const HELP: &str = "usage: oracle [flags]
   --help                  this text
 exit status: 0 ok, 1 soundness disagreement, 2 usage/journal error";
 
-fn usage_err(msg: &str) -> ExitCode {
-    eprintln!("oracle: {msg}");
-    eprintln!("{HELP}");
-    ExitCode::from(2)
-}
-
-fn parse_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default);
-    };
-    let Some(v) = args.get(i + 1) else {
-        return Err(format!("{flag} needs a value"));
-    };
-    v.parse().map_err(|_| format!("{flag}: not a number: {v}"))
-}
-
-fn arch_by_name(name: &str) -> Option<csched_machine::Architecture> {
-    match name {
-        "central" => Some(csched_machine::imagine::central()),
-        "clustered2" => Some(csched_machine::imagine::clustered(2)),
-        "clustered4" => Some(csched_machine::imagine::clustered(4)),
-        "distributed" => Some(csched_machine::imagine::distributed()),
-        _ => None,
-    }
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") {
+    cli::main("oracle", run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    if args.has("--help") {
         println!("{HELP}");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let mut cfg = GapConfig::default();
-    match parse_num(&args, "--exact-steps", cfg.exact_step_limit) {
-        Ok(v) => cfg.exact_step_limit = v,
-        Err(e) => return usage_err(&e),
-    }
-    match parse_num(&args, "--heuristic-steps", cfg.heuristic_step_limit) {
-        Ok(v) => cfg.heuristic_step_limit = v,
-        Err(e) => return usage_err(&e),
-    }
-    match parse_num(&args, "--seed", cfg.seed) {
-        Ok(v) => cfg.seed = v,
-        Err(e) => return usage_err(&e),
-    }
-    match parse_num(&args, "--max-ii", u64::from(cfg.exact.max_ii)) {
-        Ok(v) if v <= u64::from(u32::MAX) => cfg.exact.max_ii = v as u32,
-        Ok(v) => return usage_err(&format!("--max-ii: {v} does not fit in u32")),
-        Err(e) => return usage_err(&e),
-    }
-    match parse_num(&args, "--explore-sample", cfg.explore_sample as u64) {
-        Ok(v) => cfg.explore_sample = v as usize,
-        Err(e) => return usage_err(&e),
-    }
+    cfg.exact_step_limit = args.num("--exact-steps")?.unwrap_or(cfg.exact_step_limit);
+    cfg.heuristic_step_limit = args
+        .num("--heuristic-steps")?
+        .unwrap_or(cfg.heuristic_step_limit);
+    cfg.seed = args.num("--seed")?.unwrap_or(cfg.seed);
+    cfg.exact.max_ii = args.num("--max-ii")?.unwrap_or(cfg.exact.max_ii);
+    cfg.explore_sample = args.num("--explore-sample")?.unwrap_or(cfg.explore_sample);
 
-    let journal: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--journal")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let resume = args.iter().any(|a| a == "--resume");
+    let journal = args.value("--journal")?.map(Path::new);
+    let resume = args.has("--resume");
     if resume && journal.is_none() {
-        return usage_err("--resume needs --journal");
+        return Err(CliError::Usage("--resume needs --journal".to_string()));
     }
 
-    // Collect explicit cells.
     let mut cells: Vec<GapCell> = Vec::new();
-    let mut i = 0;
-    while let Some(pos) = args[i..].iter().position(|a| a == "--cell") {
-        let at = i + pos;
-        let (Some(kernel_name), Some(arch_name)) = (args.get(at + 1), args.get(at + 2)) else {
-            return usage_err("--cell needs <kernel> <arch>");
-        };
-        let Some(w) = csched_kernels::by_name(kernel_name) else {
-            return usage_err(&format!("unknown kernel {kernel_name}"));
-        };
-        let Some(arch) = arch_by_name(arch_name) else {
-            return usage_err(&format!("unknown arch {arch_name}"));
-        };
+    for cell in args.repeated("--cell", 2)? {
         cells.push(GapCell {
-            arch,
-            kernel: w.kernel.clone(),
+            kernel: cli::kernel(&cell[0])?.kernel,
+            arch: cli::arch(&cell[1])?,
         });
-        i = at + 3;
     }
 
     let report = if cells.is_empty() {
-        run_gap(&cfg, journal.as_deref(), resume)
+        run_gap(&cfg, journal, resume)
     } else {
-        run_gap_over(&cells, &cfg, journal.as_deref(), resume)
+        run_gap_over(&cells, &cfg, journal, resume)
     };
     let report = match report {
         Ok(r) => r,
         Err(e) => {
             eprintln!("oracle: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
 
-    if args.iter().any(|a| a == "--table") {
+    if args.has("--table") {
         print!("{}", gap_table(&report));
     } else {
         println!("{}", gap_json(&report));
@@ -157,9 +104,9 @@ fn main() -> ExitCode {
             r.kernel, r.arch, r.detail
         );
     }
-    if report.disagreements().is_empty() {
+    Ok(if report.disagreements().is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

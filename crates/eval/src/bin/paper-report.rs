@@ -13,48 +13,41 @@
 //! the identical report. Campaign mode skips simulation (figures need
 //! only the journaled IIs) and exits 1 if any cell Failed or TimedOut.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::path::Path;
+use std::process::ExitCode;
+
 use csched_core::SchedulerConfig;
 use csched_eval::campaign::{self, CellStatus, Journal};
+use csched_eval::cli::{self, Args, CliError};
 use csched_eval::{costs, grid, report};
 use csched_ir::Kernel;
-use std::collections::HashMap;
-use std::path::PathBuf;
 
-fn flag_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn main() -> ExitCode {
+    cli::main("paper-report", run)
 }
 
-fn main() {
-    let simulate = !std::env::args().any(|a| a == "--no-sim");
-    let journal_path = flag_value("--journal").map(PathBuf::from);
-    let resume_path = flag_value("--resume").map(PathBuf::from);
-    let campaign_mode = std::env::args().any(|a| a == "--campaign")
-        || journal_path.is_some()
-        || resume_path.is_some();
-    let step_limit: u64 = flag_value("--step-limit")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--step-limit: not a number: {v}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1_000_000);
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    let journal_path = args.value("--journal")?.map(Path::new);
+    let resume_path = args.value("--resume")?.map(Path::new);
+    let campaign_mode = args.has("--campaign") || journal_path.is_some() || resume_path.is_some();
+    let step_limit: u64 = args.num("--step-limit")?.unwrap_or(1_000_000);
 
     let workloads = csched_kernels::all();
     println!("{}", report::table1(&workloads));
 
-    let rows = costs::figures_25_27().unwrap_or_else(|e| {
-        eprintln!("cost model: {e}");
-        std::process::exit(1);
-    });
-    let headline = costs::headline().unwrap_or_else(|e| {
-        eprintln!("cost model: {e}");
-        std::process::exit(1);
-    });
+    let (rows, headline) =
+        match costs::figures_25_27().and_then(|rows| Ok((rows, costs::headline()?))) {
+            Ok(costs) => costs,
+            Err(e) => {
+                eprintln!("cost model: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        };
     println!("{}", report::figures_25_27(&rows));
 
     let archs = csched_machine::imagine::all_variants();
@@ -66,31 +59,24 @@ fn main() {
             .iter()
             .map(|w| (w.kernel.name(), &w.kernel))
             .collect();
-        let resume = match &resume_path {
-            Some(p) => Journal::load(p).unwrap_or_else(|e| {
+        let result =
+            Journal::open_resumable(journal_path, resume_path).and_then(|(mut journal, resume)| {
+                campaign::run_campaign(
+                    &kernels,
+                    &archs,
+                    &config,
+                    step_limit,
+                    journal.as_mut(),
+                    &resume,
+                )
+            });
+        let result = match result {
+            Ok(result) => result,
+            Err(e) => {
                 eprintln!("{e}");
-                std::process::exit(2);
-            }),
-            None => HashMap::new(),
+                return Ok(ExitCode::from(2));
+            }
         };
-        let mut journal = journal_path.as_deref().map(|p| {
-            Journal::open(p).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        });
-        let result = campaign::run_campaign(
-            &kernels,
-            &archs,
-            &config,
-            step_limit,
-            journal.as_mut(),
-            &resume,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
         eprintln!(
             "(campaign: {} cells, {} resumed, scheduled in {:.1?})",
             result.records.len(),
@@ -115,10 +101,13 @@ fn main() {
             .collect();
         (grid, bad)
     } else {
-        let grid = grid::run_grid(&workloads, &archs, &config, simulate).unwrap_or_else(|e| {
-            eprintln!("evaluation failed: {e}");
-            std::process::exit(1);
-        });
+        let grid = match grid::run_grid(&workloads, &archs, &config, !args.has("--no-sim")) {
+            Ok(grid) => grid,
+            Err(e) => {
+                eprintln!("evaluation failed: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        };
         eprintln!("(grid scheduled in {:.1?})", start.elapsed());
         (grid, Vec::new())
     };
@@ -132,17 +121,19 @@ fn main() {
     }
     println!("{}", report::scaling(&costs::scaling(&[1, 2, 4])));
 
-    if std::env::args().any(|a| a == "--csv") {
+    if args.has("--csv") {
         println!("--- grid.csv ---");
         print!("{}", report::grid_csv(&grid));
         println!("--- cost.csv ---");
         print!("{}", report::cost_csv(&rows));
     }
 
-    if !bad_cells.is_empty() {
-        for line in &bad_cells {
-            eprintln!("bad cell: {line}");
-        }
-        std::process::exit(1);
+    for line in &bad_cells {
+        eprintln!("bad cell: {line}");
     }
+    Ok(if bad_cells.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }

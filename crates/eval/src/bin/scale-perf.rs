@@ -4,94 +4,83 @@
 //! larger distributed machines buy lower IIs through extra buses and
 //! units).
 //!
-//! Usage: `cargo run --release -p csched-eval --bin scale-perf [-- --json]`
-//!
-//! `--json` emits the sweep as a bench-json report (the same record
-//! type `bench-json` writes) instead of the table. Exit codes: 0 every
-//! cell scheduled and validated, 1 otherwise, 2 usage error.
+//! Usage: `cargo run --release -p csched-eval --bin scale-perf` (no
+//! arguments). Each cell is scheduled once and checked by the
+//! independent validator; the time shown is that one schedule's wall
+//! clock. Exit codes: 0 every cell scheduled and validated, 1 otherwise,
+//! 2 usage error.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use std::process::ExitCode;
+use std::time::Instant;
 
-use csched_core::SchedulerConfig;
-use csched_eval::bench;
+use csched_core::{schedule_kernel, validate, SchedulerConfig};
+use csched_eval::cli::{self, Args, CliError};
 use csched_machine::imagine;
 
-fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    if let Some(bad) = args.iter().find(|a| a.as_str() != "--json") {
-        return Err(format!(
-            "unknown argument {bad:?} (only --json is accepted)"
-        ));
-    }
+fn main() -> ExitCode {
+    cli::main("scale-perf", run)
+}
 
-    let kernels = ["FFT", "DCT", "FIR-FP", "Sort"];
-    let config = SchedulerConfig::default();
-    let mut cells = Vec::new();
-    if !json {
-        println!(
-            "{:<10} {:>6} {:>8} {:>14} {:>10} {:>10}",
-            "kernel", "scale", "units", "arch", "II", "copies"
-        );
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    if !args.is_empty() {
+        return Err(CliError::Usage("takes no arguments".to_string()));
     }
-    for name in kernels {
-        let w = csched_kernels::by_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?;
+    println!(
+        "{:<10} {:>6} {:>8} {:>14} {:>10} {:>10}",
+        "kernel", "scale", "units", "arch", "II", "copies"
+    );
+    let mut failed = 0;
+    for name in ["FFT", "DCT", "FIR-FP", "Sort"] {
+        let w = cli::kernel(name)?;
         for scale in [1usize, 2, 4] {
             for arch in [
                 imagine::central_scaled(scale),
                 imagine::distributed_scaled(scale),
             ] {
-                let cell = bench::measure_cell(&arch, &w.kernel, &config, 1);
-                if !json {
-                    if cell.ok {
-                        println!(
-                            "{:<10} {:>6} {:>8} {:>14} {:>10} {:>10}   ({:.1} ms)",
-                            name,
-                            scale,
-                            12 * scale,
-                            arch.name().replace("imagine-", ""),
-                            cell.ii,
-                            cell.copies,
-                            cell.best_ns as f64 / 1e6
-                        );
-                    } else {
-                        println!(
-                            "{:<10} {:>6} {:>8} {:>14}   failed: {}",
-                            name,
-                            scale,
-                            12 * scale,
-                            arch.name().replace("imagine-", ""),
-                            cell.detail
-                        );
+                let label = format!(
+                    "{:<10} {:>6} {:>8} {:>14}",
+                    name,
+                    scale,
+                    12 * scale,
+                    arch.name().replace("imagine-", "")
+                );
+                let start = Instant::now();
+                let scheduled = schedule_kernel(&arch, &w.kernel, SchedulerConfig::default());
+                let elapsed = start.elapsed();
+                let outcome = scheduled.map_err(|e| e.to_string()).and_then(|s| {
+                    match validate::validate(&arch, &w.kernel, &s) {
+                        Ok(()) => Ok(s),
+                        Err(errors) => Err(format!(
+                            "validation failed ({} errors): {}",
+                            errors.len(),
+                            errors.first().map(ToString::to_string).unwrap_or_default()
+                        )),
+                    }
+                });
+                match outcome {
+                    Ok(s) => println!(
+                        "{label} {:>10} {:>10}   ({:.1} ms)",
+                        s.ii().unwrap_or(0),
+                        s.num_copies(),
+                        elapsed.as_secs_f64() * 1e3
+                    ),
+                    Err(detail) => {
+                        failed += 1;
+                        println!("{label}   failed: {detail}");
                     }
                 }
-                cells.push(cell);
             }
         }
     }
-    let failed = cells.iter().filter(|c| !c.ok).count();
-    if json {
-        let report = bench::BenchReport {
-            label: "scale-perf".to_string(),
-            reps: 1,
-            cells,
-        };
-        print!("{}", bench::bench_json(&report));
-    }
     Ok(if failed > 0 {
         eprintln!("scale-perf: {failed} cell(s) failed to schedule or validate");
-        ExitCode::from(1)
+        ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     })
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("scale-perf: {e}");
-            ExitCode::from(2)
-        }
-    }
 }

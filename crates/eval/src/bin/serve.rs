@@ -12,9 +12,19 @@
 //! broken request, expecting `ERR malformed`), or `--bench-suite`
 //! (schedule the whole Table 1 suite cold, then again warm, print both
 //! rates, and exit 1 if warm/cold < `--min-ratio`, default 10).
+//!
+//! Exit codes: 0 ok, 1 a failed request or gate, 2 usage error (unknown
+//! kernel or arch, a bad number, no mode).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use csched_eval::cli::{self, Args, CliError};
 use csched_eval::serve::{
     client_metrics, client_raw, client_request, client_request_retry, client_stats, client_trace,
     RetryConfig, ServeConfig, Server,
@@ -55,81 +65,61 @@ client modes:
                     exit 1 if warm/cold < N (default 10)
   --help            this text";
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn num_flag(args: &[String], flag: &str) -> Option<u64> {
-    flag_value(args, flag).map(|v| v.parse().unwrap_or_else(|_| panic!("bad {flag} value {v}")))
-}
-
-fn arch_by_name(name: &str) -> csched_machine::Architecture {
-    match name {
-        "central" => csched_machine::imagine::central(),
-        "clustered2" => csched_machine::imagine::clustered(2),
-        "clustered4" => csched_machine::imagine::clustered(4),
-        "distributed" => csched_machine::imagine::distributed(),
-        other => {
-            panic!("unknown arch {other} (want central | clustered2 | clustered4 | distributed)")
-        }
-    }
-}
-
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") || args.is_empty() {
+fn main() -> ExitCode {
+    cli::main("serve", run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    if args.has("--help") || args.is_empty() {
         println!("{HELP}");
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
-    if let Some(addr) = flag_value(&args, "--addr") {
-        run_server(&addr, &args);
-    } else if let Some(addr) = flag_value(&args, "--client") {
-        run_client(&addr, &args);
+    if let Some(addr) = args.value("--addr")? {
+        run_server(addr, args)
+    } else if let Some(addr) = args.value("--client")? {
+        run_client(addr, args)
     } else {
-        eprintln!("need --addr (server) or --client (client)\n{HELP}");
-        std::process::exit(2);
+        Err(CliError::Usage(
+            "need --addr (server) or --client (client); see --help".to_string(),
+        ))
     }
 }
 
-fn run_server(addr: &str, args: &[String]) {
+fn run_server(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
+    let defaults = ServeConfig::default();
     let mut config = ServeConfig {
-        cache_path: flag_value(args, "--cache").map(Into::into),
-        durable: args.iter().any(|a| a == "--durable"),
-        wall_ms: num_flag(args, "--wall-ms"),
-        ..ServeConfig::default()
+        cache_path: args.value("--cache")?.map(Into::into),
+        durable: args.has("--durable"),
+        wall_ms: args.num("--wall-ms")?,
+        jobs: args.num("--jobs")?.unwrap_or(defaults.jobs),
+        queue_cap: args.num("--queue")?.unwrap_or(defaults.queue_cap),
+        step_limit: args.num("--step-limit")?.unwrap_or(defaults.step_limit),
+        read_phase_ms: args
+            .num("--read-phase-ms")?
+            .unwrap_or(defaults.read_phase_ms),
+        telemetry: !args.has("--no-telemetry"),
+        span_ring: args.num("--span-ring")?.unwrap_or(defaults.span_ring),
+        trace_event_cap: args
+            .num("--trace-events")?
+            .unwrap_or(defaults.trace_event_cap),
+        ..defaults
     };
-    if let Some(jobs) = num_flag(args, "--jobs") {
-        config.jobs = jobs as usize;
-    }
-    if let Some(queue) = num_flag(args, "--queue") {
-        config.queue_cap = queue as usize;
-    }
-    if let Some(limit) = num_flag(args, "--step-limit") {
-        config.step_limit = limit;
-    }
-    if let Some(bytes) = num_flag(args, "--compact-bytes") {
-        config.compaction.max_journal_bytes = bytes;
-    }
-    if let Some(entries) = num_flag(args, "--compact-entries") {
-        config.compaction.max_entries = entries as usize;
-    }
-    if let Some(ms) = num_flag(args, "--read-phase-ms") {
-        config.read_phase_ms = ms;
-    }
-    if args.iter().any(|a| a == "--no-telemetry") {
-        config.telemetry = false;
-    }
-    if let Some(ring) = num_flag(args, "--span-ring") {
-        config.span_ring = ring as usize;
-    }
-    if let Some(cap) = num_flag(args, "--trace-events") {
-        config.trace_event_cap = cap as usize;
-    }
-    let (server, load) = Server::bind(addr, config).expect("server starts");
+    let compaction = &mut config.compaction;
+    compaction.max_journal_bytes = args
+        .num("--compact-bytes")?
+        .unwrap_or(compaction.max_journal_bytes);
+    compaction.max_entries = args
+        .num("--compact-entries")?
+        .unwrap_or(compaction.max_entries);
+    let (server, load) = match Server::bind(addr, config) {
+        Ok(bound) => bound,
+        Err(e) => {
+            eprintln!("serve: cannot start on {addr}: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     println!(
         "cache: {} entries, {} quarantined, {} corrupt lines, {} torn bytes repaired",
         load.entries, load.quarantined, load.corrupt_lines, load.repaired_bytes
@@ -143,56 +133,40 @@ fn run_server(addr: &str, args: &[String]) {
     }
 }
 
-fn run_client(addr: &str, args: &[String]) {
-    if args.iter().any(|a| a == "--stats") {
-        println!(
-            "{}",
-            client_stats(addr, CLIENT_TIMEOUT).expect("stats request")
-        );
-    } else if args.iter().any(|a| a == "--metrics") {
-        print!(
-            "{}",
-            client_metrics(addr, CLIENT_TIMEOUT).expect("metrics request")
-        );
-    } else if args.iter().any(|a| a == "--malformed") {
-        let response =
-            client_raw(addr, b"BOGUS request\n", CLIENT_TIMEOUT).expect("malformed probe");
-        print!("{response}");
-        assert!(
-            response.starts_with("ERR malformed"),
-            "expected a typed malformed rejection, got: {response}"
-        );
-    } else if args.iter().any(|a| a == "--bench-suite") {
-        bench_suite(addr, num_flag(args, "--min-ratio").unwrap_or(10));
-    } else if let Some(kernel_name) = flag_value(args, "--kernel") {
-        let w = csched_kernels::by_name(&kernel_name).expect("unknown kernel");
-        let arch =
-            arch_by_name(&flag_value(args, "--arch").unwrap_or_else(|| "distributed".to_string()));
-        let kernel_text = ir_text::print(&w.kernel);
-        let arch_text = machine_text::print(&arch);
-        let limit = num_flag(args, "--limit");
-        let wall_ms = num_flag(args, "--wall-ms");
-        if args.iter().any(|a| a == "--trace") {
-            let events = num_flag(args, "--events").map(|n| n as usize);
-            let full = args.iter().any(|a| a == "--full");
-            let response =
-                client_trace(addr, &kernel_text, &arch_text, events, full, CLIENT_TIMEOUT)
-                    .expect("trace request");
-            print!("{response}");
-            if response
-                .lines()
-                .last()
-                .is_some_and(|l| l.starts_with("ERR "))
-            {
-                std::process::exit(1);
+/// Runs one client mode against `addr` and prints the reply. Exit 1
+/// when the exchange fails or the reply is an `ERR` (for `--malformed`:
+/// anything but `ERR malformed`).
+fn run_client(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
+    let reply = if args.has("--stats") {
+        client_stats(addr, CLIENT_TIMEOUT).map(|stats| format!("{stats}\n"))
+    } else if args.has("--metrics") {
+        client_metrics(addr, CLIENT_TIMEOUT)
+    } else if args.has("--malformed") {
+        client_raw(addr, b"BOGUS request\n", CLIENT_TIMEOUT)
+    } else if args.has("--bench-suite") {
+        let min_ratio = args.num("--min-ratio")?.unwrap_or(10);
+        return Ok(match bench_suite(addr, min_ratio) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("serve: {e}");
+                ExitCode::FAILURE
             }
-            return;
-        }
-        let response = if let Some(retries) = num_flag(args, "--retries") {
+        });
+    } else if let Some(kernel_name) = args.value("--kernel")? {
+        let kernel_text = ir_text::print(&cli::kernel(kernel_name)?.kernel);
+        let arch_text =
+            machine_text::print(&cli::arch(args.value("--arch")?.unwrap_or("distributed"))?);
+        let limit = args.num("--limit")?;
+        let wall_ms = args.num("--wall-ms")?;
+        if args.has("--trace") {
+            let events = args.num("--events")?;
+            let full = args.has("--full");
+            client_trace(addr, &kernel_text, &arch_text, events, full, CLIENT_TIMEOUT)
+        } else if let Some(retries) = args.num("--retries")? {
             let retry = RetryConfig {
-                retries: retries as u32,
-                backoff_ms: num_flag(args, "--backoff-ms").unwrap_or(50),
-                seed: num_flag(args, "--retry-seed").unwrap_or(0x5eed),
+                retries,
+                backoff_ms: args.num("--backoff-ms")?.unwrap_or(50),
+                seed: args.num("--retry-seed")?.unwrap_or(0x5eed),
             };
             let (outcome, report) = client_request_retry(
                 addr,
@@ -213,7 +187,7 @@ fn run_client(addr: &str, args: &[String]) {
                     format!(" ({})", report.retried.join("; "))
                 }
             );
-            outcome.expect("request")
+            outcome
         } else {
             client_request(
                 addr,
@@ -223,49 +197,59 @@ fn run_client(addr: &str, args: &[String]) {
                 wall_ms,
                 CLIENT_TIMEOUT,
             )
-            .expect("request")
-        };
-        print!("{response}");
-        if response.starts_with("ERR ") {
-            std::process::exit(1);
         }
     } else {
-        eprintln!("need a client mode\n{HELP}");
-        std::process::exit(2);
-    }
+        return Err(CliError::Usage(
+            "need a client mode; see --help".to_string(),
+        ));
+    };
+    let reply = match reply {
+        Ok(reply) => reply,
+        Err(e) => {
+            eprintln!("serve: request to {addr} failed: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    print!("{reply}");
+    let ok = if args.has("--malformed") {
+        reply.starts_with("ERR malformed")
+    } else {
+        !reply.lines().last().is_some_and(|l| l.starts_with("ERR "))
+    };
+    Ok(if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// Schedules the whole kernel suite against the four Imagine machines
 /// twice — cold (first pass populates the cache) and warm (second pass
 /// must hit) — and gates on the warm/cold throughput ratio.
-fn bench_suite(addr: &str, min_ratio: u64) {
-    let archs = [
-        ("central", csched_machine::imagine::central()),
-        ("clustered2", csched_machine::imagine::clustered(2)),
-        ("clustered4", csched_machine::imagine::clustered(4)),
-        ("distributed", csched_machine::imagine::distributed()),
-    ];
-    let requests: Vec<(String, String)> = csched_kernels::all()
+fn bench_suite(addr: &str, min_ratio: u64) -> Result<(), String> {
+    let arch_texts: Vec<String> = csched_machine::imagine::all_variants()
+        .iter()
+        .map(machine_text::print)
+        .collect();
+    let requests: Vec<(String, &String)> = csched_kernels::all()
         .iter()
         .flat_map(|w| {
             let kernel_text = ir_text::print(&w.kernel);
-            archs
+            arch_texts
                 .iter()
-                .map(move |(_, arch)| (kernel_text.clone(), machine_text::print(arch)))
-                .collect::<Vec<_>>()
+                .map(move |arch_text| (kernel_text.clone(), arch_text))
         })
         .collect();
 
-    let pass = |label: &str, expect_cache: &str| -> f64 {
+    let pass = |label: &str, expect_cache: &str| -> Result<f64, String> {
         let start = Instant::now();
         let mut hits = 0usize;
         for (kernel_text, arch_text) in &requests {
             let response = client_request(addr, kernel_text, arch_text, None, None, CLIENT_TIMEOUT)
-                .expect("suite request");
-            assert!(
-                response.contains("\nOK ") || response.starts_with("OK "),
-                "{label} request failed: {response}"
-            );
+                .map_err(|e| format!("suite request: {e}"))?;
+            if !(response.contains("\nOK ") || response.starts_with("OK ")) {
+                return Err(format!("{label} request failed: {response}"));
+            }
             if response.starts_with(&format!("CACHE {expect_cache}")) {
                 hits += 1;
             }
@@ -277,15 +261,17 @@ fn bench_suite(addr: &str, min_ratio: u64) {
             requests.len(),
             requests.len(),
         );
-        rps
+        Ok(rps)
     };
 
-    let cold = pass("cold", "miss");
-    let warm = pass("warm", "hit");
+    let cold = pass("cold", "miss")?;
+    let warm = pass("warm", "hit")?;
     let ratio = warm / cold.max(1e-9);
     println!("warm/cold ratio: {ratio:.1}x (gate: >= {min_ratio}x)");
     if ratio < min_ratio as f64 {
-        eprintln!("FAIL: warm cache speedup below the {min_ratio}x gate");
-        std::process::exit(1);
+        return Err(format!(
+            "FAIL: warm cache speedup below the {min_ratio}x gate"
+        ));
     }
+    Ok(())
 }

@@ -31,13 +31,15 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use csched_core::faultinject::ChaosRng;
 use csched_eval::chaosnet::{ChaosNetConfig, ChaosProxy, FaultAction, FaultKind};
+use csched_eval::cli::{self, Args, CliError};
+use csched_eval::jsonl::{num, num_field};
 use csched_eval::serve::{
     client_request, client_request_retry, client_stats, response_complete, RetryConfig,
 };
@@ -87,64 +89,49 @@ struct Plan {
     server_bin: PathBuf,
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn num_flag(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad {flag} value {v}")),
-    }
-}
-
-fn parse_plan(args: &[String]) -> Result<Plan, String> {
-    let server_bin = match flag_value(args, "--server-bin") {
-        Some(path) => PathBuf::from(path),
-        None => std::env::current_exe()
-            .ok()
-            .and_then(|exe| Some(exe.parent()?.join("serve")))
-            .ok_or("cannot locate the serve binary; pass --server-bin")?,
+fn parse_plan(args: &Args) -> Result<Plan, CliError> {
+    let mut plan = Plan {
+        seed: args.num("--seed")?.unwrap_or(0xCAFE_BABE),
+        clients: args.num("--clients")?.unwrap_or(4).max(1),
+        rounds: args.num("--rounds")?.unwrap_or(3).max(1),
+        fault_permille: args.num("--fault-permille")?.unwrap_or(200),
+        kills: args.num("--kills")?.unwrap_or(1),
+        step_limit: args.num("--step-limit")?.unwrap_or(200_000),
+        retries: args.num("--retries")?.unwrap_or(6),
+        backoff_ms: args.num("--backoff-ms")?.unwrap_or(50),
+        compact_bytes: args.num("--compact-bytes")?.unwrap_or(1 << 22),
+        compact_entries: args.num("--compact-entries")?.unwrap_or(8),
+        read_phase_ms: args.num("--read-phase-ms")?.unwrap_or(2_000),
+        require_faults: Vec::new(),
+        cache: match args.value("--cache")? {
+            Some(path) => PathBuf::from(path),
+            None => std::env::temp_dir().join(format!("csched-soak-{}.jsonl", std::process::id())),
+        },
+        server_bin: match args.value("--server-bin")? {
+            Some(path) => PathBuf::from(path),
+            None => std::env::current_exe()
+                .ok()
+                .and_then(|exe| Some(exe.parent()?.join("serve")))
+                .ok_or_else(|| {
+                    CliError::Usage("cannot locate the serve binary; pass --server-bin".into())
+                })?,
+        },
     };
-    if !server_bin.exists() {
-        return Err(format!(
-            "serve binary not found at {} (pass --server-bin)",
-            server_bin.display()
-        ));
-    }
-    let cache = match flag_value(args, "--cache") {
-        Some(path) => PathBuf::from(path),
-        None => std::env::temp_dir().join(format!("csched-soak-{}.jsonl", std::process::id())),
-    };
-    let mut require_faults = Vec::new();
-    if let Some(list) = flag_value(args, "--require-faults") {
+    if let Some(list) = args.value("--require-faults")? {
         for name in list.split(',').filter(|s| !s.is_empty()) {
-            let kind = FaultKind::from_name(name)
-                .ok_or_else(|| format!("unknown fault kind {name} in --require-faults"))?;
-            require_faults.push(kind);
+            let kind = FaultKind::from_name(name).ok_or_else(|| {
+                CliError::Usage(format!("unknown fault kind {name} in --require-faults"))
+            })?;
+            plan.require_faults.push(kind);
         }
     }
-    Ok(Plan {
-        seed: num_flag(args, "--seed")?.unwrap_or(0xCAFE_BABE),
-        clients: num_flag(args, "--clients")?.unwrap_or(4).max(1),
-        rounds: num_flag(args, "--rounds")?.unwrap_or(3).max(1),
-        fault_permille: num_flag(args, "--fault-permille")?.unwrap_or(200) as u32,
-        kills: num_flag(args, "--kills")?.unwrap_or(1),
-        step_limit: num_flag(args, "--step-limit")?.unwrap_or(200_000),
-        retries: num_flag(args, "--retries")?.unwrap_or(6) as u32,
-        backoff_ms: num_flag(args, "--backoff-ms")?.unwrap_or(50),
-        compact_bytes: num_flag(args, "--compact-bytes")?.unwrap_or(1 << 22),
-        compact_entries: num_flag(args, "--compact-entries")?.unwrap_or(8),
-        read_phase_ms: num_flag(args, "--read-phase-ms")?.unwrap_or(2_000),
-        require_faults,
-        cache,
-        server_bin,
-    })
+    if !plan.server_bin.exists() {
+        return Err(CliError::Usage(format!(
+            "serve binary not found at {} (pass --server-bin)",
+            plan.server_bin.display()
+        )));
+    }
+    Ok(plan)
 }
 
 // ---------------------------------------------------------------------
@@ -221,7 +208,7 @@ fn kill_server(mut server: ChildServer) {
 }
 
 // ---------------------------------------------------------------------
-// Request keys and JSON scraping
+// Request keys and response lines
 // ---------------------------------------------------------------------
 
 struct RequestKey {
@@ -230,39 +217,19 @@ struct RequestKey {
     arch_text: String,
 }
 
-fn request_keys() -> Result<Vec<RequestKey>, String> {
-    let kernels = ["Merge", "FIR-int", "Sort", "DCT"];
-    let archs: [(&str, csched_machine::Architecture); 3] = [
-        ("central", csched_machine::imagine::central()),
-        ("clustered4", csched_machine::imagine::clustered(4)),
-        ("distributed", csched_machine::imagine::distributed()),
-    ];
+fn request_keys() -> Result<Vec<RequestKey>, CliError> {
     let mut keys = Vec::new();
-    for kernel in kernels {
-        let w =
-            csched_kernels::by_name(kernel).ok_or_else(|| format!("unknown kernel {kernel}"))?;
-        let kernel_text = csched_ir::text::print(&w.kernel);
-        for (arch_name, arch) in &archs {
+    for kernel in ["Merge", "FIR-int", "Sort", "DCT"] {
+        let kernel_text = csched_ir::text::print(&cli::kernel(kernel)?.kernel);
+        for arch in ["central", "clustered4", "distributed"] {
             keys.push(RequestKey {
-                label: format!("{kernel}/{arch_name}"),
+                label: format!("{kernel}/{arch}"),
                 kernel_text: kernel_text.clone(),
-                arch_text: csched_machine::text::print(arch),
+                arch_text: csched_machine::text::print(&cli::arch(arch)?),
             });
         }
     }
     Ok(keys)
-}
-
-/// Scrape `"field":N` out of a one-line JSON blob. The stats line is
-/// generated by our own server, so a positional scan is sufficient.
-fn json_u64(text: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = text.find(&needle)? + needle.len();
-    let digits: String = text[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 fn ok_line(response: &str) -> Option<&str> {
@@ -299,7 +266,7 @@ impl Shared {
         let Some(ok) = ok_line(response) else {
             return false;
         };
-        match json_like_attempts(ok) {
+        match ok_attempts(ok) {
             Some(attempts) if attempts <= self.step_limit => {}
             Some(attempts) => {
                 self.violate(format!(
@@ -325,10 +292,10 @@ impl Shared {
     }
 }
 
-fn json_like_attempts(ok: &str) -> Option<u64> {
+/// The `attempts=N` count of an `OK` response line.
+fn ok_attempts(ok: &str) -> Option<u64> {
     let at = ok.find("attempts=")? + "attempts=".len();
-    let digits: String = ok[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    num(&ok[at..])
 }
 
 fn good_client(shared: &Shared, keys: &[RequestKey], rounds: u64, client_index: u64) {
@@ -423,7 +390,7 @@ struct Summary {
 #[allow(clippy::too_many_lines)]
 fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
     let _ = std::fs::remove_file(&plan.cache);
-    let keys = request_keys()?;
+    let keys = request_keys().map_err(|e| e.to_string())?;
 
     let chaos = ChaosNetConfig {
         seed: plan.seed,
@@ -533,7 +500,7 @@ fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
         let next_threshold = (kills_done + 1) * total_requests / (plan.kills + 1);
         if kills_done < plan.kills && done >= next_threshold && done < total_requests {
             if let Ok(stats) = client_stats(&server.addr.to_string(), TIMEOUT) {
-                compactions_total += json_u64(&stats, "compactions").unwrap_or(0);
+                compactions_total += num_field(&stats, "compactions").unwrap_or(0);
             }
             kill_server(server);
             server = spawn_server(plan)?;
@@ -551,7 +518,7 @@ fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
         // kills now, before the verification pass.
         while kills_done < plan.kills {
             if let Ok(stats) = client_stats(&server.addr.to_string(), TIMEOUT) {
-                compactions_total += json_u64(&stats, "compactions").unwrap_or(0);
+                compactions_total += num_field(&stats, "compactions").unwrap_or(0);
             }
             kill_server(server);
             server = spawn_server(plan)?;
@@ -564,7 +531,7 @@ fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
     // Snapshot compactions of the surviving process, then one final
     // SIGKILL+restart: the reopened cache must be fully healed.
     if let Ok(stats) = client_stats(&server.addr.to_string(), TIMEOUT) {
-        compactions_total += json_u64(&stats, "compactions").unwrap_or(0);
+        compactions_total += num_field(&stats, "compactions").unwrap_or(0);
     }
     kill_server(server);
     let server = spawn_server(plan)?;
@@ -619,7 +586,7 @@ fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
         }
     }
     if let Ok(stats) = client_stats(&server.addr.to_string(), TIMEOUT) {
-        if json_u64(&stats, "quarantined") != Some(0) {
+        if num_field(&stats, "quarantined") != Some(0) {
             violations.push(format!("quarantined != 0 after heal: {stats}"));
         }
     } else {
@@ -671,50 +638,44 @@ fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
     Ok((summary, violations))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help") {
-        println!("{HELP}");
-        return;
-    }
-    let plan = match parse_plan(&args) {
-        Ok(plan) => plan,
-        Err(message) => {
-            eprintln!("soak: {message}\n{HELP}");
-            std::process::exit(2);
+fn main() -> ExitCode {
+    cli::main("soak", |args| {
+        if args.has("--help") {
+            println!("{HELP}");
+            return Ok(ExitCode::SUCCESS);
         }
-    };
-    match soak(&plan) {
-        Ok((summary, violations)) => {
-            let faults: Vec<String> = summary
-                .faults_by_kind
-                .iter()
-                .filter(|(_, n)| *n > 0)
-                .map(|(k, n)| format!("{}x{n}", k.name()))
-                .collect();
-            println!(
-                "soak: {} requests ({} retried, {} ms backoff), {} control failures, \
-                 {} SIGKILLs, {} compactions, faults [{}]",
-                summary.requests,
-                summary.retried,
-                summary.backoff_ms,
-                summary.control_failures,
-                summary.kills,
-                summary.compactions,
-                faults.join(", ")
-            );
-            if violations.is_empty() {
-                println!("soak: all invariants held");
-            } else {
-                for violation in &violations {
-                    eprintln!("soak: VIOLATION: {violation}");
-                }
-                std::process::exit(1);
+        let plan = parse_plan(args)?;
+        let (summary, violations) = match soak(&plan) {
+            Ok(outcome) => outcome,
+            Err(message) => {
+                eprintln!("soak: setup failed: {message}");
+                return Ok(ExitCode::from(2));
             }
+        };
+        let faults: Vec<String> = summary
+            .faults_by_kind
+            .iter()
+            .filter(|(_, n)| *n > 0)
+            .map(|(k, n)| format!("{}x{n}", k.name()))
+            .collect();
+        println!(
+            "soak: {} requests ({} retried, {} ms backoff), {} control failures, \
+             {} SIGKILLs, {} compactions, faults [{}]",
+            summary.requests,
+            summary.retried,
+            summary.backoff_ms,
+            summary.control_failures,
+            summary.kills,
+            summary.compactions,
+            faults.join(", ")
+        );
+        if violations.is_empty() {
+            println!("soak: all invariants held");
+            return Ok(ExitCode::SUCCESS);
         }
-        Err(message) => {
-            eprintln!("soak: setup failed: {message}");
-            std::process::exit(2);
+        for violation in &violations {
+            eprintln!("soak: VIOLATION: {violation}");
         }
-    }
+        Ok(ExitCode::FAILURE)
+    })
 }

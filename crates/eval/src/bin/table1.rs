@@ -37,73 +37,37 @@
 //! status 2 (parse failures present) or 1 (any cell Failed or TimedOut);
 //! 0 means every cell was Ok.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::path::Path;
+use std::process::ExitCode;
+
 use csched_core::{schedule_kernel, ScheduleMetrics, SchedulerConfig};
 use csched_eval::campaign::{self, CellRecord, CellStatus, Journal};
+use csched_eval::cli::{self, Args, CliError};
 use csched_eval::report;
 use csched_ir::Kernel;
-use std::collections::HashMap;
-use std::path::PathBuf;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn main() -> ExitCode {
+    cli::main("table1", run)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_json = args.iter().any(|a| a == "--metrics-json");
-    let campaign_json = args.iter().any(|a| a == "--campaign-json");
-    let journal_path = flag_value(&args, "--journal").map(PathBuf::from);
-    let resume_path = flag_value(&args, "--resume").map(PathBuf::from);
-    let step_limit: u64 = flag_value(&args, "--step-limit")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--step-limit: not a number: {v}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1_000_000);
-    let jobs: usize = flag_value(&args, "--jobs")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--jobs: not a number: {v}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(1);
-    let want_gap = args.iter().any(|a| a == "--gap");
-    let gap_steps: u64 = flag_value(&args, "--gap-steps")
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--gap-steps: not a number: {v}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(300_000);
-
-    // Positional args are kernel files; skip flag values.
-    let mut files: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--journal"
-            || a == "--resume"
-            || a == "--step-limit"
-            || a == "--jobs"
-            || a == "--gap-steps"
-        {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            files.push(&args[i]);
-        }
-    }
+fn run(args: &Args) -> Result<ExitCode, CliError> {
+    let journal_path = args.value("--journal")?.map(Path::new);
+    let resume_path = args.value("--resume")?.map(Path::new);
+    let step_limit: u64 = args.num("--step-limit")?.unwrap_or(1_000_000);
+    let jobs: usize = args.num("--jobs")?.unwrap_or(1);
+    let gap_steps: u64 = args.num("--gap-steps")?.unwrap_or(300_000);
+    let files = args.positional(&[
+        "--journal",
+        "--resume",
+        "--step-limit",
+        "--jobs",
+        "--gap-steps",
+    ]);
 
     // Parse extra kernels, collecting failures instead of aborting: the
     // rest of the evaluation still runs, and failed files surface as
@@ -127,10 +91,16 @@ fn main() {
             }
         }
     }
+    // A file that failed to parse (exit 2) outranks a failed cell (exit 1).
+    let exit = |failed: bool| match (parse_failures.is_empty(), failed) {
+        (false, _) => ExitCode::from(2),
+        (true, true) => ExitCode::FAILURE,
+        (true, false) => ExitCode::SUCCESS,
+    };
 
     let workloads = csched_kernels::all();
 
-    if campaign_json {
+    if args.has("--campaign-json") {
         let archs = csched_machine::imagine::all_variants();
         let config = SchedulerConfig::default();
         let mut kernels: Vec<(&str, &Kernel)> = workloads
@@ -140,71 +110,57 @@ fn main() {
         for k in &extra_kernels {
             kernels.push((k.name(), k));
         }
-        let resume = match &resume_path {
-            Some(p) => Journal::load(p).unwrap_or_else(|e| {
+        let result =
+            Journal::open_resumable(journal_path, resume_path).and_then(|(mut journal, resume)| {
+                campaign::run_campaign_jobs(
+                    &kernels,
+                    &archs,
+                    &config,
+                    step_limit,
+                    journal.as_mut(),
+                    &resume,
+                    jobs,
+                )
+            });
+        let mut records = match result {
+            Ok(result) => result.records,
+            Err(e) => {
                 eprintln!("{e}");
-                std::process::exit(2);
-            }),
-            None => HashMap::new(),
+                return Ok(ExitCode::from(2));
+            }
         };
-        let mut journal = journal_path.as_deref().map(|p| {
-            Journal::open(p).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        });
-        let result = campaign::run_campaign_jobs(
-            &kernels,
-            &archs,
-            &config,
-            step_limit,
-            journal.as_mut(),
-            &resume,
-            jobs,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        let mut records = result.records;
         records.extend(parse_failures.iter().cloned());
         println!("{}", campaign::campaign_json(&records));
         let bad = records
             .iter()
-            .filter(|r| matches!(r.status, CellStatus::Failed | CellStatus::TimedOut))
-            .count();
-        if !parse_failures.is_empty() {
-            std::process::exit(2);
-        }
-        if bad > 0 {
-            std::process::exit(1);
-        }
-        return;
+            .any(|r| matches!(r.status, CellStatus::Failed | CellStatus::TimedOut));
+        return Ok(exit(bad));
     }
 
-    if metrics_json {
+    if args.has("--metrics-json") {
         let archs = csched_machine::imagine::all_variants();
-        let grid = csched_eval::run_grid(&workloads, &archs, &SchedulerConfig::default(), false)
-            .unwrap_or_else(|e| {
-                eprintln!("grid failed: {e}");
-                std::process::exit(1);
-            });
+        let grid =
+            match csched_eval::run_grid(&workloads, &archs, &SchedulerConfig::default(), false) {
+                Ok(grid) => grid,
+                Err(e) => {
+                    eprintln!("grid failed: {e}");
+                    return Ok(ExitCode::FAILURE);
+                }
+            };
         let mut extra = Vec::new();
         for kernel in &extra_kernels {
             for arch in &archs {
-                let schedule = schedule_kernel(arch, kernel, SchedulerConfig::default())
-                    .unwrap_or_else(|e| {
+                match schedule_kernel(arch, kernel, SchedulerConfig::default()) {
+                    Ok(schedule) => extra.push(ScheduleMetrics::compute(arch, kernel, &schedule)),
+                    Err(e) => {
                         eprintln!("{} on {}: {e}", kernel.name(), arch.name());
-                        std::process::exit(1);
-                    });
-                extra.push(ScheduleMetrics::compute(arch, kernel, &schedule));
+                        return Ok(ExitCode::FAILURE);
+                    }
+                }
             }
         }
         println!("{}", report::metrics_json(&grid, &extra));
-        if !parse_failures.is_empty() {
-            std::process::exit(2);
-        }
-        return;
+        return Ok(exit(false));
     }
 
     println!("{}", report::table1(&workloads));
@@ -229,15 +185,18 @@ fn main() {
             workloads.len()
         );
     }
-    if want_gap {
+    if args.has("--gap") {
         let cfg = csched_eval::GapConfig {
             exact_step_limit: gap_steps,
             ..csched_eval::GapConfig::default()
         };
-        let report = csched_eval::run_gap(&cfg, None, false).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+        let report = match csched_eval::run_gap(&cfg, None, false) {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("{e}");
+                return Ok(ExitCode::from(2));
+            }
+        };
         println!("Optimality gap (exact oracle, {gap_steps} steps/cell):");
         print!("{}", csched_eval::gap_table(&report));
         if !report.disagreements().is_empty() {
@@ -247,13 +206,8 @@ fn main() {
                     r.kernel, r.arch, r.detail
                 );
             }
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
     }
-    if !parse_failures.is_empty() {
-        std::process::exit(2);
-    }
-    if self_check_failed {
-        std::process::exit(1);
-    }
+    Ok(exit(self_check_failed))
 }

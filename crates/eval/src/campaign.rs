@@ -20,7 +20,7 @@
 //!    line (the crash arriving mid-write) is tolerated on load.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use csched_core::trace::json_escape;
@@ -31,6 +31,7 @@ use csched_ir::Kernel;
 use csched_machine::Architecture;
 
 use crate::grid::{Cell, Grid, Row};
+use crate::jsonl::{num_field, str_field};
 
 /// How one campaign cell ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -386,104 +387,82 @@ impl Journal {
     /// that interrupted the campaign and ignored; a malformed line
     /// anywhere else is [`CampaignError::Corrupt`].
     pub fn load(path: &Path) -> Result<HashMap<u64, CellRecord>, CampaignError> {
-        let file = std::fs::File::open(path).map_err(|source| CampaignError::Io {
-            path: path.to_path_buf(),
-            operation: "read",
-            source,
-        })?;
-        let mut lines = Vec::new();
-        for (idx, line) in std::io::BufReader::new(file).lines().enumerate() {
-            let line = line.map_err(|source| CampaignError::Io {
-                path: path.to_path_buf(),
-                operation: "read",
-                source,
-            })?;
-            lines.push((idx + 1, line));
-        }
-        let mut map = HashMap::new();
-        let last = lines.len();
-        for (lineno, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_journal_line(&line) {
-                Some((key, record)) => {
-                    map.insert(key, record);
-                }
-                None if lineno == last => {
-                    // Torn tail: the crash arrived mid-append. The cell
-                    // simply reruns on resume.
-                }
-                None => {
-                    return Err(CampaignError::Corrupt {
-                        path: path.to_path_buf(),
-                        line: lineno,
-                        detail: "unparseable journal entry".to_string(),
-                    });
-                }
-            }
-        }
-        Ok(map)
+        load_keyed(path, "journal", parse_journal_line)
+    }
+
+    /// What a run's `--journal`/`--resume` paths name: the journal opened
+    /// for appending (when given) and the records to replay (empty when
+    /// not). The replay is loaded first, so both may name one file.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::load`] and [`Journal::open`].
+    pub fn open_resumable(
+        journal: Option<&Path>,
+        resume: Option<&Path>,
+    ) -> Result<(Option<Journal>, HashMap<u64, CellRecord>), CampaignError> {
+        let replay = match resume {
+            Some(path) => Journal::load(path)?,
+            None => HashMap::new(),
+        };
+        Ok((journal.map(Journal::open).transpose()?, replay))
     }
 }
 
-/// Extracts `"field":` string values from a flat JSON object written by
-/// [`CellRecord::json_fields`] (only escapes [`json_escape`] produces).
-pub(crate) fn json_str_field(line: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                '\\' => out.push('\\'),
-                '"' => out.push('"'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
+/// The loader behind [`Journal::load`] and
+/// [`crate::gap::load_gap_journal`]: `parse` turns a line into its
+/// `(key, record)`, the last record per key wins, and a torn final line
+/// is ignored (its cell simply reruns).
+pub(crate) fn load_keyed<T>(
+    path: &Path,
+    what: &str,
+    parse: impl Fn(&str) -> Option<(u64, T)>,
+) -> Result<HashMap<u64, T>, CampaignError> {
+    let contents = std::fs::read_to_string(path).map_err(|source| CampaignError::Io {
+        path: path.to_path_buf(),
+        operation: "read",
+        source,
+    })?;
+    let lines: Vec<&str> = contents.lines().collect();
+    let mut map = HashMap::new();
+    for (idx, line) in lines.iter().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse(line) {
+            Some((key, record)) => {
+                map.insert(key, record);
+            }
+            None if idx + 1 == lines.len() => {}
+            None => {
+                return Err(CampaignError::Corrupt {
+                    path: path.to_path_buf(),
+                    line: idx + 1,
+                    detail: format!("unparseable {what} entry"),
+                });
+            }
         }
     }
-}
-
-/// Extracts `"field":<number>` values from a flat JSON object.
-pub(crate) fn json_num_field(line: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    Ok(map)
 }
 
 fn parse_journal_line(line: &str) -> Option<(u64, CellRecord)> {
     if !line.starts_with("{\"key\":") || !line.ends_with('}') {
         return None;
     }
-    let key = json_num_field(line, "key")?;
-    let status = CellStatus::from_name(&json_str_field(line, "status")?)?;
+    let key = num_field(line, "key")?;
+    let status = CellStatus::from_name(&str_field(line, "status")?)?;
     Some((
         key,
         CellRecord {
-            kernel: json_str_field(line, "kernel")?,
-            arch: json_str_field(line, "arch")?,
+            kernel: str_field(line, "kernel")?,
+            arch: str_field(line, "arch")?,
             status,
-            ii: u32::try_from(json_num_field(line, "ii")?).ok()?,
-            copies: usize::try_from(json_num_field(line, "copies")?).ok()?,
-            max_registers: usize::try_from(json_num_field(line, "max_registers")?).ok()?,
-            attempts: json_num_field(line, "attempts")?,
-            detail: json_str_field(line, "detail")?,
+            ii: u32::try_from(num_field(line, "ii")?).ok()?,
+            copies: usize::try_from(num_field(line, "copies")?).ok()?,
+            max_registers: usize::try_from(num_field(line, "max_registers")?).ok()?,
+            attempts: num_field(line, "attempts")?,
+            detail: str_field(line, "detail")?,
         },
     ))
 }

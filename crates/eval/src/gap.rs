@@ -30,7 +30,8 @@ use csched_ir::Kernel;
 use csched_machine::gen::{DesignSpace, Rng};
 use csched_machine::{imagine, Architecture};
 
-use crate::campaign::{cell_key, json_num_field, json_str_field, CampaignError, Journal};
+use crate::campaign::{cell_key, load_keyed, CampaignError, Journal};
+use crate::jsonl::{num_field, str_field};
 
 /// Configuration of one gap campaign.
 #[derive(Clone, Debug)]
@@ -321,50 +322,25 @@ pub fn run_gap_over(
 ///
 /// [`CampaignError::Io`] / [`CampaignError::Corrupt`].
 pub fn load_gap_journal(path: &Path) -> Result<HashMap<u64, GapRecord>, CampaignError> {
-    let contents = std::fs::read_to_string(path).map_err(|source| CampaignError::Io {
-        path: path.to_path_buf(),
-        operation: "read",
-        source,
-    })?;
-    let lines: Vec<&str> = contents.lines().collect();
-    let mut map = HashMap::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_gap_line(line) {
-            Some((key, record)) => {
-                map.insert(key, record);
-            }
-            None if idx + 1 == lines.len() => {} // torn tail: cell reruns
-            None => {
-                return Err(CampaignError::Corrupt {
-                    path: path.to_path_buf(),
-                    line: idx + 1,
-                    detail: "unparseable gap journal entry".to_string(),
-                });
-            }
-        }
-    }
-    Ok(map)
+    load_keyed(path, "gap journal", parse_gap_line)
 }
 
 fn parse_gap_line(line: &str) -> Option<(u64, GapRecord)> {
     if !line.starts_with("{\"key\":") || !line.ends_with('}') {
         return None;
     }
-    let key = json_num_field(line, "key")?;
+    let key = num_field(line, "key")?;
     Some((
         key,
         GapRecord {
-            kernel: json_str_field(line, "kernel")?,
-            arch: json_str_field(line, "arch")?,
-            status: json_str_field(line, "status")?,
-            heuristic_ii: json_num_field(line, "heuristic_ii"),
-            exact_ii: json_num_field(line, "exact_ii"),
-            mii: json_num_field(line, "mii")?,
-            nodes: json_num_field(line, "nodes")?,
-            detail: json_str_field(line, "detail")?,
+            kernel: str_field(line, "kernel")?,
+            arch: str_field(line, "arch")?,
+            status: str_field(line, "status")?,
+            heuristic_ii: num_field(line, "heuristic_ii"),
+            exact_ii: num_field(line, "exact_ii"),
+            mii: num_field(line, "mii")?,
+            nodes: num_field(line, "nodes")?,
+            detail: str_field(line, "detail")?,
         },
     ))
 }

@@ -33,7 +33,11 @@
 //!   deterministic log-bucketed latency/attempts histograms, and the
 //!   renderings behind the `METRICS` (JSON + Prometheus exposition) and
 //!   `TRACE` (wire-streamed JSONL decision events) verbs; the `dash`
-//!   binary polls them into a live terminal dashboard.
+//!   binary polls them into a live terminal dashboard;
+//! - [`cli`] is the command line every binary shares (flags, kernel and
+//!   architecture names, exit codes), and [`jsonl`] is the one reader
+//!   for the JSON lines the crate writes and reads back (journals,
+//!   `STATS`, `METRICS`).
 
 #![warn(missing_docs)]
 // The evaluation harness reports typed failures per cell; outside of test
@@ -44,22 +48,19 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod bench;
 pub mod campaign;
 pub mod chaosnet;
+pub mod cli;
 pub mod costs;
 pub mod explore;
 pub mod gap;
 pub mod grid;
+pub mod jsonl;
 pub mod pool;
 pub mod report;
 pub mod serve;
 pub mod telemetry;
 
-pub use bench::{
-    bench_json, compare, deterministic_json, measure_cell, parse_bench_json, run_bench,
-    run_bench_jobs, BenchCell, BenchParseError, BenchReport, CompareReport,
-};
 pub use campaign::{
     campaign_json, cell_key, config_fingerprint, grid_from_records, run_campaign,
     run_campaign_jobs, CampaignError, CampaignResult, CellRecord, CellStatus, Journal,

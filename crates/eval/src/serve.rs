@@ -127,7 +127,8 @@ use csched_core::{
 };
 use csched_ir::Kernel;
 
-use crate::campaign::{cell_key, config_fingerprint, json_num_field, CampaignError, Journal};
+use crate::campaign::{cell_key, config_fingerprint, CampaignError, Journal};
+use crate::jsonl::num_field;
 use crate::pool::{Rejected, Service};
 use crate::telemetry::{
     elapsed_us, CacheDisposition, Outcome as SpanOutcome, RequestSpan, Telemetry, TraceCapture,
@@ -339,14 +340,14 @@ impl CacheEntry {
             return None;
         }
         let entry = CacheEntry {
-            ii: u32::try_from(json_num_field(body, "ii")?).ok()?,
-            copies: json_num_field(body, "copies")?,
-            max_registers: json_num_field(body, "max_registers")?,
-            attempts: json_num_field(body, "attempts")?,
-            degraded: json_num_field(body, "degraded")? != 0,
-            limit: json_num_field(body, "limit")?,
+            ii: u32::try_from(num_field(body, "ii")?).ok()?,
+            copies: num_field(body, "copies")?,
+            max_registers: num_field(body, "max_registers")?,
+            attempts: num_field(body, "attempts")?,
+            degraded: num_field(body, "degraded")? != 0,
+            limit: num_field(body, "limit")?,
         };
-        Some((json_num_field(body, "key")?, entry))
+        Some((num_field(body, "key")?, entry))
     }
 }
 
@@ -507,7 +508,7 @@ impl ScheduleCache {
                         cache.corrupt_lines += 1;
                         // Quarantine the key if it is still legible, so
                         // the bit-flipped payload is never served.
-                        if let Some(key) = json_num_field(line, "key") {
+                        if let Some(key) = num_field(line, "key") {
                             cache.map.remove(&key);
                             cache.touch.remove(&key);
                             cache.quarantined.insert(key);

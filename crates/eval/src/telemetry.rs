@@ -35,6 +35,8 @@ use std::time::Instant;
 
 use csched_core::trace::{decision_filter, RejectReason, TraceEvent, TraceSink};
 
+use crate::jsonl::{elements, field, members, num, num_field, str_field};
+
 // ---------------------------------------------------------------------
 // Outcomes
 // ---------------------------------------------------------------------
@@ -883,158 +885,46 @@ impl MetricsSnapshot {
     /// When `line` is not the object this module's
     /// [`Telemetry::metrics_json`] emits (no `"schema"` key).
     pub fn parse(line: &str) -> Result<MetricsSnapshot, String> {
-        let line = line.trim();
         let mut snap = MetricsSnapshot {
-            schema: scan_u64(line, "\"schema\":").ok_or("missing \"schema\" key")?,
+            schema: num_field(line, "schema").ok_or("missing \"schema\" key")?,
             ..MetricsSnapshot::default()
         };
-        if let Some(body) = scan_object(line, "\"requests\":") {
-            snap.requests = scan_label_counts(body);
+        if let Some(requests) = field(line, "requests") {
+            snap.requests = members(requests)
+                .into_iter()
+                .filter_map(|(label, count)| Some((label, num(count)?)))
+                .collect();
         }
-        if let Some(body) = scan_object(line, "\"latency_us\":") {
-            for (label, obj) in scan_label_objects(body) {
-                let buckets =
-                    scan_bucket_pairs(scan_array(&obj, "\"buckets\":").unwrap_or_default());
+        if let Some(latency) = field(line, "latency_us") {
+            for (label, histogram) in members(latency) {
+                let buckets = field(histogram, "buckets").map_or_else(Vec::new, |buckets| {
+                    elements(buckets)
+                        .into_iter()
+                        .filter_map(|pair| match elements(pair)[..] {
+                            [lo, count] => Some((num(lo)?, num(count)?)),
+                            _ => None,
+                        })
+                        .collect()
+                });
                 snap.latency.push((label, buckets));
             }
         }
-        if let Some(body) = scan_array(line, "\"spans\":") {
-            for obj in split_objects(body) {
+        if let Some(spans) = field(line, "spans") {
+            for span in elements(spans) {
                 snap.spans.push(SpanSummary {
-                    id: scan_u64(obj, "\"id\":").unwrap_or(0),
-                    kernel: scan_string(obj, "\"kernel\":").unwrap_or_default(),
-                    outcome: scan_string(obj, "\"outcome\":").unwrap_or_default(),
-                    total_us: scan_u64(obj, "\"total_us\":").unwrap_or(0),
-                    sched_us: scan_u64(obj, "\"sched_us\":").unwrap_or(0),
-                    attempts: scan_u64(obj, "\"attempts\":").unwrap_or(0),
-                    ii: scan_u64(obj, "\"ii\":").unwrap_or(0),
-                    binding: scan_string(obj, "\"binding\":").unwrap_or_default(),
+                    id: num_field(span, "id").unwrap_or(0),
+                    kernel: str_field(span, "kernel").unwrap_or_default(),
+                    outcome: str_field(span, "outcome").unwrap_or_default(),
+                    total_us: num_field(span, "total_us").unwrap_or(0),
+                    sched_us: num_field(span, "sched_us").unwrap_or(0),
+                    attempts: num_field(span, "attempts").unwrap_or(0),
+                    ii: num_field(span, "ii").unwrap_or(0),
+                    binding: str_field(span, "binding").unwrap_or_default(),
                 });
             }
         }
         Ok(snap)
     }
-}
-
-/// First integer following `key` in `text`.
-pub fn scan_u64(text: &str, key: &str) -> Option<u64> {
-    let at = text.find(key)? + key.len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_string(text: &str, key: &str) -> Option<String> {
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// The balanced `{...}` body (braces stripped) following `key`.
-fn scan_object<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let at = text.find(key)? + key.len();
-    balanced(&text[at..], '{', '}')
-}
-
-/// The balanced `[...]` body (brackets stripped) following `key`.
-fn scan_array<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let at = text.find(key)? + key.len();
-    balanced(&text[at..], '[', ']')
-}
-
-fn balanced(text: &str, open: char, close: char) -> Option<&str> {
-    if !text.starts_with(open) {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in text.char_indices() {
-        if c == open {
-            depth += 1;
-        } else if c == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(&text[open.len_utf8()..i]);
-            }
-        }
-    }
-    None
-}
-
-/// `"label":123,...` pairs from a flat object body.
-fn scan_label_counts(body: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(q) = rest.find('"') {
-        rest = &rest[q + 1..];
-        let Some(endq) = rest.find('"') else { break };
-        let label = rest[..endq].to_string();
-        rest = &rest[endq + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        rest = &rest[colon + 1..];
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse() {
-            out.push((label, v));
-        }
-        rest = &rest[end..];
-    }
-    out
-}
-
-/// `"label":{...},...` pairs from an object-of-objects body.
-fn scan_label_objects(body: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(q) = rest.find('"') {
-        rest = &rest[q + 1..];
-        let Some(endq) = rest.find('"') else { break };
-        let label = rest[..endq].to_string();
-        rest = &rest[endq + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        rest = &rest[colon + 1..];
-        let Some(obj) = balanced(rest, '{', '}') else {
-            break;
-        };
-        // Advance past the whole object (body + both braces).
-        rest = &rest[obj.len() + 2..];
-        out.push((label, obj.to_string()));
-    }
-    out
-}
-
-/// `[lo,count]` pairs from a `[[1,2],[3,4]]` body (brackets stripped).
-fn scan_bucket_pairs(body: &str) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(open) = rest.find('[') {
-        rest = &rest[open + 1..];
-        let Some(close) = rest.find(']') else { break };
-        let pair = &rest[..close];
-        rest = &rest[close + 1..];
-        if let Some((lo, c)) = pair.split_once(',') {
-            if let (Ok(lo), Ok(c)) = (lo.trim().parse(), c.trim().parse()) {
-                out.push((lo, c));
-            }
-        }
-    }
-    out
-}
-
-/// Splits a `{...},{...}` array body into its top-level objects.
-fn split_objects(body: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(open) = rest.find('{') {
-        let Some(obj) = balanced(&rest[open..], '{', '}') else {
-            break;
-        };
-        out.push(obj);
-        rest = &rest[open + obj.len() + 2..];
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1199,5 +1089,29 @@ mod tests {
         assert!(json.contains("\"outcome\":\"degraded\""));
         assert!(json.contains("\"cache\":\"bypass\""));
         assert!(json.ends_with("\"degraded\":1,\"binding\":\"\"}"));
+    }
+
+    #[test]
+    fn snapshot_reads_back_escaped_kernel_names() {
+        let t = Telemetry::new(8);
+        let names = ["a\"b", "back\\slash", "x}y"];
+        for (i, name) in names.iter().enumerate() {
+            let mut span = RequestSpan::new(i as u64 + 1, "SCHED");
+            span.kernel = (*name).to_string();
+            span.outcome = Outcome::Ok;
+            span.total_us = 100 + i as u64;
+            span.ii = 7;
+            t.record(span);
+        }
+        let snap = MetricsSnapshot::parse(&t.metrics_json()).unwrap();
+        assert_eq!(snap.spans.len(), names.len());
+        for (i, (span, name)) in snap.spans.iter().zip(names).enumerate() {
+            assert_eq!(span.kernel, name);
+            assert_eq!(span.outcome, "ok");
+            assert_eq!(
+                (span.id, span.total_us, span.ii),
+                (i as u64 + 1, 100 + i as u64, 7)
+            );
+        }
     }
 }

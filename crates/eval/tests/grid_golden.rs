@@ -10,10 +10,9 @@
 //! cache, the port-run candidate ranking) were each landed against this
 //! grid: they are pure reformulations, so the triples survived unchanged.
 //!
-//! The pinned values match `BENCH_baseline.json` / `BENCH_pregrid.json`
-//! (`bench-json --compare` gates the same fields in CI). Update them only
-//! when a change is *meant* to alter scheduling decisions, and say so in
-//! the commit message.
+//! `decision_golden` (csched-core) pins the decision stream behind these
+//! triples. Update them only when a change is *meant* to alter scheduling
+//! decisions, and say so in the commit message.
 //!
 //! The full 10×4 grid takes minutes under the debug profile, so plain
 //! `cargo test` runs a 3×2 subgrid and the full grid is `#[ignore]`d;

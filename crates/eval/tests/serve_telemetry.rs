@@ -13,10 +13,11 @@
 
 use std::time::Duration;
 
+use csched_eval::jsonl::{elements, field, num_field};
 use csched_eval::serve::{
     client_metrics, client_request, client_stats, client_trace, ServeConfig, Server,
 };
-use csched_eval::telemetry::{scan_u64, validate_prometheus, MetricsSnapshot};
+use csched_eval::telemetry::{validate_prometheus, MetricsSnapshot};
 use csched_ir::{Kernel, KernelBuilder};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -217,24 +218,20 @@ fn span_stage_durations_sum_to_at_most_total_wall_time() {
     }
     let metrics = client_metrics(&addr, TIMEOUT).unwrap();
     let json_line = metrics.lines().next().unwrap();
-    let spans_section = json_line
-        .split_once("\"spans\":[")
-        .map(|(_, rest)| rest)
-        .expect("spans array present");
-    let spans: Vec<&str> = spans_section.split("},{").collect();
+    let spans = elements(field(json_line, "spans").expect("spans array present"));
     assert!(spans.len() >= 2, "want both spans retained: {json_line}");
     for span in &spans {
-        let total = scan_u64(span, "\"total_us\":").expect("total_us");
+        let total = num_field(span, "total_us").expect("total_us");
         let stage_sum: u64 = [
-            "\"read_us\":",
-            "\"parse_us\":",
-            "\"cache_us\":",
-            "\"sched_us\":",
-            "\"journal_us\":",
-            "\"respond_us\":",
+            "read_us",
+            "parse_us",
+            "cache_us",
+            "sched_us",
+            "journal_us",
+            "respond_us",
         ]
         .iter()
-        .map(|key| scan_u64(span, key).expect("stage field"))
+        .map(|key| num_field(span, key).expect("stage field"))
         .sum();
         assert!(
             stage_sum <= total,
@@ -256,10 +253,10 @@ fn stats_reports_schema_and_monotonic_uptime() {
     let addr = server.addr().to_string();
     let first = client_stats(&addr, TIMEOUT).unwrap();
     assert!(first.starts_with("{\"schema\":1,\"uptime_ms\":"), "{first}");
-    let t1 = scan_u64(&first, "\"uptime_ms\":").unwrap();
+    let t1 = num_field(&first, "uptime_ms").unwrap();
     std::thread::sleep(Duration::from_millis(20));
     let second = client_stats(&addr, TIMEOUT).unwrap();
-    let t2 = scan_u64(&second, "\"uptime_ms\":").unwrap();
+    let t2 = num_field(&second, "uptime_ms").unwrap();
     assert!(t2 >= t1, "uptime went backwards: {t1} -> {t2}");
     server.shutdown();
 }
