@@ -10,8 +10,7 @@
 //! Tracing is **zero-cost when disabled**: the engine holds an
 //! `Option<&mut dyn TraceSink>` that defaults to `None`, so the untraced
 //! entry points ([`schedule_kernel`]) pay a single never-taken branch per
-//! emission site (perfbench's `bench.trace_overhead_pct` compares traced
-//! and untraced runs).
+//! emission site (measured by perfbench's `bench.trace_overhead_pct`).
 //!
 //! Two sinks are provided: [`RingBufferSink`] keeps the last *N* events
 //! in memory for post-mortem inspection, and [`JsonlSink`] renders each

@@ -56,11 +56,11 @@ pub struct Args(Vec<String>);
 impl Args {
     /// The arguments of this process.
     pub fn from_env() -> Args {
-        Args(std::env::args().skip(1).collect())
+        Args::new(std::env::args().skip(1))
     }
 
-    #[cfg(test)]
-    fn new<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Args {
+    /// The arguments `args`, program name excluded.
+    pub fn new<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Args {
         Args(args.into_iter().map(Into::into).collect())
     }
 
@@ -184,51 +184,4 @@ pub fn main(bin: &str, run: impl FnOnce(&Args) -> Result<ExitCode, CliError>) ->
         eprintln!("{bin}: {e}");
         ExitCode::from(2)
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn values_numbers_and_positionals() {
-        let args = Args::new(["FFT", "--jobs", "4", "--sim", "--out", "x.json", "central"]);
-        assert!(args.has("--sim") && !args.has("--json"));
-        assert_eq!(args.value("--out"), Ok(Some("x.json")));
-        assert_eq!(args.num::<usize>("--jobs"), Ok(Some(4)));
-        assert_eq!(args.num::<u64>("--seed"), Ok(None));
-        assert_eq!(args.positional(&["--jobs", "--out"]), ["FFT", "central"]);
-        assert_eq!(
-            args.num::<u32>("--out").unwrap_err().to_string(),
-            "--out: not a number: x.json"
-        );
-        assert_eq!(
-            Args::new(["--seed"]).num::<u64>("--seed"),
-            Err(CliError::MissingValue("--seed".into()))
-        );
-    }
-
-    #[test]
-    fn repeated_flags_take_their_arity() {
-        let args = Args::new([
-            "--cell", "FFT", "central", "--table", "--cell", "DCT", "toy",
-        ]);
-        let cells = args.repeated("--cell", 2).unwrap();
-        assert_eq!(cells, [&["FFT", "central"][..], &["DCT", "toy"][..]]);
-        assert!(Args::new(["--cell", "FFT"]).repeated("--cell", 2).is_err());
-    }
-
-    #[test]
-    fn names_resolve_or_fail_typed() {
-        for name in ARCH_NAMES.split('|') {
-            assert!(arch(name).is_ok(), "{name}");
-        }
-        assert_eq!(arch("clustered").unwrap().name(), "imagine-clustered-2");
-        assert_eq!(
-            arch("bogus").unwrap_err(),
-            CliError::UnknownArch("bogus".into())
-        );
-        assert_eq!(kernel("fft").unwrap().kernel.name(), "FFT");
-        assert!(matches!(kernels("Merge,NOPE"), Err(CliError::UnknownKernel(k)) if k == "NOPE"));
-    }
 }

@@ -5,7 +5,7 @@
 //! Every such line is written by this workspace, so the reader is a
 //! scanner rather than a parser. [`field`] finds the first member with a
 //! given name anywhere in a line and returns its raw value text;
-//! [`num`] and [`str_field`] decode a number or a string, and `members`
+//! [`num`] and [`str_field`] decode a number or a string, and [`members`]
 //! and [`elements`] walk one level of an object or array. All of them skip
 //! the contents of string literals, so a quote, brace or bracket inside
 //! a string (a kernel named `x}y`, say) is never taken for structure.
@@ -128,7 +128,7 @@ pub fn str_field(text: &str, key: &str) -> Option<String> {
 
 /// The `(name, raw value)` members of the raw object `object`, in order;
 /// scanning stops at the first malformed member.
-pub(crate) fn members(object: &str) -> Vec<(String, &str)> {
+pub fn members(object: &str) -> Vec<(String, &str)> {
     let mut out = Vec::new();
     let Some(mut rest) = object.strip_prefix('{') else {
         return out;
@@ -173,69 +173,4 @@ pub fn elements(array: &str) -> Vec<&str> {
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use csched_core::trace::json_escape;
-
-    #[test]
-    fn fields_are_found_at_any_depth_but_never_inside_strings() {
-        let line = r#"{"detail":"\"ii\":9 {","serve":{"ii":3,"cache":{"n":[1,2]}},"ii":4}"#;
-        assert_eq!(num_field(line, "ii"), Some(3));
-        assert_eq!(field(line, "cache"), Some(r#"{"n":[1,2]}"#));
-        assert_eq!(field(line, "n"), Some("[1,2]"));
-        assert_eq!(str_field(line, "detail").as_deref(), Some("\"ii\":9 {"));
-        assert_eq!(num_field(line, "missing"), None);
-        assert_eq!(str_field(line, "ii"), None, "a number is not a string");
-    }
-
-    #[test]
-    fn escaped_strings_round_trip() {
-        for raw in [
-            "a\"b",
-            "back\\slash",
-            "x}y",
-            "tab\tnew\nline",
-            "bell\u{7}",
-            "ünï",
-        ] {
-            let line = format!("{{\"k\":\"{}\",\"after\":1}}", json_escape(raw));
-            assert_eq!(str_field(&line, "k").as_deref(), Some(raw), "{line}");
-            assert_eq!(num_field(&line, "after"), Some(1), "{line}");
-        }
-    }
-
-    #[test]
-    fn numbers_read_their_leading_digits() {
-        assert_eq!(num("42"), Some(42));
-        assert_eq!(num("12x"), Some(12));
-        assert_eq!(num("null"), None);
-        assert_eq!(num("\"7\""), None);
-    }
-
-    #[test]
-    fn members_and_elements_walk_one_level() {
-        let object = r#"{"a":1, "b}":{"c":[2,3]},"d":"e,f"}"#;
-        let got = members(object);
-        let names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a", "b}", "d"]);
-        assert_eq!(got[1].1, r#"{"c":[2,3]}"#);
-        assert_eq!(
-            elements(r#"[[1,2], {"x":"]"},3]"#),
-            ["[1,2]", r#"{"x":"]"}"#, "3"]
-        );
-        assert!(members("{}").is_empty());
-        assert!(elements("[]").is_empty());
-        assert!(members("[1]").is_empty());
-    }
-
-    #[test]
-    fn torn_lines_read_as_absent() {
-        let line = r#"{"key":5,"kernel":"FF"#;
-        assert_eq!(num_field(line, "key"), Some(5));
-        assert_eq!(str_field(line, "kernel"), None);
-        assert_eq!(field(r#"{"a":{"b":1"#, "a"), None);
-    }
 }

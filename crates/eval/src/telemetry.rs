@@ -1090,28 +1090,4 @@ mod tests {
         assert!(json.contains("\"cache\":\"bypass\""));
         assert!(json.ends_with("\"degraded\":1,\"binding\":\"\"}"));
     }
-
-    #[test]
-    fn snapshot_reads_back_escaped_kernel_names() {
-        let t = Telemetry::new(8);
-        let names = ["a\"b", "back\\slash", "x}y"];
-        for (i, name) in names.iter().enumerate() {
-            let mut span = RequestSpan::new(i as u64 + 1, "SCHED");
-            span.kernel = (*name).to_string();
-            span.outcome = Outcome::Ok;
-            span.total_us = 100 + i as u64;
-            span.ii = 7;
-            t.record(span);
-        }
-        let snap = MetricsSnapshot::parse(&t.metrics_json()).unwrap();
-        assert_eq!(snap.spans.len(), names.len());
-        for (i, (span, name)) in snap.spans.iter().zip(names).enumerate() {
-            assert_eq!(span.kernel, name);
-            assert_eq!(span.outcome, "ok");
-            assert_eq!(
-                (span.id, span.total_us, span.ii),
-                (i as u64 + 1, 100 + i as u64, 7)
-            );
-        }
-    }
 }
