@@ -22,6 +22,12 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo build --release --workspace"
 cargo build --release --workspace
 
+# The benchmark is a workspace of its own, so the build above never
+# compiles it; a removed or renamed item it imports fails here instead of
+# when the benchmark first runs.
+step "cargo check perfbench"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -17,9 +17,9 @@
 //! step, so cancellation lands within one placement attempt.
 //!
 //! A budget is shared by everything downstream of one scheduling call:
-//! the retry ladder hands the *same* budget to every rung, so the sum of
-//! work over all relaxation attempts stays bounded — see
-//! [`schedule_kernel_with_retry`].
+//! the anytime ladder hands the *same* budget to every rung, so the sum
+//! of work over all relaxation and improvement attempts stays bounded —
+//! see [`schedule_kernel_anytime`].
 //!
 //! ```
 //! use csched_core::{schedule_kernel_budgeted, SchedError, SchedulerConfig, StepBudget};
@@ -48,7 +48,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! [`schedule_kernel_with_retry`]: crate::schedule_kernel_with_retry
+//! [`schedule_kernel_anytime`]: crate::schedule_kernel_anytime
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,9 +97,9 @@ pub enum BudgetStop {
 /// A deterministic work budget denominated in placement attempts.
 ///
 /// The budget uses interior mutability so one `&StepBudget` can be
-/// shared by the driver, the engine, the retry ladder, and the register
-/// post-pass of a single scheduling call; it is intentionally *not*
-/// `Sync` — cross-thread control goes through [`CancelToken`].
+/// shared by the driver, the engine, and every rung of the anytime
+/// ladder of a single scheduling call; it is intentionally *not* `Sync` —
+/// cross-thread control goes through [`CancelToken`].
 #[derive(Debug)]
 pub struct StepBudget {
     limit: u64,
@@ -170,7 +170,7 @@ impl StepBudget {
     }
 
     /// The typed [`SchedError`] for a refusal from [`step`](Self::step),
-    /// attributed to `phase` (`"placement"`, `"regalloc"`, ...).
+    /// attributed to `phase` (`"placement"`).
     pub fn stop_error(&self, stop: BudgetStop, phase: &'static str) -> SchedError {
         match stop {
             BudgetStop::Deadline => SchedError::DeadlineExceeded {

@@ -83,8 +83,7 @@ pub enum SchedError {
         spent: u64,
         /// The configured limit.
         limit: u64,
-        /// The pipeline phase that hit the limit (`"placement"`,
-        /// `"regalloc"`).
+        /// The pipeline phase that hit the limit (`"placement"`).
         phase: &'static str,
     },
     /// The scheduling call's [`CancelToken`](crate::CancelToken) was

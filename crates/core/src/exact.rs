@@ -38,9 +38,9 @@
 //! the caller's [`StepBudget`], so oracle runs are deterministic and
 //! bounded; exhausting the budget yields the typed
 //! [`ExactVerdict::GapUnknown`] rather than an error. Search statistics
-//! (nodes expanded, prunes by reason) are surfaced per candidate II both
-//! in the [`ExactReport`] and as [`TraceEvent::ExactIiStart`] /
-//! [`TraceEvent::ExactIiDone`] events.
+//! (nodes expanded, prunes by reason) are surfaced per candidate II in
+//! [`ExactReport::per_ii`] and rendered by
+//! [`ExactReport::render_text`].
 //!
 //! ```
 //! use csched_core::exact::{certify_min_ii, ExactConfig, ExactVerdict};
@@ -72,7 +72,6 @@ use crate::driver::{not_copy_connected, res_mii};
 use crate::error::SchedError;
 use crate::schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
 use crate::table::{ResourceTable, Savepoint, TableMode};
-use crate::trace::{TraceEvent, TraceSink};
 use crate::universe::{Comm, CommId, SOpId, Universe};
 use crate::validate;
 
@@ -270,32 +269,6 @@ pub fn certify_min_ii(
     cfg: &ExactConfig,
     budget: &StepBudget,
 ) -> Result<ExactReport, SchedError> {
-    certify_impl(arch, kernel, cfg, budget, None)
-}
-
-/// [`certify_min_ii`] with per-II search events traced into `sink`
-/// ([`TraceEvent::ExactIiStart`], [`TraceEvent::ExactIiDone`]).
-///
-/// # Errors
-///
-/// Identical to [`certify_min_ii`].
-pub fn certify_min_ii_traced(
-    arch: &Architecture,
-    kernel: &Kernel,
-    cfg: &ExactConfig,
-    budget: &StepBudget,
-    sink: &mut dyn TraceSink,
-) -> Result<ExactReport, SchedError> {
-    certify_impl(arch, kernel, cfg, budget, Some(sink))
-}
-
-fn certify_impl(
-    arch: &Architecture,
-    kernel: &Kernel,
-    cfg: &ExactConfig,
-    budget: &StepBudget,
-    mut sink: Option<&mut dyn TraceSink>,
-) -> Result<ExactReport, SchedError> {
     if !arch.copy_connectivity().is_copy_connected() {
         return Err(not_copy_connected(arch));
     }
@@ -317,24 +290,11 @@ fn certify_impl(
 
     let mut per_ii = Vec::new();
     for ii in first..=last {
-        if let Some(s) = sink.as_mut() {
-            s.event(TraceEvent::ExactIiStart { ii });
-        }
         let mut search = Searcher::new(arch, kernel, &graph, cfg, budget, ii);
         let outcome = search.run();
         let mut stats = search.stats;
         stats.ii = ii;
         stats.feasible = matches!(outcome, Ok(true));
-        if let Some(s) = sink.as_mut() {
-            s.event(TraceEvent::ExactIiDone {
-                ii,
-                feasible: stats.feasible,
-                nodes: stats.nodes,
-                pruned_issue: stats.pruned_issue,
-                pruned_timing: stats.pruned_timing,
-                pruned_routing: stats.pruned_routing,
-            });
-        }
         per_ii.push(stats);
         match outcome {
             Ok(true) => {
@@ -972,36 +932,6 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.per_ii, b.per_ii, "node/prune counts must be replayable");
-    }
-
-    #[test]
-    fn search_events_reach_the_sink() {
-        use crate::trace::RingBufferSink;
-        let arch = toy::motivating_example();
-        let kernel = pressured_loop();
-        let budget = StepBudget::new(5_000_000);
-        let mut sink = RingBufferSink::new(64);
-        let report =
-            certify_min_ii_traced(&arch, &kernel, &ExactConfig::default(), &budget, &mut sink)
-                .unwrap();
-        let done: Vec<&TraceEvent> = sink
-            .events()
-            .filter(|e| matches!(e, TraceEvent::ExactIiDone { .. }))
-            .collect();
-        assert_eq!(done.len(), report.per_ii.len());
-        match done.last().unwrap() {
-            TraceEvent::ExactIiDone {
-                ii,
-                feasible,
-                nodes,
-                ..
-            } => {
-                assert_eq!(*ii, 2);
-                assert!(*feasible);
-                assert_eq!(*nodes, report.per_ii.last().unwrap().nodes);
-            }
-            _ => unreachable!(),
-        }
     }
 
     #[test]

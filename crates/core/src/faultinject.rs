@@ -26,13 +26,15 @@
 //! splitmix64 generator, so a campaign seed reproduces the exact same
 //! fault combinations (and, because the scheduler and budget are both
 //! deterministic, the exact same verdicts) on every machine.
+//!
+//! [`schedule_kernel`]: crate::schedule_kernel
 
 use csched_ir::Kernel;
 use csched_machine::{Architecture, FaultSpec};
 
 use crate::budget::StepBudget;
 use crate::config::SchedulerConfig;
-use crate::driver::{not_copy_connected, schedule_kernel, schedule_kernel_budgeted};
+use crate::driver::{not_copy_connected, schedule_kernel_budgeted};
 use crate::error::SchedError;
 use crate::validate;
 
@@ -102,25 +104,10 @@ pub struct CampaignEntry {
     pub verdict: FaultVerdict,
 }
 
-/// Schedules `kernel` on `arch` degraded by `faults`, validating any
-/// produced schedule against the degraded machine.
+/// Schedules `kernel` on `arch` degraded by `faults` under `budget`,
+/// validating any produced schedule against the degraded machine; a
+/// tripped or cancelled budget becomes [`FaultVerdict::TimedOut`].
 pub fn schedule_degraded(
-    arch: &Architecture,
-    faults: &[FaultSpec],
-    kernel: &Kernel,
-    config: SchedulerConfig,
-) -> FaultVerdict {
-    let degraded = arch.with_faults(faults);
-    verdict_of(
-        &degraded,
-        kernel,
-        schedule_kernel(&degraded, kernel, config),
-    )
-}
-
-/// Like [`schedule_degraded`], but charges every placement attempt to
-/// `budget`; a tripped budget becomes [`FaultVerdict::TimedOut`].
-pub fn schedule_degraded_budgeted(
     arch: &Architecture,
     faults: &[FaultSpec],
     kernel: &Kernel,
@@ -136,17 +123,7 @@ pub fn schedule_degraded_budgeted(
             spent: budget.spent(),
             limit: budget.limit(),
         },
-        result => verdict_of(&degraded, kernel, result),
-    }
-}
-
-fn verdict_of(
-    degraded: &Architecture,
-    kernel: &Kernel,
-    result: Result<crate::Schedule, SchedError>,
-) -> FaultVerdict {
-    match result {
-        Ok(schedule) => match validate::validate(degraded, kernel, &schedule) {
+        Ok(schedule) => match validate::validate(&degraded, kernel, &schedule) {
             Ok(()) => FaultVerdict::Scheduled {
                 ii: schedule.ii(),
                 copies: schedule.num_copies(),
@@ -174,7 +151,13 @@ pub fn single_fault_campaign(
     for fault in arch.single_resource_faults() {
         let fault_desc = fault.describe(arch);
         for &(name, kernel) in kernels {
-            let verdict = schedule_degraded(arch, &[fault], kernel, config.clone());
+            let verdict = schedule_degraded(
+                arch,
+                &[fault],
+                kernel,
+                config.clone(),
+                &StepBudget::unlimited(),
+            );
             entries.push(CampaignEntry {
                 fault,
                 fault_desc: fault_desc.clone(),
@@ -189,7 +172,8 @@ pub fn single_fault_campaign(
 /// Single-resource faults that make `arch` unschedulable for `kernel`
 /// before any search runs: the degraded machine loses Appendix A copy
 /// connectivity, or some opcode of the kernel loses every capable unit.
-/// Returned with the typed error [`schedule_kernel`] would report.
+/// Returned with the typed error [`schedule_kernel`](crate::schedule_kernel)
+/// would report.
 pub fn breaking_faults(arch: &Architecture, kernel: &Kernel) -> Vec<(FaultSpec, SchedError)> {
     let mut broken = Vec::new();
     for fault in arch.single_resource_faults() {
@@ -353,8 +337,7 @@ pub fn chaos_campaign(
         let fault_descs: Vec<String> = faults.iter().map(|f| f.describe(arch)).collect();
         for &(name, kernel) in kernels {
             let budget = StepBudget::new(chaos.step_limit);
-            let verdict =
-                schedule_degraded_budgeted(arch, &faults, kernel, config.clone(), &budget);
+            let verdict = schedule_degraded(arch, &faults, kernel, config.clone(), &budget);
             entries.push(ChaosEntry {
                 run,
                 faults: faults.clone(),

@@ -82,17 +82,16 @@ pub use conn::ConnCache;
 pub use driver::{res_mii, schedule_kernel, schedule_kernel_budgeted, schedule_kernel_traced};
 pub use engine::{Engine, OrderEdge};
 pub use error::SchedError;
-pub use exact::{certify_min_ii, certify_min_ii_traced, ExactConfig, ExactReport, ExactVerdict};
+pub use exact::{certify_min_ii, ExactConfig, ExactReport, ExactVerdict};
 pub use explain::{explain, Binding, Counterfactual, Explanation, ResourceRank};
 pub use metrics::ScheduleMetrics;
 pub use retry::{
-    schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_with_retry,
-    schedule_kernel_with_retry_budgeted, schedule_kernel_with_retry_traced, AnytimeReport, Attempt,
-    RetryPolicy, ScheduleReport,
+    schedule_kernel_anytime, schedule_kernel_anytime_traced, AnytimeReport, Attempt, RetryPolicy,
+    ScheduleReport,
 };
 pub use schedule::{CommDisposition, PipelineSlot, Route, SchedStats, Schedule, ScheduledOp};
 pub use table::{ResourceTable, Row, TableMode, WriteSearch};
-pub use trace::{decision_filter, CappingSink, JsonlSink, RingBufferSink, TraceEvent, TraceSink};
+pub use trace::{decision_filter, JsonlSink, TraceEvent, TraceSink};
 pub use universe::{Comm, CommId, SOp, SOpId, Universe};
 
 // Compile-time Send/Sync audit of the scheduling pipeline's inputs and

@@ -83,7 +83,7 @@ pub struct RungCost {
     pub relaxation: String,
     /// II cap the rung searched under.
     pub max_ii: u32,
-    /// Placement attempts granted from the retry budget.
+    /// Placement attempts granted from the shared step budget.
     pub attempts_granted: u64,
     /// Whether the rung produced a schedule.
     pub ok: bool,

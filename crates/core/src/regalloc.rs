@@ -144,71 +144,8 @@ struct Life {
     in_loop: bool,
 }
 
-/// [`analyze`] with the per-file demand and spill plan traced into
-/// `sink` as [`TraceEvent::RfPressure`] / [`TraceEvent::SpillPlanned`]
-/// events.
-///
-/// [`TraceEvent::RfPressure`]: crate::trace::TraceEvent::RfPressure
-/// [`TraceEvent::SpillPlanned`]: crate::trace::TraceEvent::SpillPlanned
-pub fn analyze_traced(
-    arch: &Architecture,
-    kernel: &Kernel,
-    schedule: &Schedule,
-    sink: &mut dyn crate::trace::TraceSink,
-) -> PressureReport {
-    let report = analyze(arch, kernel, schedule);
-    for p in &report.per_rf {
-        sink.event(crate::trace::TraceEvent::RfPressure {
-            rf: p.rf.index() as u32,
-            required: p.required as u32,
-            capacity: p.capacity as u32,
-        });
-    }
-    for s in &report.spills {
-        sink.event(crate::trace::TraceEvent::SpillPlanned {
-            value: s.value.index() as u32,
-            from: s.from.index() as u32,
-            to: s.to.map_or(-1, |rf| rf.index() as i64),
-            copies: s.copies_needed,
-        });
-    }
-    report
-}
-
 /// Analyses the register pressure of `schedule`.
 pub fn analyze(arch: &Architecture, kernel: &Kernel, schedule: &Schedule) -> PressureReport {
-    match analyze_budgeted(
-        arch,
-        kernel,
-        schedule,
-        &crate::budget::StepBudget::unlimited(),
-    ) {
-        Ok(report) => report,
-        // Unreachable: an unlimited budget with no cancel token never
-        // refuses a charge; keep a harmless fallback rather than a panic.
-        Err(_) => PressureReport {
-            per_rf: Vec::new(),
-            spills: Vec::new(),
-        },
-    }
-}
-
-/// [`analyze`] under a [`StepBudget`](crate::StepBudget): one step is
-/// charged per communication leg examined, so a campaign's deadline also
-/// bounds the register post-pass, not just the placement search.
-///
-/// # Errors
-///
-/// [`SchedError::DeadlineExceeded`](crate::SchedError::DeadlineExceeded)
-/// (phase `"regalloc"`) when the budget runs dry, or
-/// [`SchedError::Cancelled`](crate::SchedError::Cancelled) when its
-/// cancellation token fires.
-pub fn analyze_budgeted(
-    arch: &Architecture,
-    kernel: &Kernel,
-    schedule: &Schedule,
-    budget: &crate::budget::StepBudget,
-) -> Result<PressureReport, crate::SchedError> {
     let u = schedule.universe();
     let ii = schedule.ii().unwrap_or(1).max(1) as i64;
 
@@ -219,9 +156,6 @@ pub fn analyze_budgeted(
 
     for cid in u.comm_ids() {
         for (leg_id, route) in schedule.transport(cid) {
-            if let Err(stop) = budget.step() {
-                return Err(budget.stop_error(stop, "regalloc"));
-            }
             let leg = u.comm(leg_id);
             let p = schedule.placement(leg.producer);
             let q = schedule.placement(leg.consumer);
@@ -325,7 +259,7 @@ pub fn analyze_budgeted(
         });
     }
 
-    Ok(PressureReport { per_rf, spills })
+    PressureReport { per_rf, spills }
 }
 
 fn max_overlap(lives: &HashMap<(SOpId, RfId), Life>, rf: RfId) -> usize {
@@ -389,32 +323,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(report.spills.is_empty());
-    }
-
-    #[test]
-    fn budgeted_analysis_trips_with_typed_error() {
-        use crate::budget::StepBudget;
-        use crate::SchedError;
-        let kernel = streaming_kernel();
-        let arch = imagine::distributed();
-        let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
-
-        // A roomy budget matches the unbudgeted analysis exactly.
-        let budget = StepBudget::new(1 << 20);
-        let report = analyze_budgeted(&arch, &kernel, &s, &budget).expect("fits budget");
-        assert_eq!(report, analyze(&arch, &kernel, &s));
-        assert!(budget.spent() > 0);
-
-        // A one-leg budget trips with the regalloc phase attributed.
-        let tiny = StepBudget::new(1);
-        match analyze_budgeted(&arch, &kernel, &s, &tiny) {
-            Err(SchedError::DeadlineExceeded {
-                spent,
-                limit,
-                phase,
-            }) => assert_eq!((spent, limit, phase), (1, 1, "regalloc")),
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Retry/backoff scheduling: a relaxation ladder over the driver.
+//! Anytime scheduling: a relaxation ladder, then an improvement search.
 //!
 //! [`schedule_kernel`] fails with [`SchedError::BlockFailed`] or
 //! [`SchedError::IiExhausted`] when its delay, copy, or II budgets run out
 //! — budgets that exist to bound scheduling *time*, not because the kernel
-//! is unschedulable. [`schedule_kernel_with_retry`] climbs a ladder of
-//! relaxed configurations when that happens:
+//! is unschedulable. [`schedule_kernel_anytime`] first climbs a ladder of
+//! relaxed configurations until one schedules:
 //!
 //! 1. the caller's configuration unchanged;
 //! 2. relaxed delay and copy budgets (wider placement windows, deeper
@@ -19,11 +19,12 @@
 //!    operation-order pathologies);
 //! 6. further doubling of the II cap and delay budget.
 //!
-//! Every attempt is recorded in a [`ScheduleReport`] so a caller (or a
-//! fault-injection campaign) can see which relaxation recovered a failing
-//! kernel and at what cost. Errors that no relaxation can fix — a machine
-//! that is not copy-connected, an opcode with no capable unit, an internal
-//! invariant break — abort the ladder immediately.
+//! Every rung is recorded in a [`ScheduleReport`] so a caller can see
+//! which relaxation recovered a failing kernel and at what cost. Errors
+//! that no relaxation can fix — a machine that is not copy-connected, an
+//! opcode with no capable unit, an internal invariant break — abort the
+//! ladder immediately. Once a rung schedules, the rest of the budget goes
+//! to searching below the II it found.
 //!
 //! [`schedule_kernel`]: crate::schedule_kernel
 
@@ -37,33 +38,16 @@ use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::trace::{TraceEvent, TraceSink};
 
-/// Bounds for the retry ladder of [`schedule_kernel_with_retry`].
+/// Bounds for the relaxation ladder of [`schedule_kernel_anytime`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum scheduling attempts, counting the initial un-relaxed one.
     pub max_attempts: usize,
-    /// Total placement-attempt budget shared by all attempts: each
-    /// attempt's `max_attempts_per_ii` is capped by what remains, and the
-    /// ladder stops when the budget is spent.
-    pub budget: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            budget: 1 << 20,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (one attempt, the caller's config).
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Self::default()
-        }
+        RetryPolicy { max_attempts: 6 }
     }
 }
 
@@ -82,19 +66,18 @@ pub struct Attempt {
     pub error: Option<SchedError>,
 }
 
-/// Diagnostic attached to every [`schedule_kernel_with_retry`] result:
+/// The relaxation ladder's record, carried as [`AnytimeReport::ladder`]:
 /// one [`Attempt`] per rung tried, in order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScheduleReport {
     /// Every attempt made, in order; the last one's `error` is `None`
     /// exactly when scheduling succeeded.
     pub attempts: Vec<Attempt>,
-    /// Whether the ladder stopped because [`RetryPolicy::budget`] ran out.
+    /// Whether the ladder stopped because the shared [`StepBudget`] ran
+    /// out or was cancelled.
     pub budget_exhausted: bool,
     /// Exact placement attempts charged across every rung, as counted by
-    /// the shared [`StepBudget`]. Never exceeds
-    /// `max(RetryPolicy::budget, 1)` — the one-attempt floor exists so a
-    /// zero budget still surfaces a real scheduler answer.
+    /// the shared [`StepBudget`]. Never exceeds the budget's limit.
     pub attempts_spent: u64,
 }
 
@@ -174,67 +157,12 @@ fn rung(base: &SchedulerConfig, attempt: usize) -> (SchedulerConfig, &'static st
     (cfg, "doubled II cap and delay budget")
 }
 
-/// [`schedule_kernel`] behind a retry/backoff ladder.
-///
-/// On a retryable error ([`SchedError::is_retryable`]) the scheduler is
-/// re-run with progressively relaxed budgets, up to
-/// [`RetryPolicy::max_attempts`] times and within the shared
-/// [`RetryPolicy::budget`]. The returned [`ScheduleReport`] records every
-/// attempt whether scheduling succeeded or not.
-///
-/// # Errors
-///
-/// The error of the *last* attempt, under the same taxonomy as
-/// [`schedule_kernel`].
-///
-/// [`schedule_kernel`]: crate::schedule_kernel
-pub fn schedule_kernel_with_retry(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    policy: &RetryPolicy,
-) -> (Result<Schedule, SchedError>, ScheduleReport) {
-    // One-attempt floor: a zero budget still lets the first rung try one
-    // placement, so the caller gets a real scheduler answer.
-    let budget = StepBudget::new(policy.budget.max(1));
-    let mut prep = PrepCache::new();
-    schedule_with_retry_impl(arch, kernel, config, policy, &budget, None, &mut prep)
-}
-
-/// [`schedule_kernel_with_retry`] with the ladder's shared work budget
-/// supplied by the caller instead of built from [`RetryPolicy::budget`].
-///
-/// The same [`StepBudget`] is handed to every rung, so the sum of
-/// placement attempts over all relaxations never exceeds the budget —
-/// and a budget with a [`CancelToken`](crate::CancelToken) attached makes
-/// the whole ladder cancellable mid-rung. [`RetryPolicy::budget`] is
-/// ignored in favour of the budget's own limit.
-pub fn schedule_kernel_with_retry_budgeted(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    policy: &RetryPolicy,
-    budget: &StepBudget,
-) -> (Result<Schedule, SchedError>, ScheduleReport) {
-    let mut prep = PrepCache::new();
-    schedule_with_retry_impl(arch, kernel, config, policy, budget, None, &mut prep)
-}
-
-/// [`schedule_kernel_with_retry`] with every pipeline decision traced
-/// into `sink`, including a [`TraceEvent::RungAdvanced`] per ladder rung.
-pub fn schedule_kernel_with_retry_traced(
-    arch: &Architecture,
-    kernel: &Kernel,
-    config: SchedulerConfig,
-    policy: &RetryPolicy,
-    sink: &mut dyn TraceSink,
-) -> (Result<Schedule, SchedError>, ScheduleReport) {
-    let budget = StepBudget::new(policy.budget.max(1));
-    let mut prep = PrepCache::new();
-    schedule_with_retry_impl(arch, kernel, config, policy, &budget, Some(sink), &mut prep)
-}
-
-fn schedule_with_retry_impl(
+/// The relaxation ladder: the acquisition phase of
+/// [`schedule_kernel_anytime`]. On a retryable error
+/// ([`SchedError::is_retryable`]) the scheduler is re-run with
+/// progressively relaxed budgets, up to [`RetryPolicy::max_attempts`]
+/// times, every rung charging the one shared `budget`.
+fn run_ladder(
     arch: &Architecture,
     kernel: &Kernel,
     config: SchedulerConfig,
@@ -306,8 +234,11 @@ fn schedule_with_retry_impl(
         }
     }
     report.attempts_spent = budget.spent();
-    let err = last_err.unwrap_or_else(|| {
-        SchedError::internal("retry", "no scheduling attempt was made".to_string())
+    let err = last_err.unwrap_or_else(|| match budget.step() {
+        // No rung started: the budget was already spent or cancelled, and
+        // its refusal (which charges nothing) is the answer.
+        Err(stop) => budget.stop_error(stop, "placement"),
+        Ok(()) => SchedError::internal("retry", "no scheduling attempt was made".to_string()),
     });
     (Err(err), report)
 }
@@ -315,8 +246,8 @@ fn schedule_with_retry_impl(
 /// Diagnostic attached to every [`schedule_kernel_anytime`] result.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnytimeReport {
-    /// The acquisition ladder: the same relaxation rungs as
-    /// [`schedule_kernel_with_retry`], run first to get *some* schedule.
+    /// The acquisition ladder: the relaxation rungs run first to get
+    /// *some* schedule.
     pub ladder: ScheduleReport,
     /// Improvement rungs tried after the first schedule was acquired,
     /// each searching below the best II found so far with escalating
@@ -341,8 +272,8 @@ pub struct AnytimeReport {
 /// *Anytime* scheduling: acquire a schedule fast, then spend the rest of
 /// the budget improving it, and always return the best one found.
 ///
-/// Phase one runs the [`schedule_kernel_with_retry`] relaxation ladder
-/// under `budget`. Phase two repeatedly re-schedules with the II cap
+/// Phase one runs the relaxation ladder (module docs), every rung
+/// charging `budget`. Phase two repeatedly re-schedules with the II cap
 /// lowered to one below the best II achieved, escalating the per-II
 /// placement-attempt cap each rung (a backoff ladder in reverse: more
 /// effort per rung as cheaper rungs fail), until either
@@ -363,7 +294,11 @@ pub struct AnytimeReport {
 /// # Errors
 ///
 /// Only when *no* schedule was found at all: the acquisition ladder's
-/// final error, under the same taxonomy as [`schedule_kernel_with_retry`].
+/// final error, under the same taxonomy as
+/// [`schedule_kernel`](crate::schedule_kernel) plus
+/// [`SchedError::DeadlineExceeded`] / [`SchedError::Cancelled`] when the
+/// budget stops the ladder — also when it is spent or cancelled before
+/// the first rung starts.
 pub fn schedule_kernel_anytime(
     arch: &Architecture,
     kernel: &Kernel,
@@ -409,7 +344,7 @@ fn schedule_anytime_impl(
     mut sink: Option<&mut dyn TraceSink>,
 ) -> (Result<Schedule, SchedError>, AnytimeReport) {
     let mut prep = PrepCache::new();
-    let (acquired, ladder) = schedule_with_retry_impl(
+    let (acquired, ladder) = run_ladder(
         arch,
         kernel,
         config.clone(),
@@ -524,6 +459,25 @@ mod tests {
         kb.build().unwrap()
     }
 
+    /// The relaxation ladder alone, untraced.
+    fn ladder(
+        arch: &Architecture,
+        kernel: &Kernel,
+        config: SchedulerConfig,
+        policy: &RetryPolicy,
+        budget: &StepBudget,
+    ) -> (Result<Schedule, SchedError>, ScheduleReport) {
+        run_ladder(
+            arch,
+            kernel,
+            config,
+            policy,
+            budget,
+            None,
+            &mut PrepCache::new(),
+        )
+    }
+
     #[test]
     fn ladder_recovers_from_too_small_ii_cap() {
         let arch = toy::motivating_example();
@@ -534,8 +488,8 @@ mod tests {
             max_ii: 1,
             ..SchedulerConfig::default()
         };
-        let (result, report) =
-            schedule_kernel_with_retry(&arch, &kernel, cfg, &RetryPolicy::default());
+        let budget = StepBudget::new(1 << 20);
+        let (result, report) = ladder(&arch, &kernel, cfg, &RetryPolicy::default(), &budget);
         let schedule = result.expect("the widened II cap must recover this kernel");
         assert!(validate::validate(&arch, &kernel, &schedule).is_ok());
         assert!(report.recovered(), "{}", report.render());
@@ -551,7 +505,6 @@ mod tests {
 
     #[test]
     fn mined_recurrence_rung_closes_a_certified_optimality_gap() {
-        use crate::budget::StepBudget;
         use crate::exact::{certify_min_ii, ExactConfig, ExactVerdict};
 
         let arch = toy::motivating_example();
@@ -570,13 +523,13 @@ mod tests {
             max_ii: 2,
             ..SchedulerConfig::default()
         };
-        let (result, ladder) =
-            schedule_kernel_with_retry(&arch, &kernel, cfg, &RetryPolicy::default());
+        let budget = StepBudget::new(1 << 20);
+        let (result, report) = ladder(&arch, &kernel, cfg, &RetryPolicy::default(), &budget);
         let schedule = result.expect("the mined rung must close the gap");
-        assert_eq!(schedule.ii(), Some(2), "{}", ladder.render());
+        assert_eq!(schedule.ii(), Some(2), "{}", report.render());
         assert!(validate::validate(&arch, &kernel, &schedule).is_ok());
-        assert!(ladder.recovered(), "{}", ladder.render());
-        let winner = ladder.attempts.last().unwrap();
+        assert!(report.recovered(), "{}", report.render());
+        let winner = report.attempts.last().unwrap();
         assert_eq!(winner.relaxation, "exact-mined recurrence-first order");
         assert_eq!(winner.max_ii, 2, "the II cap never widened");
     }
@@ -588,11 +541,12 @@ mod tests {
         let b = kb.straight_block("b");
         kb.push(b, Opcode::FMul, [1.0f64.into(), 2.0f64.into()]);
         let kernel = kb.build().unwrap();
-        let (result, report) = schedule_kernel_with_retry(
+        let (result, report) = ladder(
             &arch,
             &kernel,
             SchedulerConfig::default(),
             &RetryPolicy::default(),
+            &StepBudget::new(1 << 20),
         );
         assert!(matches!(
             result,
@@ -608,11 +562,12 @@ mod tests {
     fn success_on_first_attempt_records_one_attempt() {
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
-        let (result, report) = schedule_kernel_with_retry(
+        let (result, report) = ladder(
             &arch,
             &kernel,
             SchedulerConfig::default(),
             &RetryPolicy::default(),
+            &StepBudget::new(1 << 20),
         );
         assert!(result.is_ok());
         assert_eq!(report.attempts.len(), 1);
@@ -631,11 +586,8 @@ mod tests {
         // Too small to place even the kernel's five operations: once a
         // rung widens the II cap enough to actually search, the shared
         // budget trips mid-rung.
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            budget: 3,
-        };
-        let (result, report) = schedule_kernel_with_retry(&arch, &kernel, cfg, &policy);
+        let policy = RetryPolicy { max_attempts: 8 };
+        let (result, report) = ladder(&arch, &kernel, cfg, &policy, &StepBudget::new(3));
         assert!(
             matches!(
                 result,
@@ -661,21 +613,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_still_surfaces_a_typed_error() {
+    fn one_step_budget_still_surfaces_a_typed_error() {
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
         let cfg = SchedulerConfig {
             max_ii: 1,
             ..SchedulerConfig::default()
         };
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            budget: 0,
-        };
-        let (result, report) = schedule_kernel_with_retry(&arch, &kernel, cfg, &policy);
-        // The one-attempt floor lets the ladder run until one real
-        // placement attempt has been charged; the result is a typed
-        // deadline, never an internal "no attempt was made" fallback.
+        let policy = RetryPolicy { max_attempts: 8 };
+        let (result, report) = ladder(&arch, &kernel, cfg, &policy, &StepBudget::new(1));
+        // The ladder runs until its one real placement attempt has been
+        // charged; the result is a typed deadline.
         assert!(
             matches!(
                 result,
@@ -827,13 +775,13 @@ mod tests {
 
     #[test]
     fn caller_supplied_budget_is_shared_and_cancellable() {
-        use crate::budget::{CancelToken, StepBudget};
+        use crate::budget::CancelToken;
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
         let token = CancelToken::new();
         token.cancel();
         let budget = StepBudget::new(1 << 20).with_cancel(token);
-        let (result, report) = schedule_kernel_with_retry_budgeted(
+        let (result, report) = ladder(
             &arch,
             &kernel,
             SchedulerConfig::default(),

@@ -12,10 +12,10 @@
 //! entry points ([`schedule_kernel`]) pay a single never-taken branch per
 //! emission site (measured by perfbench's `bench.trace_overhead_pct`).
 //!
-//! Two sinks are provided: [`RingBufferSink`] keeps the last *N* events
-//! in memory for post-mortem inspection, and [`JsonlSink`] renders each
-//! event as one line of JSON for machine consumption (golden-file tests,
-//! external tooling).
+//! [`JsonlSink`] renders each event as one line of JSON for machine
+//! consumption (golden-file tests, external tooling). A consumer that
+//! folds events into its own counters (the service's span rollup, the
+//! benchmark ledger) implements [`TraceSink`] directly.
 //!
 //! Events are emitted *as decisions are explored*, not only for the
 //! surviving schedule: an accepted placement inside a copy chain that is
@@ -24,7 +24,7 @@
 //! the surviving schedule.
 //!
 //! ```
-//! use csched_core::trace::{RingBufferSink, TraceEvent};
+//! use csched_core::trace::{JsonlSink, TraceEvent};
 //! use csched_core::{schedule_kernel_traced, SchedulerConfig};
 //! use csched_ir::KernelBuilder;
 //! use csched_machine::{toy, Opcode};
@@ -36,20 +36,15 @@
 //! let kernel = kb.build()?;
 //!
 //! let arch = toy::motivating_example();
-//! let mut sink = RingBufferSink::new(1024);
-//! let schedule = schedule_kernel_traced(&arch, &kernel, SchedulerConfig::default(), &mut sink)?;
-//! let accepts = sink
-//!     .events()
-//!     .filter(|e| matches!(e, TraceEvent::PlaceAccept { .. }))
-//!     .count();
-//! assert!(accepts >= 2, "every op placement is traced");
+//! let mut sink = JsonlSink::with_filter(|e| matches!(e, TraceEvent::PlaceAccept { .. }));
+//! schedule_kernel_traced(&arch, &kernel, SchedulerConfig::default(), &mut sink)?;
+//! assert!(sink.lines() >= 2, "every op placement is traced");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! [`schedule_kernel`]: crate::schedule_kernel
 //! [`ScheduleMetrics`]: crate::metrics::ScheduleMetrics
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Why the engine rejected a tentative placement.
@@ -207,27 +202,6 @@ pub enum TraceEvent {
         /// Scheduled-op index of the reused copy.
         copy: u32,
     },
-    /// The register post-pass computed the demand of one register file.
-    RfPressure {
-        /// Register-file index.
-        rf: u32,
-        /// Registers the schedule requires in the file.
-        required: u32,
-        /// Registers the file physically has.
-        capacity: u32,
-    },
-    /// The register post-pass proposed spilling a value out of an
-    /// overflowing register file.
-    SpillPlanned {
-        /// Producing operation of the value to spill.
-        value: u32,
-        /// The overflowing file it stages through.
-        from: u32,
-        /// Proposed destination file index, or -1 when no file has room.
-        to: i64,
-        /// Copies needed per direction to reach the destination.
-        copies: u32,
-    },
     /// A [`StepBudget`](crate::StepBudget) refused further work: the
     /// placement-attempt limit was reached, or the attached
     /// [`CancelToken`](crate::CancelToken) fired.
@@ -236,8 +210,7 @@ pub enum TraceEvent {
         spent: u64,
         /// The configured limit.
         limit: u64,
-        /// Pipeline phase that hit the limit (`"placement"`,
-        /// `"regalloc"`).
+        /// Pipeline phase that hit the limit (`"placement"`).
         phase: String,
         /// `true` when the stop came from cancellation rather than the
         /// attempt limit.
@@ -251,29 +224,6 @@ pub enum TraceEvent {
         relaxation: String,
         /// II cap in force for this rung.
         max_ii: u32,
-    },
-    /// The exact oracle started a branch-and-bound search at this
-    /// candidate initiation interval.
-    ExactIiStart {
-        /// Candidate initiation interval under search.
-        ii: u32,
-    },
-    /// The exact oracle finished searching one candidate II; the node and
-    /// prune counters say *why* an infeasible II failed (which resource
-    /// class dominated the refutation).
-    ExactIiDone {
-        /// Candidate initiation interval searched.
-        ii: u32,
-        /// Whether a schedule was found.
-        feasible: bool,
-        /// Search nodes expanded.
-        nodes: u64,
-        /// Trials pruned by occupied issue slots.
-        pruned_issue: u64,
-        /// Placements pruned by empty dependence windows.
-        pruned_timing: u64,
-        /// Routing trials pruned by stub resource conflicts.
-        pruned_routing: u64,
     },
     /// A kernel failed to parse; the span information of
     /// [`csched_ir::text::ParseError`] is preserved structurally.
@@ -318,12 +268,8 @@ impl TraceEvent {
             TraceEvent::RouteClosed { .. } => "route_closed",
             TraceEvent::CopyInserted { .. } => "copy_inserted",
             TraceEvent::CopyReused { .. } => "copy_reused",
-            TraceEvent::RfPressure { .. } => "rf_pressure",
-            TraceEvent::SpillPlanned { .. } => "spill_planned",
             TraceEvent::DeadlineExceeded { .. } => "deadline_exceeded",
             TraceEvent::RungAdvanced { .. } => "rung_advanced",
-            TraceEvent::ExactIiStart { .. } => "exact_ii_start",
-            TraceEvent::ExactIiDone { .. } => "exact_ii_done",
             TraceEvent::ParseFailed { .. } => "parse_failed",
         }
     }
@@ -377,27 +323,6 @@ impl TraceEvent {
             TraceEvent::CopyInserted { comm, copy } | TraceEvent::CopyReused { comm, copy } => {
                 let _ = write!(s, ",\"comm\":{comm},\"copy\":{copy}");
             }
-            TraceEvent::RfPressure {
-                rf,
-                required,
-                capacity,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"rf\":{rf},\"required\":{required},\"capacity\":{capacity}"
-                );
-            }
-            TraceEvent::SpillPlanned {
-                value,
-                from,
-                to,
-                copies,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"value\":{value},\"from\":{from},\"to\":{to},\"copies\":{copies}"
-                );
-            }
             TraceEvent::DeadlineExceeded {
                 spent,
                 limit,
@@ -419,24 +344,6 @@ impl TraceEvent {
                     s,
                     ",\"attempt\":{attempt},\"relaxation\":\"{}\",\"max_ii\":{max_ii}",
                     json_escape(relaxation)
-                );
-            }
-            TraceEvent::ExactIiStart { ii } => {
-                let _ = write!(s, ",\"ii\":{ii}");
-            }
-            TraceEvent::ExactIiDone {
-                ii,
-                feasible,
-                nodes,
-                pruned_issue,
-                pruned_timing,
-                pruned_routing,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"ii\":{ii},\"feasible\":{feasible},\"nodes\":{nodes},\
-                     \"pruned_issue\":{pruned_issue},\"pruned_timing\":{pruned_timing},\
-                     \"pruned_routing\":{pruned_routing}"
                 );
             }
             TraceEvent::ParseFailed {
@@ -478,74 +385,6 @@ pub fn decision_filter(e: &TraceEvent) -> bool {
     )
 }
 
-/// A sink retaining the *first* `cap` events that pass its filter — the
-/// streaming complement of [`RingBufferSink`] (which keeps the last N).
-///
-/// Built for wire streaming: a consumer that relays the retained events
-/// to a socket is bounded by construction, no matter how many events the
-/// schedule produces, and [`truncated`](Self::truncated) says whether
-/// the cap cut the stream short. The total pass-filter count keeps
-/// accumulating after the cap so the loss is quantifiable.
-#[derive(Debug)]
-pub struct CappingSink {
-    cap: usize,
-    filter: Option<fn(&TraceEvent) -> bool>,
-    events: Vec<TraceEvent>,
-    total: u64,
-}
-
-impl CappingSink {
-    /// A sink keeping the first `cap` events of any kind.
-    pub fn new(cap: usize) -> Self {
-        CappingSink {
-            cap,
-            filter: None,
-            events: Vec::new(),
-            total: 0,
-        }
-    }
-
-    /// A sink keeping the first `cap` events for which `filter` is true;
-    /// events failing the filter are neither retained nor counted.
-    pub fn with_filter(cap: usize, filter: fn(&TraceEvent) -> bool) -> Self {
-        CappingSink {
-            cap,
-            filter: Some(filter),
-            events: Vec::new(),
-            total: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Total events that passed the filter, including dropped ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether the cap dropped at least one passing event.
-    pub fn truncated(&self) -> bool {
-        self.total > self.events.len() as u64
-    }
-}
-
-impl TraceSink for CappingSink {
-    fn event(&mut self, event: TraceEvent) {
-        if let Some(f) = self.filter {
-            if !f(&event) {
-                return;
-            }
-        }
-        self.total += 1;
-        if self.events.len() < self.cap {
-            self.events.push(event);
-        }
-    }
-}
-
 /// Escapes `s` for inclusion inside a JSON string literal.
 ///
 /// Handles the two mandatory escapes (`"` and `\`) plus control
@@ -576,63 +415,6 @@ pub fn json_escape(s: &str) -> String {
 pub trait TraceSink {
     /// Consumes one event.
     fn event(&mut self, event: TraceEvent);
-}
-
-/// A bounded in-memory sink keeping the most recent events.
-///
-/// When the buffer is full the oldest event is dropped; the total number
-/// of events ever observed stays available via [`total`](Self::total),
-/// so overflow is detectable.
-#[derive(Debug, Default)]
-pub struct RingBufferSink {
-    capacity: usize,
-    buf: VecDeque<TraceEvent>,
-    total: u64,
-}
-
-impl RingBufferSink {
-    /// Creates a sink retaining at most `capacity` events (0 keeps none
-    /// but still counts).
-    pub fn new(capacity: usize) -> Self {
-        RingBufferSink {
-            capacity,
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            total: 0,
-        }
-    }
-
-    /// Iterates the retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events observed, including those dropped by overflow.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn event(&mut self, event: TraceEvent) {
-        self.total += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event);
-    }
 }
 
 /// A sink rendering each event as one line of JSON (JSONL).
@@ -692,116 +474,6 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// A failed write or flush from a [`JsonlWriterSink`].
-///
-/// Carries which operation failed and how many lines had been durably
-/// handed to the writer before the failure, so a consumer (e.g. a
-/// campaign journal) knows exactly what survived.
-#[derive(Debug)]
-pub struct TraceWriteError {
-    /// `"write"` or `"flush"`.
-    pub operation: &'static str,
-    /// Lines successfully written before the failure.
-    pub lines_written: u64,
-    /// The underlying I/O error.
-    pub source: std::io::Error,
-}
-
-impl std::fmt::Display for TraceWriteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace {} failed after {} lines: {}",
-            self.operation, self.lines_written, self.source
-        )
-    }
-}
-
-impl std::error::Error for TraceWriteError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
-/// A sink streaming each event as one line of JSON into an
-/// [`std::io::Write`] (a file, a pipe, a socket).
-///
-/// [`TraceSink::event`] cannot return a result, so write failures are
-/// *latched* instead of swallowed: after the first failure the sink
-/// stops writing, and [`finish`](Self::finish) (or
-/// [`take_error`](Self::take_error)) surfaces the typed
-/// [`TraceWriteError`]. Dropping the sink without calling `finish`
-/// loses the error but never panics.
-#[derive(Debug)]
-pub struct JsonlWriterSink<W: std::io::Write> {
-    writer: W,
-    lines: u64,
-    error: Option<TraceWriteError>,
-}
-
-impl<W: std::io::Write> JsonlWriterSink<W> {
-    /// Wraps `writer`. Wrap in [`std::io::BufWriter`] for unbuffered
-    /// targets — the sink writes one line per event.
-    pub fn new(writer: W) -> Self {
-        JsonlWriterSink {
-            writer,
-            lines: 0,
-            error: None,
-        }
-    }
-
-    /// Lines successfully handed to the writer so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Returns and clears the latched write failure, if any. Once a
-    /// failure is latched the sink drops all further events.
-    pub fn take_error(&mut self) -> Option<TraceWriteError> {
-        self.error.take()
-    }
-
-    /// Flushes the writer and consumes the sink, surfacing any latched
-    /// write failure (or the flush failure) as a typed error.
-    ///
-    /// # Errors
-    ///
-    /// The first [`TraceWriteError`] the sink observed.
-    pub fn finish(mut self) -> Result<u64, TraceWriteError> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        match self.writer.flush() {
-            Ok(()) => Ok(self.lines),
-            Err(source) => Err(TraceWriteError {
-                operation: "flush",
-                lines_written: self.lines,
-                source,
-            }),
-        }
-    }
-}
-
-impl<W: std::io::Write> TraceSink for JsonlWriterSink<W> {
-    fn event(&mut self, event: TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = event.to_json();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(source) => {
-                self.error = Some(TraceWriteError {
-                    operation: "write",
-                    lines_written: self.lines,
-                    source,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,162 +509,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_wraps_and_counts() {
-        let mut sink = RingBufferSink::new(2);
-        for ii in 0..5 {
-            sink.event(TraceEvent::IiStart { ii });
-        }
-        assert_eq!(sink.total(), 5);
-        assert_eq!(sink.len(), 2);
-        let iis: Vec<u32> = sink
-            .events()
-            .map(|e| match e {
-                TraceEvent::IiStart { ii } => *ii,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(iis, vec![3, 4]);
-    }
-
-    #[test]
-    fn capping_sink_keeps_first_events_and_counts_overflow() {
-        let mut sink = CappingSink::with_filter(2, decision_filter);
-        sink.event(TraceEvent::PlaceAttempt {
-            op: 0,
-            fu: 0,
-            cycle: 0,
-        }); // filtered out: neither retained nor counted
-        for ii in 0..5 {
-            sink.event(TraceEvent::IiStart { ii });
-        }
-        assert_eq!(sink.total(), 5);
-        assert!(sink.truncated());
-        let iis: Vec<u32> = sink
-            .events()
-            .iter()
-            .map(|e| match e {
-                TraceEvent::IiStart { ii } => *ii,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(iis, vec![0, 1], "the first events survive, not the last");
-        let mut roomy = CappingSink::new(8);
-        roomy.event(TraceEvent::IiStart { ii: 1 });
-        assert!(!roomy.truncated());
-    }
-
-    #[test]
     fn jsonl_filter() {
         let mut sink = JsonlSink::with_filter(|e| matches!(e, TraceEvent::IiStart { .. }));
         sink.event(TraceEvent::IiStart { ii: 4 });
         sink.event(TraceEvent::StubsFrozen { comm: 0 });
         assert_eq!(sink.as_str(), "{\"event\":\"ii_start\",\"ii\":4}\n");
         assert_eq!(sink.lines(), 1);
-    }
-
-    #[test]
-    fn writer_sink_streams_and_latches_failures() {
-        let mut ok_sink = JsonlWriterSink::new(Vec::new());
-        ok_sink.event(TraceEvent::IiStart { ii: 3 });
-        ok_sink.event(TraceEvent::StubsFrozen { comm: 1 });
-        assert_eq!(ok_sink.lines(), 2);
-        assert!(ok_sink.finish().is_ok());
-
-        /// A writer that fails after a fixed byte capacity.
-        struct Full {
-            room: usize,
-        }
-        impl std::io::Write for Full {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if buf.len() > self.room {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::StorageFull,
-                        "disk full",
-                    ));
-                }
-                self.room -= buf.len();
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut sink = JsonlWriterSink::new(Full { room: 30 });
-        sink.event(TraceEvent::IiStart { ii: 1 }); // fits (24 bytes)
-        sink.event(TraceEvent::IiStart { ii: 2 }); // fails
-        sink.event(TraceEvent::IiStart { ii: 3 }); // dropped, error latched
-        let err = sink.finish().expect_err("write failure must surface");
-        assert_eq!(err.operation, "write");
-        assert_eq!(err.lines_written, 1);
-        assert_eq!(err.source.kind(), std::io::ErrorKind::StorageFull);
-        assert!(err.to_string().contains("after 1 lines"), "{err}");
-    }
-
-    #[test]
-    fn enospc_latches_once_and_later_events_never_touch_the_writer() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        /// A writer simulating a disk that runs out of space: accepts
-        /// `room` bytes, then fails every write with `StorageFull`,
-        /// counting how often it is even asked.
-        struct Enospc {
-            attempts: Arc<AtomicUsize>,
-            room: usize,
-        }
-        impl std::io::Write for Enospc {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.attempts.fetch_add(1, Ordering::SeqCst);
-                if buf.len() > self.room {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::StorageFull,
-                        "no space left on device",
-                    ));
-                }
-                self.room -= buf.len();
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let attempts = Arc::new(AtomicUsize::new(0));
-        let mut sink = JsonlWriterSink::new(Enospc {
-            attempts: Arc::clone(&attempts),
-            room: 30, // one ii_start line fits, the second overflows
-        });
-        sink.event(TraceEvent::IiStart { ii: 1 });
-        sink.event(TraceEvent::IiStart { ii: 2 }); // ENOSPC: latches
-        assert_eq!(attempts.load(Ordering::SeqCst), 2);
-
-        // Every later event is a pure no-op: the full disk is not
-        // retried per event, the line count stays frozen.
-        for ii in 3..100 {
-            sink.event(TraceEvent::IiStart { ii });
-        }
-        assert_eq!(
-            attempts.load(Ordering::SeqCst),
-            2,
-            "a latched sink must stop hammering the full disk"
-        );
-        assert_eq!(sink.lines(), 1);
-
-        // The first failure is reported exactly once via take_error…
-        let err = sink.take_error().expect("failure must be latched");
-        assert_eq!(err.operation, "write");
-        assert_eq!(err.lines_written, 1);
-        assert_eq!(err.source.kind(), std::io::ErrorKind::StorageFull);
-        assert!(sink.take_error().is_none(), "error reported once");
-
-        // …which re-arms the sink: the next event hits the (still full)
-        // writer again and `finish` surfaces the fresh failure.
-        sink.event(TraceEvent::IiStart { ii: 50 });
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-        let err = sink.finish().expect_err("still-full disk latches again");
-        assert_eq!(err.lines_written, 1);
-        assert_eq!(err.source.kind(), std::io::ErrorKind::StorageFull);
     }
 
     #[test]

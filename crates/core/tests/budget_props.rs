@@ -1,12 +1,12 @@
 //! Property tests for the placement-attempt budget: across random retry
-//! policies and budget limits, `schedule_kernel_with_retry` never spends
-//! more placement attempts than its policy's budget (summed over every
-//! rung of the relaxation ladder), and a shared caller budget bounds the
-//! whole call the same way.
+//! policies and budget limits, `schedule_kernel_anytime` never spends
+//! more placement attempts than its budget (summed over every rung of
+//! the relaxation ladder and the improvement search), a shared caller
+//! budget bounds the whole call the same way, and an exhausted budget is
+//! always a typed stop, never an internal error.
 
 use csched_core::{
-    schedule_kernel_with_retry, schedule_kernel_with_retry_budgeted, RetryPolicy, SchedError,
-    SchedulerConfig, StepBudget,
+    schedule_kernel_anytime, CancelToken, RetryPolicy, SchedError, SchedulerConfig, StepBudget,
 };
 use csched_ir::{Kernel, KernelBuilder};
 use csched_machine::{imagine, Opcode};
@@ -31,51 +31,96 @@ fn chained_kernel(width: usize) -> Kernel {
     kb.build().unwrap()
 }
 
+/// A budget spent or cancelled before the first rung starts is answered
+/// with the budget's own typed refusal, not an internal error.
+#[test]
+fn zero_budget_is_a_typed_stop_not_an_internal_error() {
+    let arch = imagine::distributed();
+    let merge = csched_kernels::by_name("Merge").unwrap();
+    let run = |budget: &StepBudget| {
+        schedule_kernel_anytime(
+            &arch,
+            &merge.kernel,
+            SchedulerConfig::default(),
+            &RetryPolicy::default(),
+            budget,
+        )
+    };
+
+    let (result, report) = run(&StepBudget::new(0));
+    assert_eq!(
+        result.err(),
+        Some(SchedError::DeadlineExceeded {
+            spent: 0,
+            limit: 0,
+            phase: "placement"
+        })
+    );
+    assert!(report.ladder.attempts.is_empty());
+    assert!(report.ladder.budget_exhausted);
+    assert_eq!(report.attempts_spent, 0);
+
+    let token = CancelToken::new();
+    token.cancel();
+    let (result, _) = run(&StepBudget::new(0).with_cancel(token));
+    assert_eq!(
+        result.err(),
+        Some(SchedError::Cancelled { phase: "placement" })
+    );
+}
+
 proptest! {
-    /// The retry ladder never spends more than `RetryPolicy::budget`
-    /// placement attempts in total (with the documented one-attempt floor
-    /// for a zero budget), no matter how the policy is shaped.
+    /// The anytime call never spends more than its budget's placement
+    /// attempts in total, no matter how the policy is shaped.
     #[test]
-    fn retry_never_exceeds_its_budget(
+    fn anytime_never_exceeds_its_budget(
         budget in 0u64..400,
         max_attempts in 1usize..6,
         width in 1usize..4,
     ) {
         let arch = imagine::distributed();
         let kernel = chained_kernel(width);
-        let policy = RetryPolicy { max_attempts, budget };
-        let (result, report) =
-            schedule_kernel_with_retry(&arch, &kernel, SchedulerConfig::default(), &policy);
-        let ceiling = budget.max(1);
+        let policy = RetryPolicy { max_attempts };
+        let steps = StepBudget::new(budget);
+        let (result, report) = schedule_kernel_anytime(
+            &arch, &kernel, SchedulerConfig::default(), &policy, &steps);
         prop_assert!(
-            report.attempts_spent <= ceiling,
-            "spent {} of budget {} (ceiling {})",
-            report.attempts_spent, budget, ceiling
+            report.attempts_spent <= budget,
+            "spent {} of budget {}",
+            report.attempts_spent, budget
         );
-        // Per-rung grants are each within the ceiling too.
-        for a in &report.attempts {
-            prop_assert!(a.attempts_granted <= ceiling);
+        // Per-rung grants are each within the budget too.
+        for a in report.ladder.attempts.iter().chain(&report.improvements) {
+            prop_assert!(a.attempts_granted <= budget);
         }
         // A tripped budget surfaces as the typed deadline error, never a
-        // panic or a silent success.
+        // panic, an internal error or a silent success.
         if let Err(SchedError::DeadlineExceeded { spent, limit, .. }) = &result {
-            prop_assert_eq!(*limit, ceiling);
+            prop_assert_eq!(*limit, budget);
             prop_assert!(*spent <= *limit);
         }
+        prop_assert!(
+            !matches!(result, Err(SchedError::Internal { .. })),
+            "{:?}", result.err()
+        );
     }
 
-    /// A caller-supplied shared budget bounds the whole budgeted call:
-    /// spend never exceeds the limit and the reported spend matches the
-    /// budget's own counter.
+    /// A caller-supplied shared budget bounds the whole call: spend never
+    /// exceeds the limit and the reported spend matches the budget's own
+    /// counter.
     #[test]
     fn shared_budget_bounds_the_whole_call(limit in 1u64..300, width in 1usize..3) {
         let arch = imagine::distributed();
         let kernel = chained_kernel(width);
         let budget = StepBudget::new(limit);
         let policy = RetryPolicy::default();
-        let (_result, report) = schedule_kernel_with_retry_budgeted(
+        let (result, report) = schedule_kernel_anytime(
             &arch, &kernel, SchedulerConfig::default(), &policy, &budget);
         prop_assert!(budget.spent() <= limit);
         prop_assert_eq!(report.attempts_spent, budget.spent());
+        prop_assert!(
+            !matches!(result, Err(SchedError::Internal { .. })),
+            "{:?}", result.err()
+        );
     }
 }

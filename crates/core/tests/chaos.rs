@@ -5,7 +5,7 @@
 //! byte-for-byte.
 
 use csched_core::faultinject::{
-    chaos_campaign, render_chaos_campaign, schedule_degraded_budgeted, ChaosConfig, FaultVerdict,
+    chaos_campaign, render_chaos_campaign, schedule_degraded, ChaosConfig, FaultVerdict,
 };
 use csched_core::{SchedulerConfig, StepBudget};
 use csched_ir::{Kernel, KernelBuilder};
@@ -113,8 +113,7 @@ fn starved_budget_times_out_with_exact_spend() {
     let arch = imagine::distributed();
     let kernel = streaming_kernel();
     let budget = StepBudget::new(3);
-    let verdict =
-        schedule_degraded_budgeted(&arch, &[], &kernel, SchedulerConfig::default(), &budget);
+    let verdict = schedule_degraded(&arch, &[], &kernel, SchedulerConfig::default(), &budget);
     match verdict {
         FaultVerdict::TimedOut { spent, limit } => {
             assert_eq!(limit, 3);

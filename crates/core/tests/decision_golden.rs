@@ -74,7 +74,7 @@ impl TraceSink for HashSink {
         let h = &mut self.h;
         h.str(event.kind());
         match event {
-            TraceEvent::IiStart { ii } | TraceEvent::ExactIiStart { ii } => h.u64(ii as u64),
+            TraceEvent::IiStart { ii } => h.u64(ii as u64),
             TraceEvent::SlackWidened { slack } => h.i64(slack),
             TraceEvent::PlaceAttempt { op, fu, cycle }
             | TraceEvent::PlaceAccept { op, fu, cycle } => {
@@ -117,26 +117,6 @@ impl TraceSink for HashSink {
                 h.u64(comm as u64);
                 h.u64(copy as u64);
             }
-            TraceEvent::RfPressure {
-                rf,
-                required,
-                capacity,
-            } => {
-                for v in [rf, required, capacity] {
-                    h.u64(v as u64);
-                }
-            }
-            TraceEvent::SpillPlanned {
-                value,
-                from,
-                to,
-                copies,
-            } => {
-                h.u64(value as u64);
-                h.u64(from as u64);
-                h.i64(to);
-                h.u64(copies as u64);
-            }
             TraceEvent::DeadlineExceeded {
                 spent,
                 limit,
@@ -156,20 +136,6 @@ impl TraceSink for HashSink {
                 h.u64(attempt as u64);
                 h.str(&relaxation);
                 h.u64(max_ii as u64);
-            }
-            TraceEvent::ExactIiDone {
-                ii,
-                feasible,
-                nodes,
-                pruned_issue,
-                pruned_timing,
-                pruned_routing,
-            } => {
-                h.u64(ii as u64);
-                h.u64(feasible as u64);
-                for v in [nodes, pruned_issue, pruned_timing, pruned_routing] {
-                    h.u64(v);
-                }
             }
             TraceEvent::ParseFailed {
                 line,

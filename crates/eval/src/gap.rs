@@ -12,8 +12,9 @@
 //! - `gap_unknown`: the oracle's step budget ran out first (large
 //!   kernels are expected to land here);
 //! - `disagreement`: the oracle certified a *larger* II than a schedule
-//!   the validator accepted — a soundness bug in one of the two, and the
-//!   reason the `oracle` binary exits nonzero on it.
+//!   the validator accepted, or the heuristic's schedule failed the
+//!   validator — a soundness bug, and the reason the `oracle` binary
+//!   exits nonzero on it.
 //!
 //! Like the table1 campaign, the pass journals each finished cell to a
 //! JSONL file (flushed per line, torn-tail tolerant) so a killed run
@@ -25,7 +26,9 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use csched_core::exact::{certify_min_ii, ExactConfig};
-use csched_core::{schedule_kernel_budgeted, SchedulerConfig, StepBudget};
+use csched_core::{
+    schedule_kernel_budgeted, validate, SchedError, Schedule, SchedulerConfig, StepBudget,
+};
 use csched_ir::Kernel;
 use csched_machine::gen::{DesignSpace, Rng};
 use csched_machine::{imagine, Architecture};
@@ -150,7 +153,8 @@ impl GapReport {
     }
 
     /// Records where the oracle certified a *larger* II than the
-    /// validated heuristic schedule — a soundness bug.
+    /// validated heuristic schedule, or where the heuristic schedule
+    /// failed validation — a soundness bug.
     pub fn disagreements(&self) -> Vec<&GapRecord> {
         self.records
             .iter()
@@ -216,14 +220,36 @@ pub fn gap_cells(cfg: &GapConfig) -> Vec<GapCell> {
 pub fn measure_gap_cell(arch: &Architecture, kernel: &Kernel, cfg: &GapConfig) -> GapRecord {
     let hb = StepBudget::new(cfg.heuristic_step_limit);
     let heuristic = schedule_kernel_budgeted(arch, kernel, SchedulerConfig::default(), &hb);
-    let (heuristic_ii, mut detail) = match &heuristic {
-        // Loop-less kernels report II 0, matching the oracle's sentinel.
-        Ok(s) => (Some(s.ii().unwrap_or(0) as u64), String::new()),
+    grade(arch, kernel, &heuristic, cfg)
+}
+
+/// Validates the heuristic's answer and grades it against the oracle.
+fn grade(
+    arch: &Architecture,
+    kernel: &Kernel,
+    heuristic: &Result<Schedule, SchedError>,
+    cfg: &GapConfig,
+) -> GapRecord {
+    let mut invalid = None;
+    let (heuristic_ii, mut detail) = match heuristic {
+        Ok(s) => match validate::validate(arch, kernel, s) {
+            // Loop-less kernels report II 0, matching the oracle's sentinel.
+            Ok(()) => (Some(s.ii().unwrap_or(0) as u64), String::new()),
+            Err(violations) => {
+                let text = violations
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("; ");
+                invalid = Some(format!("heuristic schedule failed validation: {text}"));
+                (None, String::new())
+            }
+        },
         Err(e) => (None, format!("heuristic: {e}")),
     };
 
     let xb = StepBudget::new(cfg.exact_step_limit);
-    match certify_min_ii(arch, kernel, &cfg.exact, &xb) {
+    let mut record = match certify_min_ii(arch, kernel, &cfg.exact, &xb) {
         Err(e) => GapRecord {
             kernel: kernel.name().to_string(),
             arch: arch.name().to_string(),
@@ -257,7 +283,14 @@ pub fn measure_gap_cell(arch: &Architecture, kernel: &Kernel, cfg: &GapConfig) -
                 detail,
             }
         }
+    };
+    // A heuristic schedule the validator rejects is a soundness bug
+    // whatever the oracle found.
+    if let Some(violations) = invalid {
+        record.status = "disagreement".to_string();
+        record.detail = violations;
     }
+    record
 }
 
 /// Runs a gap campaign over [`gap_cells`], journalling each finished
@@ -441,6 +474,42 @@ mod tests {
             assert!(r.nodes > 0);
         }
         assert!(report.disagreements().is_empty());
+    }
+
+    #[test]
+    fn an_invalid_heuristic_schedule_is_a_disagreement() {
+        let merge = csched_kernels::by_name("Merge").unwrap();
+        let arch = imagine::central();
+        let mut schedule =
+            csched_core::schedule_kernel(&arch, &merge.kernel, SchedulerConfig::default()).unwrap();
+        // Push a producer past the end of its block: its consumer now
+        // reads the value before it exists.
+        let u = schedule.universe();
+        let cid = u
+            .comm_ids()
+            .find(|&c| u.op(u.comm(c).producer).block == u.op(u.comm(c).consumer).block)
+            .unwrap();
+        let producer = u.comm(cid).producer;
+        let push = schedule.block_len(u.op(producer).block) + 8;
+        schedule.corrupt_placement_for_tests(producer, push);
+
+        let record = grade(&arch, &merge.kernel, &Ok(schedule), &tiny_cfg());
+        assert_eq!(record.status, "disagreement", "{record:?}");
+        assert_eq!(record.heuristic_ii, None);
+        assert!(
+            record
+                .detail
+                .starts_with("heuristic schedule failed validation: "),
+            "{record:?}"
+        );
+        let report = GapReport {
+            records: vec![record],
+            resumed: 0,
+        };
+        assert_eq!(report.disagreements().len(), 1);
+        let json = gap_json(&report);
+        assert!(json.contains("\"heuristic_ii\":null"), "{json}");
+        assert!(json.contains("\"disagreements\":1"), "{json}");
     }
 
     #[test]

@@ -55,11 +55,11 @@
 //!   `evicted_entries`, `journal_bytes`, and `degraded_writes` are all
 //!   surfaced in `STATS`.
 //! - **Degraded serve-from-memory.** When the disk fills (`ENOSPC`)
-//!   mid-journal-append, the cache latches into a degraded mode
-//!   (mirroring `JsonlWriterSink`): scheduling and serving continue
-//!   from memory, writes stop, and the latch is visible in `STATS` as
-//!   `write_degraded` — the service degrades to non-persistent instead
-//!   of dying.
+//!   mid-journal-append, the cache latches into a degraded mode:
+//!   scheduling and serving continue from memory, writes stop (the full
+//!   disk is not retried on every request), and the latch is visible in
+//!   `STATS` as `write_degraded` — the service degrades to
+//!   non-persistent instead of dying.
 //! - **Client-side retries.** [`client_request_retry`] classifies
 //!   responses ([`response_complete`]/[`response_retryable`]) and
 //!   retries transient failures under a seeded full-jitter exponential
@@ -96,9 +96,10 @@
 //!   deterministic log-bucketed latency/attempts histograms per
 //!   outcome, the recent-request span ring) followed by a
 //!   Prometheus-style text exposition;
-//! - `TRACE [limit=] [wall_ms=] [events=<cap>] [full=1]` frames exactly
-//!   like `SCHED` but *bypasses the cache*, schedules with a
-//!   [`TraceSink`](csched_core::trace::TraceSink) attached, and streams
+//! - `TRACE [limit=] [wall_ms=] [events=<cap>] [full=1]` frames,
+//!   schedules and validates exactly like `SCHED`, but *bypasses the
+//!   cache*, attaches a [`TraceSink`](csched_core::trace::TraceSink)
+//!   to the scheduler, and streams
 //!   the decision-level trace events back as JSONL (each line gains a
 //!   leading `"req"` key), then a
 //!   `TRACE end events=<sent> total=<seen> truncated=<0|1>` summary,
@@ -397,8 +398,7 @@ pub struct CacheLoadReport {
 /// checksummed, append-only journal (reusing the campaign
 /// [`Journal`]'s open/repair/flush machinery), compacted last-record-wins
 /// when the journal outgrows its [`CompactionPolicy`], and latched into a
-/// degraded serve-from-memory mode when the disk fills (mirroring
-/// [`csched_core::trace::JsonlWriterSink`]'s ENOSPC latch: the first full
+/// degraded serve-from-memory mode when the disk fills (the first full
 /// disk stops all journaling instead of hammering the device on every
 /// request).
 #[derive(Debug)]
@@ -797,7 +797,7 @@ impl ScheduleCache {
 
 /// Whether a journal failure means the disk is full (ENOSPC or quota) —
 /// the one I/O error class the cache degrades through instead of
-/// propagating, mirroring `JsonlWriterSink`'s latch.
+/// propagating.
 fn is_disk_full(e: &CampaignError) -> bool {
     match e {
         CampaignError::Io { source, .. } => {
@@ -1392,71 +1392,61 @@ fn read_section(
     String::from_utf8(body).map_err(|_| format!("{name} body is not UTF-8"))
 }
 
-fn serve_sched<'a>(
+/// A fully read and parsed `SCHED`/`TRACE` request.
+struct Request {
+    kernel: Kernel,
+    arch: csched_machine::Architecture,
+    /// Placement-attempt budget, clamped to the server's cap.
+    limit: u64,
+    /// Wall-clock deadline: the server's, tightened (never widened) by
+    /// the request.
+    wall_ms: Option<u64>,
+}
+
+/// Reads the rest of a `SCHED`/`TRACE` request: the header options, the
+/// `KERNEL`/`ARCH`/`END` sections and both payloads. Every option other
+/// than `limit=`/`wall_ms=` goes to `verb_option`, which rejects it with
+/// an error detail. Answers `ERR malformed` itself on any failure.
+fn read_request<'a>(
     state: &ServerState,
     reader: &mut impl BufRead,
     stream: &TcpStream,
     options: impl Iterator<Item = &'a str>,
     phase: &ReadPhase<'_>,
     span: &mut RequestSpan,
-) -> Outcome {
-    // Request options.
+    mut verb_option: impl FnMut(&str) -> Result<(), String>,
+) -> Option<Request> {
     let mut limit = state.config.step_limit;
     let mut wall_ms = state.config.wall_ms;
     for opt in options {
-        if let Some(v) = opt.strip_prefix("limit=") {
-            match v.parse::<u64>() {
-                Ok(v) => limit = v,
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad limit= value\n");
-                    return Outcome::Malformed;
-                }
-            }
+        let parsed = if let Some(v) = opt.strip_prefix("limit=") {
+            v.parse()
+                .map(|v| limit = v)
+                .map_err(|_| "bad limit= value".to_string())
         } else if let Some(v) = opt.strip_prefix("wall_ms=") {
-            match v.parse::<u64>() {
-                // The request may tighten the server deadline, never
-                // widen it.
-                Ok(v) => wall_ms = Some(wall_ms.map_or(v, |server| server.min(v))),
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad wall_ms= value\n");
-                    return Outcome::Malformed;
-                }
-            }
+            v.parse::<u64>()
+                .map(|v| wall_ms = Some(wall_ms.map_or(v, |server| server.min(v))))
+                .map_err(|_| "bad wall_ms= value".to_string())
         } else {
-            let _ = respond(
-                stream,
-                &format!("ERR malformed unknown option {}\n", one_line(opt)),
-            );
-            return Outcome::Malformed;
+            verb_option(opt)
+        };
+        if let Err(detail) = parsed {
+            let _ = respond(stream, &format!("ERR malformed {detail}\n"));
+            return None;
         }
     }
     // max(1) guards a misconfigured zero cap: clamp panics if min > max.
     let limit = limit.clamp(1, state.config.max_step_limit.max(1));
 
-    // Bodies.
     let t_read = Instant::now();
-    let max = state.config.max_request_bytes;
-    let kernel_text = match read_section(reader, "KERNEL", max, phase) {
-        Ok(t) => t,
+    let (kernel_text, arch_text) = match read_bodies(reader, state.config.max_request_bytes, phase)
+    {
+        Ok(bodies) => bodies,
         Err(detail) => {
             let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
-            return Outcome::Malformed;
+            return None;
         }
     };
-    let arch_text = match read_section(reader, "ARCH", max, phase) {
-        Ok(t) => t,
-        Err(detail) => {
-            let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
-            return Outcome::Malformed;
-        }
-    };
-    match read_header_line(reader, 256, phase) {
-        Ok(Some(end)) if end.trim() == "END" => {}
-        Ok(_) | Err(_) => {
-            let _ = respond(stream, "ERR malformed missing END\n");
-            return Outcome::Malformed;
-        }
-    }
     span.stages.read_us += elapsed_us(t_read);
     // The request is fully read: restore the full per-call timeout for
     // the (possibly much later) response write.
@@ -1466,12 +1456,137 @@ fn serve_sched<'a>(
     let t_parse = Instant::now();
     let parsed = parse_payloads(stream, &kernel_text, &arch_text);
     span.stages.parse_us = elapsed_us(t_parse);
-    let Some((kernel, arch)) = parsed else {
+    let (kernel, arch) = parsed?;
+    span.kernel = kernel.name().to_string();
+    Some(Request {
+        kernel,
+        arch,
+        limit,
+        wall_ms,
+    })
+}
+
+/// Reads the `KERNEL` and `ARCH` sections and the closing `END` line.
+fn read_bodies(
+    reader: &mut impl BufRead,
+    max: usize,
+    phase: &ReadPhase<'_>,
+) -> Result<(String, String), String> {
+    let kernel_text = read_section(reader, "KERNEL", max, phase)?;
+    let arch_text = read_section(reader, "ARCH", max, phase)?;
+    match read_header_line(reader, 256, phase) {
+        Ok(Some(end)) if end.trim() == "END" => Ok((kernel_text, arch_text)),
+        Ok(_) | Err(_) => Err("missing END".to_string()),
+    }
+}
+
+/// The cold path `SCHED` misses and every `TRACE` share: schedules the
+/// request under its step budget and wall deadline with `capture`
+/// attached, validates the schedule independently, and builds its cache
+/// entry. A failure comes back as its outcome and `ERR` line.
+fn schedule_request(
+    state: &ServerState,
+    req: &Request,
+    mut capture: Option<&mut TraceCapture>,
+    span: &mut RequestSpan,
+) -> Result<CacheEntry, (Outcome, String)> {
+    let t_sched = Instant::now();
+    let token = CancelToken::new();
+    let budget = StepBudget::new(req.limit).with_cancel(token.clone());
+    let _guard = req.wall_ms.map(|ms| {
+        state
+            .watchdog
+            .watch_for(token.clone(), Duration::from_millis(ms))
+    });
+    let (result, report) = match capture.as_deref_mut() {
+        Some(sink) => schedule_kernel_anytime_traced(
+            &req.arch,
+            &req.kernel,
+            state.config.scheduler.clone(),
+            &RetryPolicy::default(),
+            &budget,
+            sink,
+        ),
+        None => schedule_kernel_anytime(
+            &req.arch,
+            &req.kernel,
+            state.config.scheduler.clone(),
+            &RetryPolicy::default(),
+            &budget,
+        ),
+    };
+    if let Some(capture) = &capture {
+        span.rejects = capture.rejects();
+        span.deadline_events = capture.deadline_events();
+        span.rung = capture.rung();
+    }
+    span.attempts = report.attempts_spent;
+    span.degraded = report.degraded;
+    let entry = match result {
+        Ok(schedule) => match validate::validate(&req.arch, &req.kernel, &schedule) {
+            Err(violations) => {
+                let detail = violations
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("; ");
+                Err((
+                    Outcome::Internal,
+                    format!("ERR internal invalid schedule: {}\n", one_line(&detail)),
+                ))
+            }
+            Ok(()) => {
+                span.ii = schedule.ii().unwrap_or(0);
+                if state.config.telemetry {
+                    // Binding-constraint attribution for the dashboard's
+                    // slow-request ring: one cheap analysis pass over
+                    // the finished schedule.
+                    span.binding = explain::explain(&req.arch, &req.kernel, &schedule)
+                        .binding
+                        .kind();
+                }
+                Ok(CacheEntry {
+                    ii: schedule.ii().unwrap_or(0),
+                    copies: schedule.num_copies() as u64,
+                    max_registers: regalloc::analyze(&req.arch, &req.kernel, &schedule)
+                        .max_required() as u64,
+                    attempts: report.attempts_spent,
+                    degraded: report.degraded,
+                    limit: req.limit,
+                })
+            }
+        },
+        Err(e) if e.is_budget_stop() => Err((
+            Outcome::Deadline,
+            format!("ERR deadline {}\n", one_line(&e.to_string())),
+        )),
+        Err(e) => Err((
+            Outcome::Sched,
+            format!("ERR sched {}\n", one_line(&e.to_string())),
+        )),
+    };
+    span.stages.sched_us = elapsed_us(t_sched);
+    entry
+}
+
+fn serve_sched<'a>(
+    state: &ServerState,
+    reader: &mut impl BufRead,
+    stream: &TcpStream,
+    options: impl Iterator<Item = &'a str>,
+    phase: &ReadPhase<'_>,
+    span: &mut RequestSpan,
+) -> Outcome {
+    let Some(req) = read_request(state, reader, stream, options, phase, span, |opt| {
+        Err(format!("unknown option {}", one_line(opt)))
+    }) else {
         return Outcome::Malformed;
     };
-    span.kernel = kernel.name().to_string();
-
-    let key = cache_key(kernel_hash(&kernel), arch.fingerprint(), &state.config_fp);
+    let key = cache_key(
+        kernel_hash(&req.kernel),
+        req.arch.fingerprint(),
+        &state.config_fp,
+    );
 
     // Warm path: serve straight from the cache.
     let t_cache = Instant::now();
@@ -1480,7 +1595,7 @@ fn serve_sched<'a>(
             let _ = respond(stream, "ERR internal cache lock poisoned\n");
             return Outcome::Internal;
         };
-        if let Some(entry) = cache.lookup(key, limit) {
+        if let Some(entry) = cache.lookup(key, req.limit) {
             let line = ok_line(entry);
             span.cache = CacheDisposition::Hit;
             span.stages.cache_us = elapsed_us(t_cache);
@@ -1496,118 +1611,47 @@ fn serve_sched<'a>(
     span.cache = CacheDisposition::Miss;
     span.stages.cache_us = elapsed_us(t_cache);
 
-    // Cold path: schedule under the request deadline.
-    let t_sched = Instant::now();
-    let token = CancelToken::new();
-    let budget = StepBudget::new(limit).with_cancel(token.clone());
-    let _guard = wall_ms.map(|ms| {
-        state
-            .watchdog
-            .watch(token.clone(), Instant::now() + Duration::from_millis(ms))
-    });
-    // With telemetry on, a rollup-only sink rides along so the span can
-    // attribute the request's attempts to reject reasons and ladder
-    // rungs; with telemetry off the scheduler runs sink-free (no event
-    // is even constructed).
+    // Cold path. With telemetry on, a rollup-only sink rides along so the
+    // span can attribute the request's attempts to reject reasons and
+    // ladder rungs; with telemetry off the scheduler runs sink-free (no
+    // event is even constructed).
     let mut capture = state.config.telemetry.then(TraceCapture::rollup_only);
-    let (result, report) = match capture.as_mut() {
-        Some(sink) => schedule_kernel_anytime_traced(
-            &arch,
-            &kernel,
-            state.config.scheduler.clone(),
-            &RetryPolicy::default(),
-            &budget,
-            sink,
-        ),
-        None => schedule_kernel_anytime(
-            &arch,
-            &kernel,
-            state.config.scheduler.clone(),
-            &RetryPolicy::default(),
-            &budget,
-        ),
-    };
-    if let Some(capture) = &capture {
-        span.rejects = capture.rejects();
-        span.deadline_events = capture.deadline_events();
-        span.rung = capture.rung();
-    }
-    span.attempts = report.attempts_spent;
-    span.degraded = report.degraded;
-    match result {
-        Ok(schedule) => {
-            if let Err(violations) = validate::validate(&arch, &kernel, &schedule) {
-                let detail = violations
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                let _ = respond(
-                    stream,
-                    &format!("ERR internal invalid schedule: {}\n", one_line(&detail)),
-                );
-                return Outcome::Internal;
-            }
-            span.ii = schedule.ii().unwrap_or(0);
-            if state.config.telemetry {
-                // Binding-constraint attribution for the dashboard's
-                // slow-request ring: one cheap analysis pass over the
-                // finished schedule.
-                span.binding = explain::explain(&arch, &kernel, &schedule).binding.kind();
-            }
-            let entry = CacheEntry {
-                ii: schedule.ii().unwrap_or(0),
-                copies: schedule.num_copies() as u64,
-                max_registers: regalloc::analyze(&arch, &kernel, &schedule).max_required() as u64,
-                attempts: report.attempts_spent,
-                degraded: report.degraded,
-                limit,
-            };
-            span.stages.sched_us = elapsed_us(t_sched);
-            // Journal before responding: a response is only ever sent
-            // for a durably recorded entry, so a crash immediately after
-            // the response still serves this key warm on restart.
-            let t_journal = Instant::now();
-            {
-                let Ok(mut cache) = state.cache.lock() else {
-                    let _ = respond(stream, "ERR internal cache lock poisoned\n");
-                    return Outcome::Internal;
-                };
-                if let Err(e) = cache.insert(key, entry.clone()) {
-                    drop(cache);
-                    let _ = respond(
-                        stream,
-                        &format!("ERR internal cache append: {}\n", one_line(&e.to_string())),
-                    );
-                    return Outcome::Internal;
-                }
-            }
-            span.stages.journal_us = elapsed_us(t_journal);
-            let t_respond = Instant::now();
-            let _ = respond(stream, &format!("CACHE miss\n{}", ok_line(&entry)));
-            span.stages.respond_us = elapsed_us(t_respond);
-            Outcome::OkCold {
-                degraded: entry.degraded,
-            }
+    let entry = match schedule_request(state, &req, capture.as_mut(), span) {
+        Ok(entry) => entry,
+        Err((outcome, line)) => {
+            let _ = respond(stream, &line);
+            return outcome;
         }
-        Err(e) if e.is_budget_stop() => {
-            span.stages.sched_us = elapsed_us(t_sched);
+    };
+    // Journal before responding: a response is only ever sent for a
+    // durably recorded entry, so a crash immediately after the response
+    // still serves this key warm on restart.
+    let t_journal = Instant::now();
+    {
+        let Ok(mut cache) = state.cache.lock() else {
+            let _ = respond(stream, "ERR internal cache lock poisoned\n");
+            return Outcome::Internal;
+        };
+        if let Err(e) = cache.insert(key, entry.clone()) {
+            drop(cache);
             let _ = respond(
                 stream,
-                &format!("ERR deadline {}\n", one_line(&e.to_string())),
+                &format!("ERR internal cache append: {}\n", one_line(&e.to_string())),
             );
-            Outcome::Deadline
+            return Outcome::Internal;
         }
-        Err(e) => {
-            span.stages.sched_us = elapsed_us(t_sched);
-            let _ = respond(stream, &format!("ERR sched {}\n", one_line(&e.to_string())));
-            Outcome::Sched
-        }
+    }
+    span.stages.journal_us = elapsed_us(t_journal);
+    let t_respond = Instant::now();
+    let _ = respond(stream, &format!("CACHE miss\n{}", ok_line(&entry)));
+    span.stages.respond_us = elapsed_us(t_respond);
+    Outcome::OkCold {
+        degraded: entry.degraded,
     }
 }
 
 /// Parses the two wire payloads, answering `ERR malformed` itself on
-/// failure (shared by `SCHED` and `TRACE`).
+/// failure.
 fn parse_payloads(
     stream: &TcpStream,
     kernel_text: &str,
@@ -1649,110 +1693,30 @@ fn serve_trace<'a>(
     phase: &ReadPhase<'_>,
     span: &mut RequestSpan,
 ) -> Outcome {
-    let mut limit = state.config.step_limit;
-    let mut wall_ms = state.config.wall_ms;
     let mut event_cap = state.config.trace_event_cap;
     let mut full = false;
-    for opt in options {
-        if let Some(v) = opt.strip_prefix("limit=") {
-            match v.parse::<u64>() {
-                Ok(v) => limit = v,
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad limit= value\n");
-                    return Outcome::Malformed;
-                }
-            }
-        } else if let Some(v) = opt.strip_prefix("wall_ms=") {
-            match v.parse::<u64>() {
-                Ok(v) => wall_ms = Some(wall_ms.map_or(v, |server| server.min(v))),
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad wall_ms= value\n");
-                    return Outcome::Malformed;
-                }
-            }
-        } else if let Some(v) = opt.strip_prefix("events=") {
-            match v.parse::<usize>() {
-                // The client may tighten the server's event cap, never
-                // widen it — the cap is the worker-protection bound.
-                Ok(v) => event_cap = event_cap.min(v),
-                Err(_) => {
-                    let _ = respond(stream, "ERR malformed bad events= value\n");
-                    return Outcome::Malformed;
-                }
-            }
+    let Some(req) = read_request(state, reader, stream, options, phase, span, |opt| {
+        if let Some(v) = opt.strip_prefix("events=") {
+            // The client may tighten the server's event cap, never widen
+            // it — the cap is the worker-protection bound.
+            let v: usize = v.parse().map_err(|_| "bad events= value".to_string())?;
+            event_cap = event_cap.min(v);
         } else if opt == "full=1" {
             full = true;
         } else if opt == "full=0" {
             full = false;
         } else {
-            let _ = respond(
-                stream,
-                &format!("ERR malformed unknown option {}\n", one_line(opt)),
-            );
-            return Outcome::Malformed;
+            return Err(format!("unknown option {}", one_line(opt)));
         }
-    }
-    let limit = limit.clamp(1, state.config.max_step_limit.max(1));
-
-    let t_read = Instant::now();
-    let max = state.config.max_request_bytes;
-    let kernel_text = match read_section(reader, "KERNEL", max, phase) {
-        Ok(t) => t,
-        Err(detail) => {
-            let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
-            return Outcome::Malformed;
-        }
-    };
-    let arch_text = match read_section(reader, "ARCH", max, phase) {
-        Ok(t) => t,
-        Err(detail) => {
-            let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
-            return Outcome::Malformed;
-        }
-    };
-    match read_header_line(reader, 256, phase) {
-        Ok(Some(end)) if end.trim() == "END" => {}
-        Ok(_) | Err(_) => {
-            let _ = respond(stream, "ERR malformed missing END\n");
-            return Outcome::Malformed;
-        }
-    }
-    span.stages.read_us += elapsed_us(t_read);
-    let _ = stream.set_read_timeout(Some(state.config.io_timeout));
-
-    let t_parse = Instant::now();
-    let parsed = parse_payloads(stream, &kernel_text, &arch_text);
-    span.stages.parse_us = elapsed_us(t_parse);
-    let Some((kernel, arch)) = parsed else {
+        Ok(())
+    }) else {
         return Outcome::Malformed;
     };
-    span.kernel = kernel.name().to_string();
 
     // Cache deliberately bypassed: a trace of a warm hit would be
     // empty, and the point of TRACE is the event stream.
-    let t_sched = Instant::now();
-    let token = CancelToken::new();
-    let budget = StepBudget::new(limit).with_cancel(token.clone());
-    let _guard = wall_ms.map(|ms| {
-        state
-            .watchdog
-            .watch(token.clone(), Instant::now() + Duration::from_millis(ms))
-    });
     let mut capture = TraceCapture::capture(event_cap, full);
-    let (result, report) = schedule_kernel_anytime_traced(
-        &arch,
-        &kernel,
-        state.config.scheduler.clone(),
-        &RetryPolicy::default(),
-        &budget,
-        &mut capture,
-    );
-    span.rejects = capture.rejects();
-    span.deadline_events = capture.deadline_events();
-    span.rung = capture.rung();
-    span.attempts = report.attempts_spent;
-    span.degraded = report.degraded;
-    span.stages.sched_us = elapsed_us(t_sched);
+    let result = schedule_request(state, &req, Some(&mut capture), span);
 
     // The event stream and summary precede the final status line, so a
     // client can parse the response as: JSONL until a non-`{` line,
@@ -1776,31 +1740,15 @@ fn serve_trace<'a>(
     }
 
     let outcome = match result {
-        Ok(schedule) => {
-            span.ii = schedule.ii().unwrap_or(0);
-            if state.config.telemetry {
-                span.binding = explain::explain(&arch, &kernel, &schedule).binding.kind();
-            }
-            let entry = CacheEntry {
-                ii: schedule.ii().unwrap_or(0),
-                copies: schedule.num_copies() as u64,
-                max_registers: regalloc::analyze(&arch, &kernel, &schedule).max_required() as u64,
-                attempts: report.attempts_spent,
-                degraded: report.degraded,
-                limit,
-            };
+        Ok(entry) => {
             text.push_str(&ok_line(&entry));
             Outcome::OkCold {
                 degraded: entry.degraded,
             }
         }
-        Err(e) if e.is_budget_stop() => {
-            text.push_str(&format!("ERR deadline {}\n", one_line(&e.to_string())));
-            Outcome::Deadline
-        }
-        Err(e) => {
-            text.push_str(&format!("ERR sched {}\n", one_line(&e.to_string())));
-            Outcome::Sched
+        Err((outcome, line)) => {
+            text.push_str(&line);
+            outcome
         }
     };
     let t_respond = Instant::now();

@@ -6,21 +6,12 @@
 //! journal reloads to the exact entry set of the uncompacted cache.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use csched_eval::serve::{CacheEntry, CompactionPolicy, ScheduleCache};
 use proptest::prelude::*;
 
-/// A journal path no other call in this process gets: cases of
-/// different tests may draw the same tag, and tests run on parallel
-/// threads, so the tag alone would let two of them share a file.
-fn tmp_path(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("csched-cache-props-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{n}.jsonl"))
-}
+mod common;
+use common::tmp_path;
 
 fn entry(ii: u32, attempts: u64) -> CacheEntry {
     CacheEntry {
@@ -57,7 +48,7 @@ proptest! {
         mutations in prop::collection::vec((0usize..4096, 0u8..255), 1..6),
         tag in 0u64..1_000_000,
     ) {
-        let path = tmp_path(&format!("mutate-{tag}"));
+        let path = tmp_path(&format!("mutate-{tag}.jsonl"));
         let mut bytes = build_journal(&path, keys);
 
         // Line boundaries of the clean journal, to bound the damage.
@@ -115,7 +106,7 @@ proptest! {
     /// An unmutated journal always loads exactly what was written.
     #[test]
     fn clean_journal_loads_exactly(keys in 1u64..8, tag in 0u64..1_000_000) {
-        let path = tmp_path(&format!("clean-{tag}"));
+        let path = tmp_path(&format!("clean-{tag}.jsonl"));
         build_journal(&path, keys);
         let (cache, report) = ScheduleCache::open(Some(&path), false).unwrap();
         prop_assert_eq!(report.entries, keys as usize);
@@ -136,8 +127,7 @@ proptest! {
         inserts in prop::collection::vec((0u64..8, 1u32..50), 1..24),
         tag in 0u64..1_000_000,
     ) {
-        let path = tmp_path(&format!("compact-{tag}"));
-        let _ = std::fs::remove_file(&path);
+        let path = tmp_path(&format!("compact-{tag}.jsonl"));
         let policy = CompactionPolicy { max_journal_bytes: 256, max_entries: 1 << 16 };
         let (mut cache, _) = ScheduleCache::open_with(Some(&path), false, policy).unwrap();
         for (i, (key, ii)) in inserts.iter().enumerate() {

@@ -6,18 +6,12 @@ use csched_eval::campaign::{campaign_json, run_campaign, CellStatus, Journal};
 use csched_ir::Kernel;
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::path::PathBuf;
 
 use csched_core::SchedulerConfig;
 use csched_machine::imagine;
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-campaign-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
-}
+mod common;
+use common::tmp_path;
 
 #[test]
 fn resumed_campaign_reproduces_the_uninterrupted_report() {
@@ -29,7 +23,7 @@ fn resumed_campaign_reproduces_the_uninterrupted_report() {
     let step_limit = 500_000;
 
     // Uninterrupted run, journaling every cell.
-    let full_journal = temp_path("full.jsonl");
+    let full_journal = tmp_path("full.jsonl");
     let golden = {
         let mut journal = Journal::open(&full_journal).unwrap();
         let result = run_campaign(
@@ -48,7 +42,7 @@ fn resumed_campaign_reproduces_the_uninterrupted_report() {
 
     // Simulate a crash: keep the first journal line whole, tear the
     // second mid-write, drop the rest.
-    let torn_journal = temp_path("torn.jsonl");
+    let torn_journal = tmp_path("torn.jsonl");
     let bytes = std::fs::read(&full_journal).unwrap();
     let first_newline = bytes.iter().position(|&b| b == b'\n').unwrap();
     let cut = first_newline + 1 + 17; // 17 bytes into the second line
@@ -98,7 +92,7 @@ fn timed_out_cells_checkpoint_and_resume_like_any_other() {
     let archs = [imagine::central()];
     let config = SchedulerConfig::default();
 
-    let journal_path = temp_path("starved.jsonl");
+    let journal_path = tmp_path("starved.jsonl");
     let golden = {
         let mut journal = Journal::open(&journal_path).unwrap();
         let result = run_campaign(
@@ -134,7 +128,7 @@ fn timed_out_cells_checkpoint_and_resume_like_any_other() {
 /// aborting, still prints its report, and exits nonzero.
 #[test]
 fn table1_binary_survives_a_bad_kernel_file_with_nonzero_exit() {
-    let bad = temp_path("bad.k");
+    let bad = tmp_path("bad.k");
     std::fs::write(&bad, "kernel \"broken {{{").unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
         .arg(&bad)

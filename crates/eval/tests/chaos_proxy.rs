@@ -13,23 +13,10 @@ use csched_eval::serve::{
     ServeConfig, Server,
 };
 
+mod common;
+use common::{merge_request, tmp_path};
+
 const TIMEOUT: Duration = Duration::from_secs(30);
-
-fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-chaos-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.jsonl"));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-fn merge_request() -> (String, String) {
-    let w = csched_kernels::by_name("Merge").unwrap();
-    (
-        csched_ir::text::print(&w.kernel),
-        csched_machine::text::print(&csched_machine::imagine::distributed()),
-    )
-}
 
 fn start_server(cache: Option<PathBuf>) -> Server {
     let config = ServeConfig {
@@ -138,7 +125,7 @@ fn live_fault_log_matches_offline_schedule() {
 /// while the retrying client reaches 100% eventual success — the core
 /// resilience claim of the issue.
 #[test]
-fn retrying_client_succeeds_where_no_retry_client_fails() {
+fn retrying_client_succeeds_where_single_attempt_client_fails() {
     let config = ChaosNetConfig {
         seed: 9,
         fault_permille: 400,
@@ -268,7 +255,7 @@ fn slowloris_is_cut_off_by_the_read_phase_budget() {
 /// through the same proxy.
 #[test]
 fn upstream_swap_survives_server_restart() {
-    let cache = tmp_path("swap");
+    let cache = tmp_path("swap.jsonl");
     let server1 = start_server(Some(cache.clone()));
     let proxy = ChaosProxy::start(
         ChaosNetConfig {

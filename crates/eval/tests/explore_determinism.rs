@@ -16,15 +16,9 @@ use csched_ir::Kernel;
 use csched_machine::gen::DesignSpace;
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::path::PathBuf;
 
-fn temp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-explore-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
-}
+mod common;
+use common::tmp_path;
 
 fn suite() -> Vec<csched_kernels::Workload> {
     ["Merge", "Sort"]
@@ -138,7 +132,7 @@ fn torn_journal_resume_reuses_candidates_and_reproduces_the_report() {
     // Uninterrupted run, journaling every cell. jobs=1 so the journal's
     // line order is candidate-major (parallel runs journal in completion
     // order), which lets the tear below split cleanly between candidates.
-    let full_journal = temp_path("explore-full.jsonl");
+    let full_journal = tmp_path("explore-full.jsonl");
     let golden = {
         let mut journal = Journal::open(&full_journal).unwrap();
         let report = explore(&config, &kernels, 1, Some(&mut journal), &HashMap::new()).unwrap();
@@ -148,7 +142,7 @@ fn torn_journal_resume_reuses_candidates_and_reproduces_the_report() {
 
     // Crash simulation: keep the first candidate's two cells (one per
     // kernel), tear the third line mid-write, drop the rest.
-    let torn_journal = temp_path("explore-torn.jsonl");
+    let torn_journal = tmp_path("explore-torn.jsonl");
     let bytes = std::fs::read(&full_journal).unwrap();
     let mut newlines = bytes
         .iter()

@@ -4,28 +4,14 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use csched_eval::serve::{client_raw, client_request, client_stats, ServeConfig, Server};
 
+mod common;
+use common::{merge_request, tmp_path};
+
 const TIMEOUT: Duration = Duration::from_secs(60);
-
-fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csched-serve-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.jsonl"));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-fn merge_request() -> (String, String) {
-    let w = csched_kernels::by_name("Merge").unwrap();
-    (
-        csched_ir::text::print(&w.kernel),
-        csched_machine::text::print(&csched_machine::imagine::distributed()),
-    )
-}
 
 fn fir_request() -> (String, String) {
     let w = csched_kernels::by_name("FIR-int").unwrap();
@@ -121,7 +107,7 @@ fn overload_sheds_with_a_typed_response_and_never_hangs() {
 /// loads the healed entry.
 #[test]
 fn bit_flipped_cache_entry_is_quarantined_then_healed_by_rescheduling() {
-    let path = tmp_path("quarantine");
+    let path = tmp_path("quarantine.jsonl");
     let config = || ServeConfig {
         jobs: 2,
         cache_path: Some(path.clone()),
@@ -193,7 +179,7 @@ fn bit_flipped_cache_entry_is_quarantined_then_healed_by_rescheduling() {
 /// stable across processes).
 #[test]
 fn restart_serves_warm_hits_byte_identical_to_pre_restart() {
-    let path = tmp_path("restart");
+    let path = tmp_path("restart.jsonl");
     let config = || ServeConfig {
         jobs: 2,
         cache_path: Some(path.clone()),
@@ -258,16 +244,20 @@ fn exhausted_budget_is_a_typed_deadline_error_and_not_cached() {
 }
 
 /// Malformed requests of several shapes are rejected with one-line typed
-/// errors and never take the service down.
+/// errors and never take the service down; `TRACE` shares `SCHED`'s
+/// framing and rejects the same shapes the same way.
 #[test]
 fn malformed_requests_get_typed_errors_and_service_survives() {
     let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
-    let cases: [&[u8]; 5] = [
+    let cases: [&[u8]; 8] = [
         b"BOGUS\n",
         b"SCHED frobnicate=1\nKERNEL 0\nARCH 0\nEND\n",
         b"SCHED\nKERNEL nine\n",
         b"SCHED\nKERNEL 7\nnot ir!ARCH 0\nEND\n",
+        b"TRACE frobnicate=1\nKERNEL 0\nARCH 0\nEND\n",
+        b"TRACE\nKERNEL nine\n",
+        b"TRACE\nKERNEL 7\nnot ir!ARCH 0\nEND\n",
         b"\n",
     ];
     for request in cases {
@@ -284,7 +274,7 @@ fn malformed_requests_get_typed_errors_and_service_survives() {
     let ok = client_request(&addr, &kernel, &arch, None, None, TIMEOUT).unwrap();
     assert!(ok.starts_with("CACHE miss\nOK "), "{ok}");
     let stats = client_stats(&addr, TIMEOUT).unwrap();
-    assert!(stats.contains("\"malformed\":5"), "{stats}");
+    assert!(stats.contains("\"malformed\":8"), "{stats}");
     server.shutdown();
 }
 

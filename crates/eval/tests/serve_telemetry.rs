@@ -20,6 +20,9 @@ use csched_eval::serve::{
 use csched_eval::telemetry::{validate_prometheus, MetricsSnapshot};
 use csched_ir::{Kernel, KernelBuilder};
 
+mod common;
+use common::merge_request;
+
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Figure 4 of the paper, as in `core/tests/trace_golden.rs`: the
@@ -42,14 +45,6 @@ fn figure4_request() -> (String, String) {
     (
         csched_ir::text::print(&figure4()),
         csched_machine::text::print(&csched_machine::toy::motivating_example()),
-    )
-}
-
-fn merge_request() -> (String, String) {
-    let w = csched_kernels::by_name("Merge").unwrap();
-    (
-        csched_ir::text::print(&w.kernel),
-        csched_machine::text::print(&csched_machine::imagine::distributed()),
     )
 }
 

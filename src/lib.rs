@@ -89,7 +89,7 @@
 //! lower bounds, copies per communication, and per-resource occupancy:
 //!
 //! ```
-//! use csched::core::{schedule_kernel_traced, RingBufferSink, ScheduleMetrics};
+//! use csched::core::{schedule_kernel_traced, JsonlSink, ScheduleMetrics};
 //! # let kernel = csched::ir::text::parse(r#"
 //! # kernel "triple" {
 //! #   region in disjoint
@@ -104,9 +104,9 @@
 //! # }
 //! # "#)?;
 //! let arch = csched::machine::imagine::distributed();
-//! let mut sink = RingBufferSink::new(1024);
+//! let mut sink = JsonlSink::new();
 //! let schedule = schedule_kernel_traced(&arch, &kernel, Default::default(), &mut sink)?;
-//! assert!(sink.total() > 0);
+//! assert!(sink.lines() > 0);
 //! let metrics = ScheduleMetrics::compute(&arch, &kernel, &schedule);
 //! assert_eq!(metrics.ii, schedule.ii());
 //! println!("{}", metrics.render_heatmap());
