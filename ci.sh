@@ -31,6 +31,15 @@ cargo check --offline --manifest-path perfbench/Cargo.toml
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
+# Debug-profile engine cross-checks: under debug assertions the engine
+# reruns every §4.3 closing it replays and compares the two, and checks
+# every memoised write-stub ranking against a fresh one (DESIGN.md §14).
+# FIR-INT on distributed is the grid's slowest cell and Sort on clustered4
+# the one that replays the most closings; together about 11 s.
+step "debug cross-check smoke (FIR-INT distributed, Sort clustered4)"
+cargo run -q -p csched-eval --bin one-cell -- FIR-INT distributed > /dev/null
+cargo run -q -p csched-eval --bin one-cell -- Sort clustered4 > /dev/null
+
 # Seeded multi-fault chaos smoke: a tiny deterministic campaign (a few
 # hundred milliseconds on the release build from step 1) that degrades
 # the distributed machine by random fault combinations and asserts the
@@ -57,8 +66,10 @@ cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 
 # Decision-stream golden: an FNV-1a digest of every trace event and the
 # final schedule of the 40 grid cells under five configurations and the
-# anytime ladder must match the pinned digests, so a pure speed-up that
-# changes any search decision (even at an earlier II) fails here.
+# anytime ladder (at 200,000 steps, and at 5,000 and 50,000, which run
+# out mid-search on 20 and 5 cells) must match the pinned digests, so a
+# pure speed-up that changes any search decision (even at an earlier II)
+# fails here.
 # Ignored under the debug profile; about half a minute on release.
 step "golden decision-stream digests on the full grid (release)"
 cargo test -q --release -p csched-core --test decision_golden -- --include-ignored

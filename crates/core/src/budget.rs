@@ -169,6 +169,19 @@ impl StepBudget {
         Ok(())
     }
 
+    /// Charges `steps` placement attempts at once when `steps` single
+    /// [`step`](Self::step)s would all be granted: the token is not
+    /// cancelled and at least `steps` remain. Otherwise charges nothing
+    /// and returns `false`. The engine charges a replayed closing's
+    /// attempts with it.
+    pub(crate) fn charge(&self, steps: u64) -> bool {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) || self.remaining() < steps {
+            return false;
+        }
+        self.spent.set(self.spent.get() + steps);
+        true
+    }
+
     /// The typed [`SchedError`] for a refusal from [`step`](Self::step),
     /// attributed to `phase` (`"placement"`).
     pub fn stop_error(&self, stop: BudgetStop, phase: &'static str) -> SchedError {
@@ -372,6 +385,25 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn bulk_charge_is_all_or_nothing() {
+        let b = StepBudget::new(5);
+        assert!(b.charge(3));
+        assert_eq!(b.spent(), 3);
+        // Three more would cross the limit: nothing is charged.
+        assert!(!b.charge(3));
+        assert_eq!(b.spent(), 3);
+        assert!(b.charge(2));
+        assert!(b.is_exhausted());
+        assert!(b.charge(0));
+
+        let token = CancelToken::new();
+        let b = StepBudget::new(10).with_cancel(token.clone());
+        token.cancel();
+        assert!(!b.charge(1));
+        assert_eq!(b.spent(), 0);
     }
 
     #[test]

@@ -25,18 +25,22 @@
 //!
 //! The attempt loop — [`Engine::place_ext`] down through stub permutation
 //! and route search — is engineered for O(1) probes and reused buffers.
-//! Its one steady-state allocation is the engine savepoint each attempt
-//! that passes the timing check takes (a `Vec` of one table position per
-//! block).
+//! Even a savepoint allocates nothing: its table positions go on a stack
+//! the engine keeps.
 //!
 //! - resource claims go through the dense modulo tables of
 //!   [`crate::table`], and a permutation resolves its row once;
 //! - the full §4.3 re-permutation takes its participants from a per-row
 //!   index of the placed operations (`RowIndex`), not from a scan of
 //!   every operation or communication;
+//! - when that re-permutation moves no stub, the closing it would rerun
+//!   starts from the state the failed fast-path closing started from, so
+//!   the engine replays that closing's record (`ClosingRecord`) instead
+//!   of rerunning it;
 //! - the write-stub search is [`WriteSearch`], which checks each
 //!   candidate against the row's existing claims once and memoises the
-//!   verdict;
+//!   verdict, and each communication's ranked candidate list is memoised
+//!   on everything the ranking reads (`WriteMemo`);
 //! - every copy-distance score is a flat-array read from the shared
 //!   [`ConnCache`] (`Arc`-held, so the whole II search and retry ladder
 //!   reuse one cache);
@@ -51,13 +55,17 @@
 //!
 //! Any change here must preserve *schedule identity*: identical candidate
 //! sets, identical orderings, identical tiebreaks, identical table
-//! contents — see the invariants in DESIGN.md §14 and the byte-identity
+//! contents (the same claims in each cell; no admission reads their
+//! order) — see the invariants in DESIGN.md §14 and the byte-identity
 //! gates in `ci.sh`.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use csched_ir::{BlockId, Kernel};
-use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub, ResourceMap, WriteStub};
+use csched_machine::{
+    Architecture, Capability, FuId, Opcode, ReadStub, ResourceMap, RfId, WriteStub,
+};
 
 use crate::conn::ConnCache;
 
@@ -109,11 +117,14 @@ pub(crate) fn debug_env(n: usize) -> bool {
     })[n]
 }
 
-/// An engine savepoint.
-#[derive(Clone, Debug)]
-pub struct EngineSavepoint {
+/// An engine savepoint: a journal position, and where the tables'
+/// positions start on the engine's savepoint stack (`Engine::marks`).
+/// Savepoints nest: each is rolled back or released before any taken
+/// earlier.
+#[derive(Clone, Copy, Debug)]
+struct EngineSavepoint {
     journal: usize,
-    tables: Vec<crate::table::Savepoint>,
+    marks: usize,
 }
 
 /// A memory-ordering constraint (from the kernel dependence graph): the
@@ -142,6 +153,132 @@ struct Scratch {
     wperm: WPermBufs,
     closing_pool: Vec<Vec<CommId>>,
     revise: Vec<(u32, WriteStub)>,
+    /// Closing records, one per [`Engine::place_inner`] in progress
+    /// (pop/push like `closing_pool`).
+    records: Vec<ClosingRecord>,
+    wmemo: WriteMemo,
+}
+
+/// How a §4.3 stub permutation (step 2 or 3) ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Permutation {
+    /// No assignment fit.
+    Failed,
+    /// Every participant other than the operation being placed kept the
+    /// stub it had.
+    Kept,
+    /// Some other participant's stub changed.
+    Moved,
+}
+
+/// What a failed fast-path closing (§4.3 steps 4–5) of one operation did.
+///
+/// The slow path re-permutes every open stub on the operation's rows and
+/// closes again. When that re-permutation leaves every stub where the
+/// fast path had it, the closing starts from the same state as the failed
+/// one, so it would fail the same way: the engine replays this record
+/// instead — adds the counters, charges the budget, uses up the copy work
+/// and re-emits the events. DESIGN.md §14 gives the argument and the
+/// cases that rerun instead.
+#[derive(Clone, Debug, Default)]
+struct ClosingRecord {
+    /// Whether the closing failed on its own terms (not on the budget,
+    /// cancellation or an internal error), so a replay is exact.
+    replayable: bool,
+    /// The operation's read stub per operand slot and write stub per
+    /// outgoing communication (in `comms_from` order) when it started.
+    reads: Vec<Option<ReadStub>>,
+    writes: Vec<Option<WriteStub>>,
+    /// Placement attempts the closing made; with a budget attached, each
+    /// charged one step.
+    attempts: u64,
+    rejections: u64,
+    cross_block_copy_failures: u64,
+    /// Copy work it used up.
+    copy_work: u32,
+    /// Its events in [`EventLog::events`] (empty when untraced).
+    events: Range<usize>,
+}
+
+/// What closing for real did where a replay was about to stand in
+/// (debug builds check every replay against one).
+struct ClosingRerun {
+    /// Whether it succeeded or hit an internal error (never, when the
+    /// replay is exact).
+    ok: bool,
+    stats: SchedStats,
+    /// Placement attempts it made (budget steps, with a budget).
+    attempts: u64,
+    copy_work: u32,
+    events: Vec<TraceEvent>,
+}
+
+/// Events emitted while a fast-path closing is being recorded, so a
+/// replay can re-emit them. Kept only when a trace sink is attached.
+#[derive(Default)]
+struct EventLog {
+    events: Vec<TraceEvent>,
+    /// Recordings in progress (copy insertion nests them).
+    open: usize,
+    /// Record without forwarding to the sink (the debug replay check).
+    muted: bool,
+}
+
+/// Everything [`Engine::write_candidates_into`] reads besides the fixed
+/// architecture and configuration: the producer (its rotation seed), the
+/// consumer (its opcode) and operand slot, the producing unit, and the
+/// file of the consumer operand's read stub, if it has one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct WriteKey {
+    producer: SOpId,
+    consumer: SOpId,
+    slot: u32,
+    fu: FuId,
+    rf: Option<RfId>,
+}
+
+/// Memoised write-stub rankings: each key's ranked candidates, best
+/// first, as indices among the producing unit's write stubs
+/// ([`ConnCache::write_stub_groups`]), stored back to back in `stubs`.
+///
+/// Entries are chained per communication id rather than hashed, so no
+/// kernel can make lookups collide: a kernel communication's chain holds
+/// one entry per producing unit and read-stub file it was ranked under.
+/// The key still names the producer, consumer and slot, because rollback
+/// reuses an inserted copy's communication ids.
+#[derive(Default)]
+struct WriteMemo {
+    /// Per communication id, its newest entry (`u32::MAX` for none).
+    heads: Vec<u32>,
+    /// `(key, start, end, next)`: the ranking at `stubs[start..end]` and
+    /// the communication's next older entry.
+    entries: Vec<(WriteKey, u32, u32, u32)>,
+    stubs: Vec<u16>,
+}
+
+impl WriteMemo {
+    /// The memoised ranking of `cid` under `key`, if any.
+    fn get(&self, cid: CommId, key: &WriteKey) -> Option<&[u16]> {
+        let mut at = *self.heads.get(cid.index())?;
+        while let Some(&(k, start, end, next)) = self.entries.get(at as usize) {
+            if k == *key {
+                return self.stubs.get(start as usize..end as usize);
+            }
+            at = next;
+        }
+        None
+    }
+
+    /// Memoises `stubs[start..]`, the ranking last pushed, for `cid` under
+    /// `key`.
+    fn insert(&mut self, cid: CommId, key: WriteKey, start: usize) {
+        if self.heads.len() <= cid.index() {
+            self.heads.resize(cid.index() + 1, u32::MAX);
+        }
+        let next = std::mem::replace(&mut self.heads[cid.index()], self.entries.len() as u32);
+        let end = self.stubs.len() as u32;
+        self.entries.push((key, start as u32, end, next));
+    }
 }
 
 /// A read-permutation participant: a consumer operand `(op, slot)`.
@@ -240,6 +377,9 @@ pub struct Engine<'a> {
     /// Current loop initiation interval (1 when scheduling straight code).
     ii: u32,
     journal: Vec<Undo>,
+    /// The tables' journal positions of every live savepoint, oldest
+    /// first (see [`EngineSavepoint`]).
+    marks: Vec<crate::table::Savepoint>,
     /// First internal invariant violation detected during this engine's
     /// run, if any. Invariant breaks surface as placement failure (so the
     /// current attempt unwinds via the normal rollback path) and the
@@ -260,6 +400,8 @@ pub struct Engine<'a> {
     /// Optional event sink; `None` (the default) makes every emission a
     /// single never-taken branch.
     trace: Option<&'a mut dyn TraceSink>,
+    /// Events of the closings being recorded (traced runs only).
+    events: EventLog,
     /// Optional shared work budget, charged one step per placement
     /// attempt. `None` (the default) keeps the hot loop unbudgeted.
     budget: Option<&'a StepBudget>,
@@ -350,12 +492,14 @@ impl<'a> Engine<'a> {
             asap,
             ii,
             journal: Vec::new(),
+            marks: Vec::new(),
             internal_error: None,
             copy_work: 0,
             stats: SchedStats::default(),
             fu_load: vec![0; arch.num_fus()],
             scratch: Scratch::default(),
             trace: None,
+            events: EventLog::default(),
             budget: None,
             budget_stop: None,
             last_reject: RejectReason::Timing,
@@ -396,7 +540,12 @@ impl<'a> Engine<'a> {
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
         if let Some(sink) = self.trace.as_mut() {
-            sink.event(event);
+            if self.events.open > 0 {
+                self.events.events.push(event.clone());
+            }
+            if !self.events.muted {
+                sink.event(event);
+            }
         }
     }
 
@@ -419,18 +568,6 @@ impl<'a> Engine<'a> {
     /// incrementally; the driver's unit-ordering tiebreak).
     pub fn fu_load(&self, fu: FuId) -> i64 {
         self.fu_load[fu.index()]
-    }
-
-    /// Number of buses already carrying a value on `cycle`'s row of
-    /// `block`'s table — a congestion probe for diagnosing bus-bound
-    /// schedules (the Table 1 FIR kernels saturate the distributed
-    /// machine's ten global buses, for example).
-    pub fn row_bus_pressure(&self, block: BlockId, cycle: i64) -> usize {
-        let table = &self.tables[block.index()];
-        self.arch
-            .bus_ids()
-            .filter(|&b| table.occupancy(cycle, csched_machine::Resource::Bus(b)) > 0)
-            .count()
     }
 
     /// The configured initiation interval.
@@ -464,14 +601,22 @@ impl<'a> Engine<'a> {
 
     // ----- journalling -----
 
-    fn savepoint(&self) -> EngineSavepoint {
+    fn savepoint(&mut self) -> EngineSavepoint {
+        let marks = self.marks.len();
+        self.marks.extend(self.tables.iter().map(|t| t.savepoint()));
         EngineSavepoint {
             journal: self.journal.len(),
-            tables: self.tables.iter().map(|t| t.savepoint()).collect(),
+            marks,
         }
     }
 
-    fn rollback(&mut self, sp: &EngineSavepoint) {
+    /// Keeps the work done since `sp` and forgets `sp` (with any
+    /// savepoint taken after it).
+    fn release(&mut self, sp: EngineSavepoint) {
+        self.marks.truncate(sp.marks);
+    }
+
+    fn rollback(&mut self, sp: EngineSavepoint) {
         while self.journal.len() > sp.journal {
             let Some(entry) = self.journal.pop() else {
                 break; // unreachable: the loop condition guarantees an entry
@@ -519,9 +664,12 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        for (t, &tsp) in self.tables.iter_mut().zip(&sp.tables) {
+        debug_assert!(sp.marks <= self.marks.len(), "savepoint already released");
+        let marks = self.marks.get(sp.marks..).unwrap_or_default();
+        for (t, &tsp) in self.tables.iter_mut().zip(marks) {
             t.rollback(tsp);
         }
+        self.marks.truncate(sp.marks);
     }
 
     fn set_comm_info(&mut self, comm: CommId, info: CommInfo) {
@@ -685,7 +833,7 @@ impl<'a> Engine<'a> {
         let ok = self.place_inner(op, fu, cycle, cap, depth, allow_copies);
         if !ok {
             self.stats.rejections += 1;
-            self.rollback(&sp);
+            self.rollback(sp);
             let reason = self.last_reject;
             self.emit(TraceEvent::PlaceReject {
                 op: op.index() as u32,
@@ -694,12 +842,17 @@ impl<'a> Engine<'a> {
                 reason,
             });
         } else {
+            self.release(sp);
             self.emit(TraceEvent::PlaceAccept {
                 op: op.index() as u32,
                 fu: fu.index() as u32,
                 cycle,
             });
         }
+        debug_assert!(
+            depth > 0 || self.marks.is_empty(),
+            "savepoint never released"
+        );
         ok
     }
 
@@ -788,13 +941,29 @@ impl<'a> Engine<'a> {
         // full §4.3 re-permutation of every open stub on the affected rows
         // (which may revise other open communications' stubs to make room).
         let sp_steps = self.savepoint();
-        if self.steps_two_to_five(op, fu, cycle, cap, depth, true, allow_copies, dbg) {
-            return true;
+        let mut record = self.scratch.records.pop().unwrap_or_default();
+        record.replayable = false;
+        let steps = |engine: &mut Self, fast, record: &mut ClosingRecord| {
+            engine.steps_two_to_five(op, fu, cycle, cap, depth, fast, allow_copies, dbg, record)
+        };
+        let ok = if steps(self, true, &mut record) {
+            self.release(sp_steps);
+            true
+        } else {
+            self.rollback(sp_steps);
+            steps(self, false, &mut record)
+        };
+        self.scratch.records.push(record);
+        if self.events.open == 0 {
+            self.events.events.clear();
         }
-        self.rollback(&sp_steps);
-        self.steps_two_to_five(op, fu, cycle, cap, depth, false, allow_copies, dbg)
+        ok
     }
 
+    /// Steps 2–5 of §4.3 on the fast path (`fast`: only the new
+    /// operation's stubs, filling `record` when its closing fails) or the
+    /// slow path (every open stub on its rows, replaying `record` when
+    /// that moves no stub).
     #[allow(clippy::too_many_arguments)]
     fn steps_two_to_five(
         &mut self,
@@ -806,11 +975,12 @@ impl<'a> Engine<'a> {
         fast: bool,
         allow_copies: bool,
         dbg: bool,
+        record: &mut ClosingRecord,
     ) -> bool {
         let block = self.block_of(op);
-        let only = fast.then_some(op);
         // Step 2: permutation of read stubs on the issue row.
-        if !self.permute_reads(block, cycle, only) {
+        let reads = self.permute_reads(block, cycle, op, fast);
+        if reads == Permutation::Failed {
             if dbg {
                 eprintln!("[copyplace] {op} {fu}@{cycle}: read permutation failed (fast={fast})");
             }
@@ -819,7 +989,12 @@ impl<'a> Engine<'a> {
         }
         // Step 3: permutation of write stubs on the completion row.
         let completion = cycle + cap.latency as i64 - 1;
-        if self.universe.op(op).has_result && !self.permute_writes(block, completion, only) {
+        let writes = if self.universe.op(op).has_result {
+            self.permute_writes(block, completion, op, fast)
+        } else {
+            Permutation::Kept
+        };
+        if writes == Permutation::Failed {
             if dbg {
                 eprintln!("[copyplace] {op} {fu}@{cycle}: write permutation failed (fast={fast})");
             }
@@ -827,7 +1002,16 @@ impl<'a> Engine<'a> {
             return false;
         }
         // Steps 4 + 5: assign routes / insert copies for closing comms.
-        let r = self.close_comms(op, depth, allow_copies);
+        let r = if fast {
+            self.close_comms_recorded(op, depth, allow_copies, record)
+        } else if reads == Permutation::Kept
+            && writes == Permutation::Kept
+            && self.replay_closing(op, depth, allow_copies, record)
+        {
+            false
+        } else {
+            self.close_comms(op, depth, allow_copies)
+        };
         if !r {
             if dbg {
                 eprintln!("[copyplace] {op} {fu}@{cycle}: closing failed (fast={fast})");
@@ -839,14 +1023,17 @@ impl<'a> Engine<'a> {
 
     // ----- step 2: read-stub permutation -----
 
-    fn permute_reads(&mut self, block: BlockId, cycle: i64, only: Option<SOpId>) -> bool {
+    /// Step 2 for `op`, just placed issuing on `cycle`: with `fast`, a
+    /// permutation of its own read stubs only; otherwise of every open
+    /// read stub on the row.
+    fn permute_reads(&mut self, block: BlockId, cycle: i64, op: SOpId, fast: bool) -> Permutation {
         // The scratch buffers are taken out of the engine for the duration
         // of the call (no `place` recursion crosses a permutation, so a
         // single set suffices) and restored on every exit path.
         let mut bufs = std::mem::take(&mut self.scratch.rperm);
-        let ok = self.permute_reads_inner(block, cycle, only, &mut bufs);
+        let outcome = self.permute_reads_inner(block, cycle, op, fast, &mut bufs);
         self.scratch.rperm = bufs;
-        ok
+        outcome
     }
 
     /// Collects participants for [`Engine::permute_reads`]: non-frozen
@@ -890,50 +1077,49 @@ impl<'a> Engine<'a> {
         &mut self,
         block: BlockId,
         cycle: i64,
-        only: Option<SOpId>,
+        op: SOpId,
+        fast: bool,
         bufs: &mut RPermBufs,
-    ) -> bool {
+    ) -> Permutation {
         // Participants: non-frozen operands of ops placed in `block` whose
         // issue shares this row, having at least one unclosed
-        // communication, in (op, slot) order. With `only`, restrict to that
-        // operation's operands (fast path).
+        // communication, in (op, slot) order. With `fast`, restrict to
+        // `op`'s operands.
         bufs.participants.clear();
-        match only {
-            Some(o) => {
-                let on_row = self.placements[o.index()]
-                    .is_some_and(|p| self.same_row(block, p.cycle, cycle));
-                if self.block_of(o) == block && on_row {
+        if fast {
+            let on_row =
+                self.placements[op.index()].is_some_and(|p| self.same_row(block, p.cycle, cycle));
+            if self.block_of(op) == block && on_row {
+                self.read_participants_of(op, &mut bufs.participants);
+            }
+        } else {
+            let row = self.row_slot(block, cycle);
+            if let Some(ops) = self.row_index[block.index()].issue.get(row) {
+                for &o in ops {
                     self.read_participants_of(o, &mut bufs.participants);
                 }
             }
-            None => {
-                let row = self.row_slot(block, cycle);
-                if let Some(ops) = self.row_index[block.index()].issue.get(row) {
-                    for &o in ops {
-                        self.read_participants_of(o, &mut bufs.participants);
-                    }
-                }
-                bufs.participants.sort_unstable();
-                debug_assert_eq!(
-                    bufs.participants,
-                    self.read_participants_scan(block, cycle),
-                    "row index disagrees with a full scan"
-                );
-            }
+            bufs.participants.sort_unstable();
+            debug_assert_eq!(
+                bufs.participants,
+                self.read_participants_scan(block, cycle),
+                "row index disagrees with a full scan"
+            );
         }
         if bufs.participants.is_empty() {
-            return true;
+            return Permutation::Kept;
         }
         let Some(row) = self.tables[block.index()].claim_row(cycle) else {
-            return false;
+            return Permutation::Failed;
         };
 
-        // Release current tentative stubs.
+        // Release current tentative stubs. Nothing reads a participant's
+        // `operand_stub` until the search ends, so it keeps the old stub
+        // for the comparison below (a failed search is rolled back).
         for &(o, slot) in &bufs.participants {
             let idx = self.universe.operand_index(o, slot);
             if let Some(stub) = self.operand_stub[idx] {
                 self.tables[block.index()].unplace_read_stub_at(row, stub, o, slot);
-                self.set_operand(idx, None, false);
             }
         }
 
@@ -977,7 +1163,7 @@ impl<'a> Engine<'a> {
             let mut advanced = false;
             while bufs.pos[i] < ncand {
                 if budget == 0 {
-                    return false;
+                    return Permutation::Failed;
                 }
                 budget -= 1;
                 let stub = bufs.cand[start as usize + bufs.pos[i]];
@@ -995,24 +1181,31 @@ impl<'a> Engine<'a> {
                 }
             } else {
                 if i == 0 {
-                    return false;
+                    return Permutation::Failed;
                 }
                 i -= 1;
                 let (po, pslot) = bufs.participants[i];
                 let Some(stub) = bufs.chosen[i].take() else {
-                    return self.fail_internal(
+                    self.fail_internal(
                         "permute_reads",
                         format!("backtracked to {po} slot {pslot} with no chosen stub"),
                     );
+                    return Permutation::Failed;
                 };
                 self.tables[block.index()].unplace_read_stub_at(row, stub, po, pslot);
                 bufs.pos[i] += 1;
             }
         }
+        let mut outcome = Permutation::Kept;
         for k in 0..n {
             let (o, slot) = bufs.participants[k];
             let idx = self.universe.operand_index(o, slot);
-            self.set_operand(idx, bufs.chosen[k], false);
+            if self.operand_stub[idx] != bufs.chosen[k] {
+                if o != op {
+                    outcome = Permutation::Moved;
+                }
+                self.set_operand(idx, bufs.chosen[k], false);
+            }
             if let Some(stub) = bufs.chosen[k] {
                 self.emit(TraceEvent::ReadStubAllocated {
                     op: o.index() as u32,
@@ -1022,7 +1215,7 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        true
+        outcome
     }
 
     /// Sort key for the §4.4 ordering: closing communications first
@@ -1094,13 +1287,22 @@ impl<'a> Engine<'a> {
 
     // ----- step 3: write-stub permutation -----
 
-    fn permute_writes(&mut self, block: BlockId, completion: i64, only: Option<SOpId>) -> bool {
+    /// Step 3 for `op`, just placed completing on `completion`: with
+    /// `fast`, a permutation of its own write stubs only; otherwise of
+    /// every open write stub on the row.
+    fn permute_writes(
+        &mut self,
+        block: BlockId,
+        completion: i64,
+        op: SOpId,
+        fast: bool,
+    ) -> Permutation {
         // Scratch buffers are taken/restored exactly as in
         // [`Engine::permute_reads`].
         let mut bufs = std::mem::take(&mut self.scratch.wperm);
-        let ok = self.permute_writes_inner(block, completion, only, &mut bufs);
+        let outcome = self.permute_writes_inner(block, completion, op, fast, &mut bufs);
         self.scratch.wperm = bufs;
-        ok
+        outcome
     }
 
     /// Whether `cid` participates in a write permutation on `completion`'s
@@ -1139,60 +1341,52 @@ impl<'a> Engine<'a> {
         &mut self,
         block: BlockId,
         completion: i64,
-        only: Option<SOpId>,
+        op: SOpId,
+        fast: bool,
         bufs: &mut WPermBufs,
-    ) -> bool {
-        // Participants in ascending communication id. With `only`, walk
-        // just that producer's outgoing communications (fast path), which
-        // `comms_from` lists in ascending id order; otherwise those of
-        // every operation completing on the row.
+    ) -> Permutation {
+        // Participants in ascending communication id. With `fast`, walk
+        // just `op`'s outgoing communications, which `comms_from` lists in
+        // ascending id order; otherwise those of every operation
+        // completing on the row.
         bufs.participants.clear();
-        match only {
-            Some(o) => {
-                for &cid in self.universe.comms_from(o) {
-                    if let Some(part) = self.write_participant(cid, block, completion) {
-                        bufs.participants.push(part);
-                    }
+        if fast {
+            for &cid in self.universe.comms_from(op) {
+                if let Some(part) = self.write_participant(cid, block, completion) {
+                    bufs.participants.push(part);
                 }
             }
-            None => {
-                let row = self.row_slot(block, completion);
-                if let Some(ops) = self.row_index[block.index()].completion.get(row) {
-                    for &o in ops {
-                        for &cid in self.universe.comms_from(o) {
-                            if let Some(part) = self.write_participant(cid, block, completion) {
-                                bufs.participants.push(part);
-                            }
+        } else {
+            let row = self.row_slot(block, completion);
+            if let Some(ops) = self.row_index[block.index()].completion.get(row) {
+                for &o in ops {
+                    for &cid in self.universe.comms_from(o) {
+                        if let Some(part) = self.write_participant(cid, block, completion) {
+                            bufs.participants.push(part);
                         }
                     }
                 }
-                bufs.participants.sort_unstable_by_key(|&(cid, _)| cid);
-                debug_assert_eq!(
-                    bufs.participants,
-                    self.write_participants_scan(block, completion),
-                    "row index disagrees with a full scan"
-                );
             }
+            bufs.participants.sort_unstable_by_key(|&(cid, _)| cid);
+            debug_assert_eq!(
+                bufs.participants,
+                self.write_participants_scan(block, completion),
+                "row index disagrees with a full scan"
+            );
         }
         if bufs.participants.is_empty() {
-            return true;
+            return Permutation::Kept;
         }
         let Some(row) = self.tables[block.index()].claim_row(completion) else {
-            return false;
+            return Permutation::Failed;
         };
 
+        // As in step 2, a released stub stays in `comm_info` until the
+        // search ends.
         for &(cid, _) in &bufs.participants {
-            let info = self.comm_info[cid.index()];
-            if let Some(stub) = info.wstub {
+            if let Some(stub) = self.comm_info[cid.index()].wstub {
                 let producer = self.universe.comm(cid).producer;
                 self.tables[block.index()].unplace_write_stub_at(row, stub, producer);
-                self.set_comm_info(
-                    cid,
-                    CommInfo {
-                        wstub: None,
-                        ..info
-                    },
-                );
             }
         }
 
@@ -1225,23 +1419,29 @@ impl<'a> Engine<'a> {
             let producer = self.universe.comm(cid).producer;
             let fanout = self.arch.fu(pfu).output_fanout();
             let out = bufs.search.add_participant(producer, fanout);
-            self.write_candidates_into(cid, &mut bufs.scored, out);
+            self.ranked_write_candidates(cid, pfu, &mut bufs.scored, out);
         }
         let budget = self.config.search_budget;
         let table = &mut self.tables[block.index()];
         if !bufs.search.run(table, row, budget) {
-            return false;
+            return Permutation::Failed;
         }
+        let mut outcome = Permutation::Kept;
         for (k, &(cid, _)) in bufs.participants.iter().enumerate() {
             let info = self.comm_info[cid.index()];
             let chosen = bufs.search.chosen(k);
-            self.set_comm_info(
-                cid,
-                CommInfo {
-                    wstub: chosen,
-                    ..info
-                },
-            );
+            if info.wstub != chosen {
+                if self.universe.comm(cid).producer != op {
+                    outcome = Permutation::Moved;
+                }
+                self.set_comm_info(
+                    cid,
+                    CommInfo {
+                        wstub: chosen,
+                        ..info
+                    },
+                );
+            }
             if let Some(stub) = chosen {
                 self.emit(TraceEvent::WriteStubAllocated {
                     comm: cid.index() as u32,
@@ -1250,7 +1450,60 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        true
+        outcome
+    }
+
+    /// [`Engine::write_candidates_into`] through the engine's memo:
+    /// appends `cid`'s ranked write stubs from producing unit `fu` to
+    /// `out`. The memo keeps each stub as its index among `fu`'s write
+    /// stubs. Debug builds check every hit against a fresh ranking.
+    fn ranked_write_candidates(
+        &mut self,
+        cid: CommId,
+        fu: FuId,
+        scored: &mut Vec<(i64, u32, u32)>,
+        out: &mut Vec<WriteStub>,
+    ) {
+        if self.cache.write_stub_groups(fu).0.len() > usize::from(u16::MAX) {
+            return self.write_candidates_into(cid, scored, out);
+        }
+        let c = self.universe.comm(cid);
+        let producer = c.producer;
+        let key = WriteKey {
+            producer,
+            consumer: c.consumer,
+            slot: c.slot as u32,
+            fu,
+            rf: self.operand_stub[self.universe.operand_index(c.consumer, c.slot)].map(|s| s.rf),
+        };
+        let taken = out.len();
+        if let Some(hit) = self.scratch.wmemo.get(cid, &key) {
+            let (stubs, _) = self.cache.write_stub_groups(fu);
+            out.extend(hit.iter().map(|&i| stubs[usize::from(i)]));
+            if cfg!(debug_assertions) {
+                let mut fresh = Vec::new();
+                self.write_candidates_into(cid, scored, &mut fresh);
+                debug_assert_eq!(
+                    fresh,
+                    out[taken..],
+                    "memoised write-stub ranking for {key:?} is stale"
+                );
+            }
+            return;
+        }
+        if self.rank_write_runs(cid, scored).is_none() {
+            return;
+        }
+        let mut memo = std::mem::take(&mut self.scratch.wmemo);
+        let start = memo.stubs.len();
+        let (stubs, _) = self.cache.write_stub_groups(fu);
+        let ranked = scored.iter().map(|&(_, _, ri)| ri);
+        self.emit_write_runs(fu, producer, ranked, |i| {
+            out.push(stubs[i]);
+            memo.stubs.push(i as u16); // `i` < `stubs.len()`, checked above
+        });
+        memo.insert(cid, key, start);
+        self.scratch.wmemo = memo;
     }
 
     /// Scores and ranks the write stubs available to `cid`'s producer,
@@ -1263,14 +1516,23 @@ impl<'a> Engine<'a> {
         scored: &mut Vec<(i64, u32, u32)>,
         out: &mut Vec<WriteStub>,
     ) {
+        if let Some(fu) = self.rank_write_runs(cid, scored) {
+            let producer = self.universe.comm(cid).producer;
+            let (stubs, _) = self.cache.write_stub_groups(fu);
+            let ranked = scored.iter().map(|&(_, _, ri)| ri);
+            self.emit_write_runs(fu, producer, ranked, |i| out.push(stubs[i]));
+        }
+    }
+
+    /// Ranks the `(file, port)` runs of the write stubs of `cid`'s
+    /// producing unit into `scored` as `(score, rotated port, run)`, best
+    /// first, and returns the unit; `None` if the producer is unplaced.
+    fn rank_write_runs(&self, cid: CommId, scored: &mut Vec<(i64, u32, u32)>) -> Option<FuId> {
         let c = self.universe.comm(cid);
         let producer = c.producer;
         let consumer = c.consumer;
         let slot = c.slot;
-        let fu = match self.placements[producer.index()] {
-            Some(p) => p.fu,
-            None => return,
-        };
+        let fu = self.placements[producer.index()]?.fu;
         // Equal-score candidates are rotated by a per-producer seed:
         // communications from different producers spread across ports and
         // buses (instead of competing for the first few once the list is
@@ -1279,11 +1541,10 @@ impl<'a> Engine<'a> {
         // a single bus and respect the output fanout.
         let seed = producer.index() as u32;
         let nports = self.arch.num_write_ports().max(1) as u32;
-        let nbuses = self.arch.num_buses().max(1) as u32;
         let operand_idx = self.universe.operand_index(consumer, slot);
         let target_rf = self.operand_stub[operand_idx].map(|s| s.rf);
         let opcode = self.universe.op(consumer).opcode;
-        let (stubs, groups) = self.cache.write_stub_groups(fu);
+        let (_, groups) = self.cache.write_stub_groups(fu);
         let runs = self.cache.write_stub_port_runs(fu);
         scored.clear();
         for g in groups {
@@ -1314,30 +1575,48 @@ impl<'a> Engine<'a> {
                 scored.push((score, rot_port % nports, ri));
             }
         }
-        // The full ranking sorts stubs by `(score, rotated port, rotated
-        // bus)`. That key factors over the per-`(file, port)` runs: the
-        // score is constant per file and the rotated port per run, and a
-        // write port belongs to exactly one file, so `(score, rotated
-        // port)` is a total order over runs. Within a run the buses are
-        // sorted ascending, and ascending *rotated* bus order is the same
-        // array rotated at the wrap point `split` (the first bus whose
-        // rotation folds to zero). Emitting runs in sorted order and each
-        // run's bus ring from `split` therefore reproduces exactly the
-        // stub order of sorting every `(score, port, bus)` key — without
-        // materialising or sorting per-stub keys.
         scored.sort_unstable();
-        let max = self.config.max_stub_candidates;
-        let taken = out.len();
-        let shift = seed.wrapping_mul(13) % nbuses;
+        Some(fu)
+    }
+
+    /// Takes the stubs of `fu`'s port runs in `ranked` order, passing each
+    /// one's index among `fu`'s regrouped write stubs to `take`, until
+    /// `max_stub_candidates` are taken.
+    ///
+    /// The full ranking sorts stubs by `(score, rotated port, rotated
+    /// bus)`. That key factors over the per-`(file, port)` runs: the score
+    /// is constant per file and the rotated port per run, and a write port
+    /// belongs to exactly one file, so `(score, rotated port)` is a total
+    /// order over runs. Within a run the buses are sorted ascending, and
+    /// ascending *rotated* bus order is the same array rotated at the wrap
+    /// point `split` (the first bus whose rotation folds to zero). Taking
+    /// runs in sorted order and each run's bus ring from `split` therefore
+    /// reproduces exactly the stub order of sorting every `(score, port,
+    /// bus)` key — without materialising or sorting per-stub keys.
+    fn emit_write_runs(
+        &self,
+        fu: FuId,
+        producer: SOpId,
+        ranked: impl Iterator<Item = u32>,
+        mut take: impl FnMut(usize),
+    ) {
+        let (stubs, _) = self.cache.write_stub_groups(fu);
+        let runs = self.cache.write_stub_port_runs(fu);
+        let nbuses = self.arch.num_buses().max(1) as u32;
+        let shift = (producer.index() as u32).wrapping_mul(13) % nbuses;
         let split = (nbuses - shift) % nbuses;
-        'runs: for &(_, _, ri) in scored.iter() {
+        let max = self.config.max_stub_candidates;
+        let mut taken = 0;
+        for ri in ranked {
             let run = &runs[ri as usize];
-            let buses = &stubs[run.start as usize..run.end as usize];
-            let pivot = buses.partition_point(|s| (s.bus.index() as u32) < split);
-            for &stub in buses[pivot..].iter().chain(buses[..pivot].iter()) {
-                out.push(stub);
-                if out.len() - taken >= max {
-                    break 'runs;
+            let (start, end) = (run.start as usize, run.end as usize);
+            let pivot =
+                start + stubs[start..end].partition_point(|s| (s.bus.index() as u32) < split);
+            for i in (pivot..end).chain(start..pivot) {
+                take(i);
+                taken += 1;
+                if taken >= max {
+                    return;
                 }
             }
         }
@@ -1381,6 +1660,157 @@ impl<'a> Engine<'a> {
         }
         self.scratch.closing_pool.push(closing);
         ok
+    }
+
+    /// `op`'s read stub per operand slot.
+    fn op_read_stubs(&self, op: SOpId) -> impl Iterator<Item = Option<ReadStub>> + use<'_, 'a> {
+        (0..self.universe.op(op).num_operands)
+            .map(move |slot| self.operand_stub[self.universe.operand_index(op, slot)])
+    }
+
+    /// `op`'s write stub per outgoing communication.
+    fn op_write_stubs(&self, op: SOpId) -> impl Iterator<Item = Option<WriteStub>> + use<'_, 'a> {
+        self.universe
+            .comms_from(op)
+            .iter()
+            .map(|c| self.comm_info[c.index()].wstub)
+    }
+
+    /// Starts recording emitted events when traced; returns where the
+    /// recording starts in the log.
+    fn open_recording(&mut self) -> usize {
+        if self.trace.is_some() {
+            self.events.open += 1;
+        }
+        self.events.events.len()
+    }
+
+    /// Ends the recording [`Engine::open_recording`] started; returns
+    /// where it ends in the log.
+    fn close_recording(&mut self) -> usize {
+        if self.trace.is_some() {
+            self.events.open -= 1;
+        }
+        self.events.events.len()
+    }
+
+    /// [`Engine::close_comms`] on the fast path, recording in `record`
+    /// what it did and whether a replay of it would be exact.
+    fn close_comms_recorded(
+        &mut self,
+        op: SOpId,
+        depth: usize,
+        allow_copies: bool,
+        record: &mut ClosingRecord,
+    ) -> bool {
+        record.reads.clear();
+        record.reads.extend(self.op_read_stubs(op));
+        record.writes.clear();
+        record.writes.extend(self.op_write_stubs(op));
+        let (stats, copy_work) = (self.stats, self.copy_work);
+        let start = self.open_recording();
+        let ok = self.close_comms(op, depth, allow_copies);
+        let end = self.close_recording();
+        // A closing that stopped on the budget, on cancellation or on an
+        // internal error is never replayed.
+        record.replayable = !ok && self.budget_stop.is_none() && self.internal_error.is_none();
+        record.attempts = self.stats.attempts - stats.attempts;
+        record.rejections = self.stats.rejections - stats.rejections;
+        record.cross_block_copy_failures =
+            self.stats.cross_block_copy_failures - stats.cross_block_copy_failures;
+        record.copy_work = copy_work - self.copy_work;
+        record.events = start..end;
+        ok
+    }
+
+    /// Replays the failed fast-path closing of `op` in `record`, if closing
+    /// again from here would fail the same way, and returns whether it did.
+    ///
+    /// The caller has seen the slow path's permutations keep every other
+    /// stub, and `op`'s stubs are checked here, so the closing would start
+    /// from the state the recorded one started from. Only the copy work
+    /// and budget left differ: a rerun could run out of either where the
+    /// recorded closing did not, or see the budget's token cancelled, and
+    /// those cases rerun for real.
+    fn replay_closing(
+        &mut self,
+        op: SOpId,
+        depth: usize,
+        allow_copies: bool,
+        record: &ClosingRecord,
+    ) -> bool {
+        if !record.replayable
+            || self.copy_work < record.copy_work
+            || !self.op_read_stubs(op).eq(record.reads.iter().copied())
+            || !self.op_write_stubs(op).eq(record.writes.iter().copied())
+        {
+            return false;
+        }
+        // Debug builds close for real first and check the replay against
+        // what that did.
+        let check = cfg!(debug_assertions).then(|| {
+            let spent = self.budget.map(StepBudget::spent);
+            (self.rerun_closing(op, depth, allow_copies), spent)
+        });
+        if let Some(budget) = self.budget {
+            if !budget.charge(record.attempts) {
+                return false;
+            }
+        }
+        self.stats.attempts += record.attempts;
+        self.stats.rejections += record.rejections;
+        self.stats.cross_block_copy_failures += record.cross_block_copy_failures;
+        self.copy_work -= record.copy_work;
+        for i in record.events.clone() {
+            let event = self.events.events[i].clone();
+            self.emit(event);
+        }
+        if let Some((rerun, spent)) = check {
+            debug_assert!(!rerun.ok, "replayed a closing that reruns differently");
+            debug_assert_eq!(self.stats, rerun.stats, "replayed counters differ");
+            debug_assert_eq!(
+                self.copy_work, rerun.copy_work,
+                "replayed copy work differs"
+            );
+            debug_assert_eq!(
+                self.events.events[record.events.clone()],
+                rerun.events[..],
+                "replayed events differ"
+            );
+            if let (Some(budget), Some(spent)) = (self.budget, spent) {
+                debug_assert_eq!(
+                    budget.spent() - spent,
+                    rerun.attempts,
+                    "replayed budget charge differs"
+                );
+            }
+        }
+        true
+    }
+
+    /// Closes `op` for real from here, muted and without the budget, and
+    /// returns what that did, leaving the engine as it was (the debug
+    /// check of [`Engine::replay_closing`]).
+    fn rerun_closing(&mut self, op: SOpId, depth: usize, allow_copies: bool) -> ClosingRerun {
+        let sp = self.savepoint();
+        let (stats, copy_work) = (self.stats, self.copy_work);
+        let budget = self.budget.take();
+        let muted = std::mem::replace(&mut self.events.muted, true);
+        let start = self.open_recording();
+        let ok = self.close_comms(op, depth, allow_copies);
+        self.close_recording();
+        let rerun = ClosingRerun {
+            ok: ok || self.internal_error.is_some(),
+            stats: self.stats,
+            attempts: self.stats.attempts - stats.attempts,
+            copy_work: self.copy_work,
+            events: self.events.events.split_off(start),
+        };
+        self.events.muted = muted;
+        self.budget = budget;
+        self.rollback(sp);
+        (self.stats, self.copy_work) = (stats, copy_work);
+        rerun
     }
 
     fn close_one(&mut self, cid: CommId, depth: usize, allow_copies: bool) -> bool {
@@ -1514,6 +1944,7 @@ impl<'a> Engine<'a> {
         self.scratch.revise = candidates;
         match placed {
             Some(stub) => {
+                self.release(sp);
                 self.set_comm_info(
                     cid,
                     CommInfo {
@@ -1526,7 +1957,7 @@ impl<'a> Engine<'a> {
                     rf: stub.rf.index() as u32,
                 });
             }
-            None => self.rollback(&sp),
+            None => self.rollback(sp),
         }
     }
 
@@ -1571,11 +2002,12 @@ impl<'a> Engine<'a> {
                 continue;
             }
             if self.tables[block.index()].place_read_stub(q.cycle, stub, c.consumer, c.slot) {
+                self.release(sp);
                 self.set_operand(operand_idx, Some(stub), false);
                 return true;
             }
         }
-        self.rollback(&sp);
+        self.rollback(sp);
         false
     }
 

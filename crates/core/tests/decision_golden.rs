@@ -11,7 +11,10 @@
 //!   `default`, `cycle_order`, `without_comm_cost`,
 //!   `without_closing_first` and `recurrence_order`;
 //! - the 40 cells through `schedule_kernel_anytime` at the service's
-//!   200,000-step limit (the retry ladder and the improvement rungs).
+//!   200,000-step limit (the retry ladder and the improvement rungs),
+//!   and at 5,000 and 50,000 steps, limits that run out mid-search on
+//!   20 and 5 of the cells, so the step at which a budget trips is
+//!   pinned too.
 //!
 //! The digest is a hand-written FNV-1a over the events' fields (not their
 //! `Debug` text, which is slow, and not `DefaultHasher`, whose output is
@@ -250,12 +253,9 @@ fn archs() -> [Architecture; 4] {
 enum Run {
     /// `schedule_kernel_traced` under a configuration.
     Single(fn() -> SchedulerConfig),
-    /// `schedule_kernel_anytime_traced` at the service's default limit.
-    Anytime,
+    /// `schedule_kernel_anytime_traced` under a step limit.
+    Anytime(u64),
 }
-
-/// The service's default per-request step limit.
-const ANYTIME_STEPS: u64 = 200_000;
 
 /// Digest of one cell: its event count and the FNV-1a of its event
 /// stream followed by its result.
@@ -267,8 +267,8 @@ fn cell_digest(run: Run, arch: &Architecture, kernel: &str) -> (u64, u64) {
     };
     let result = match run {
         Run::Single(config) => schedule_kernel_traced(arch, &w.kernel, config(), &mut sink),
-        Run::Anytime => {
-            let budget = StepBudget::new(ANYTIME_STEPS);
+        Run::Anytime(steps) => {
+            let budget = StepBudget::new(steps);
             let (result, report) = schedule_kernel_anytime_traced(
                 arch,
                 &w.kernel,
@@ -292,7 +292,7 @@ fn cell_digest(run: Run, arch: &Architecture, kernel: &str) -> (u64, u64) {
 
 /// Pinned `(name, run, total events, digest)` per run kind, over the 40
 /// cells in kernel-major order.
-const GOLDEN: [(&str, Run, u64, u64); 6] = [
+const GOLDEN: [(&str, Run, u64, u64); 8] = [
     (
         "default",
         Run::Single(SchedulerConfig::default),
@@ -323,13 +323,32 @@ const GOLDEN: [(&str, Run, u64, u64); 6] = [
         2217862,
         0xfc6d8048dd537b10,
     ),
-    ("anytime", Run::Anytime, 4632494, 0xf97c44b327ebf22a),
+    // The service's default per-request step limit.
+    (
+        "anytime",
+        Run::Anytime(200_000),
+        4632494,
+        0xf97c44b327ebf22a,
+    ),
+    // Limits that run out mid-search on 20 and 5 of the 40 cells.
+    (
+        "anytime_5k",
+        Run::Anytime(5_000),
+        583489,
+        0xb8f37a03b1081776,
+    ),
+    (
+        "anytime_50k",
+        Run::Anytime(50_000),
+        2489175,
+        0xc165d7b5fbc968ba,
+    ),
 ];
 
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "240 traced runs; CI runs it under the release profile"
+    ignore = "320 traced runs; CI runs it under the release profile"
 )]
 fn decision_streams_match_the_pinned_digests() {
     let archs = archs();
