@@ -136,6 +136,22 @@ SERVE_PID=$!
 SERVE_ADDR="$(serve_wait_addr "$SERVE_DIR/serve1.log")"
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --malformed > /dev/null
+# A machine text declaring `latency 0` is a typed one-line error, not a
+# worker killed by a panic and an empty reply. Sent over bash's /dev/tcp
+# as raw SCHED framing.
+BAD_KERNEL=$'kernel "k" {\n  block b {\n    x = iadd 1, 2\n  }\n}\n'
+BAD_ARCH=$'machine "m" {\n  rf R capacity 8 rports 2 wports 1\n  bus B\n'
+BAD_ARCH+=$'  fu A class alu inputs 2 {\n    op iadd latency 0\n  }\n'
+BAD_ARCH+=$'  drive A -> B\n  tap B -> R[0]\n  feed R[0] -> A.0\n  feed R[1] -> A.1\n}\n'
+exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
+printf 'SCHED\nKERNEL %d\n%sARCH %d\n%sEND\n' "${#BAD_KERNEL}" "$BAD_KERNEL" \
+    "${#BAD_ARCH}" "$BAD_ARCH" >&3
+BAD_REPLY="$(head -1 <&3)"
+exec 3<&-
+case "$BAD_REPLY" in
+    "ERR malformed machine:"*) ;;
+    *) echo "latency 0 got: $BAD_REPLY" >&2; exit 1 ;;
+esac
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --bench-suite --min-ratio 10
 # SIGKILL mid-request: fire a request and kill the server under it; the

@@ -59,18 +59,27 @@ fn block_failed(kernel: &Kernel, block: BlockId, op: OpId) -> SchedError {
 /// The resource-constrained minimum initiation interval: each operation
 /// spreads its issue-occupancy over the units able to execute it.
 pub fn res_mii(arch: &Architecture, kernel: &Kernel) -> u32 {
+    issue_bound(&issue_load(arch, kernel, None))
+}
+
+/// The per-unit spread issue load of the loop block: each operation adds
+/// `issue_interval / n` to each of the `n` units able to execute it.
+/// With `clone_of`, a ghost copy of that unit joins every candidate set
+/// it belongs to, and its load is appended as the last element.
+pub(crate) fn issue_load(arch: &Architecture, kernel: &Kernel, clone_of: Option<FuId>) -> Vec<f64> {
+    let mut load = vec![0.0f64; arch.num_fus() + usize::from(clone_of.is_some())];
     let Some(lb) = kernel.loop_block() else {
-        return 1;
+        return load;
     };
-    let mut load = vec![0.0f64; arch.num_fus()];
     for &op in kernel.block(lb).ops() {
         let opcode = kernel.op(op).opcode();
         let fus = arch.fus_for(opcode);
         if fus.is_empty() {
             continue;
         }
-        let share = 1.0 / fus.len() as f64;
-        for fu in fus {
+        let ghost = clone_of.and_then(|f| arch.fu(f).capability(opcode));
+        let share = 1.0 / (fus.len() + usize::from(ghost.is_some())) as f64;
+        for &fu in &fus {
             let interval = arch
                 .fu(fu)
                 .capability(opcode)
@@ -78,7 +87,15 @@ pub fn res_mii(arch: &Architecture, kernel: &Kernel) -> u32 {
                 .unwrap_or(1);
             load[fu.index()] += share * interval as f64;
         }
+        if let Some(cap) = ghost {
+            load[arch.num_fus()] += share * cap.issue_interval as f64;
+        }
     }
+    load
+}
+
+/// The II an issue load forces: its largest entry, rounded up, at least 1.
+pub(crate) fn issue_bound(load: &[f64]) -> u32 {
     load.iter().fold(1.0f64, |a, &b| a.max(b)).ceil() as u32
 }
 

@@ -63,9 +63,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use csched_ir::{BlockId, Kernel};
-use csched_machine::{
-    Architecture, Capability, FuId, Opcode, ReadStub, ResourceMap, RfId, WriteStub,
-};
+use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub, RfId, WriteStub};
 
 use crate::conn::ConnCache;
 
@@ -73,7 +71,7 @@ use crate::budget::{BudgetStop, StepBudget};
 use crate::config::SchedulerConfig;
 use crate::error::SchedError;
 use crate::schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
-use crate::table::{ResourceTable, TableMode, WriteSearch};
+use crate::table::{ResourceTable, WriteSearch};
 use crate::trace::{RejectReason, TraceEvent, TraceSink};
 use crate::universe::{Comm, CommId, SOpId, Universe};
 
@@ -460,19 +458,7 @@ impl<'a> Engine<'a> {
         cache: Arc<ConnCache>,
     ) -> Self {
         let universe = Universe::build(kernel);
-        let map = ResourceMap::new(arch);
-        let tables: Vec<ResourceTable> = kernel
-            .blocks()
-            .iter()
-            .map(|b| {
-                let mode = if b.is_loop() {
-                    TableMode::Modulo(ii)
-                } else {
-                    TableMode::Linear
-                };
-                ResourceTable::new(map.clone(), mode)
-            })
-            .collect();
+        let tables = ResourceTable::per_block(arch, kernel, ii);
         let num_ops = universe.num_ops();
         let num_operands: usize = universe.ops.iter().map(|o| o.num_operands).sum();
         let num_comms = universe.num_comms();

@@ -65,13 +65,13 @@
 use std::collections::HashMap;
 
 use csched_ir::{BlockId, DepGraph, DepKind, Kernel};
-use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub, ResourceMap};
+use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub};
 
 use crate::budget::{BudgetStop, StepBudget};
 use crate::driver::{not_copy_connected, res_mii};
 use crate::error::SchedError;
 use crate::schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
-use crate::table::{ResourceTable, Savepoint, TableMode};
+use crate::table::{ResourceTable, Savepoint};
 use crate::universe::{Comm, CommId, SOpId, Universe};
 use crate::validate;
 
@@ -383,17 +383,7 @@ impl<'a> Searcher<'a> {
         let universe = Universe::build(kernel);
         let num_ops = universe.num_ops();
         let num_comms = universe.num_comms();
-        let tables: Vec<ResourceTable> = kernel
-            .block_ids()
-            .map(|b| {
-                let mode = if kernel.block(b).is_loop() {
-                    TableMode::Modulo(ii)
-                } else {
-                    TableMode::Linear
-                };
-                ResourceTable::new(ResourceMap::new(arch), mode)
-            })
-            .collect();
+        let tables = ResourceTable::per_block(arch, kernel, ii);
         let mut order = Vec::with_capacity(num_ops);
         for block in kernel.block_ids() {
             for op in graph.operation_order(kernel, block) {

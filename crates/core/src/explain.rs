@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use csched_ir::{DepEdge, DepGraph, Kernel, OpId};
 use csched_machine::{Architecture, FuId, ReadPortId, WritePortId};
 
-use crate::driver::min_latency;
+use crate::driver::{issue_bound, issue_load, min_latency};
 use crate::metrics::{BlockOccupancy, ScheduleMetrics};
 use crate::schedule::Schedule;
 use crate::trace::json_escape;
@@ -261,54 +261,18 @@ fn top_transport(ranking: &[ResourceRank]) -> Option<&ResourceRank> {
     )
 }
 
-/// The unit whose spread issue load realises the ResMII, with that load
-/// (mirrors [`res_mii`]'s load-spreading computation).
+/// The unit whose spread issue load realises the ResMII, with that load.
 fn saturating_fu(arch: &Architecture, kernel: &Kernel) -> (Option<FuId>, f64) {
-    let load = fu_load(arch, kernel, None);
+    let load = issue_load(arch, kernel, None);
     let best = arch
         .fu_ids()
         .max_by(|&a, &b| load[a.index()].total_cmp(&load[b.index()]));
     (best, best.map(|f| load[f.index()]).unwrap_or(0.0))
 }
 
-/// The per-unit spread issue load of the loop block, optionally with a
-/// ghost clone of `clone_of` added to every candidate set it belongs
-/// to. The ghost's load is appended as the last element.
-fn fu_load(arch: &Architecture, kernel: &Kernel, clone_of: Option<FuId>) -> Vec<f64> {
-    let mut load = vec![0.0f64; arch.num_fus() + 1];
-    let Some(lb) = kernel.loop_block() else {
-        return load;
-    };
-    for &op in kernel.block(lb).ops() {
-        let opcode = kernel.op(op).opcode();
-        let fus = arch.fus_for(opcode);
-        if fus.is_empty() {
-            continue;
-        }
-        let ghost = clone_of.and_then(|f| arch.fu(f).capability(opcode).map(|c| (f, c)));
-        let n = fus.len() + usize::from(ghost.is_some());
-        let share = 1.0 / n as f64;
-        for &fu in &fus {
-            let interval = arch
-                .fu(fu)
-                .capability(opcode)
-                .map(|c| c.issue_interval)
-                .unwrap_or(1);
-            load[fu.index()] += share * interval as f64;
-        }
-        if let Some((_, cap)) = ghost {
-            load[arch.num_fus()] += share * cap.issue_interval as f64;
-        }
-    }
-    load
-}
-
 /// ResMII if the machine grew one more unit identical to `like`.
 fn res_mii_with_clone(arch: &Architecture, kernel: &Kernel, like: FuId) -> u32 {
-    fu_load(arch, kernel, Some(like))
-        .iter()
-        .fold(1.0f64, |a, &b| a.max(b))
-        .ceil() as u32
+    issue_bound(&issue_load(arch, kernel, Some(like)))
 }
 
 fn ceil_div(a: usize, b: usize) -> u32 {

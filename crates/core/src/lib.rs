@@ -89,7 +89,7 @@ pub use retry::{
     schedule_kernel_anytime, schedule_kernel_anytime_traced, AnytimeReport, Attempt, RetryPolicy,
     ScheduleReport,
 };
-pub use schedule::{CommDisposition, PipelineSlot, Route, SchedStats, Schedule, ScheduledOp};
+pub use schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
 pub use table::{ResourceTable, Row, TableMode, WriteSearch};
 pub use trace::{decision_filter, JsonlSink, TraceEvent, TraceSink};
 pub use universe::{Comm, CommId, SOp, SOpId, Universe};

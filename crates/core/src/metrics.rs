@@ -5,11 +5,11 @@
 //! (every attempt, including rolled-back subtrees),
 //! [`ScheduleMetrics`] summarises the *surviving schedule*: the achieved
 //! II against its ResMII/RecMII lower bounds, how many copies each
-//! communication cost, and a per-resource occupancy profile obtained by
-//! replaying the schedule's resource claims exactly as the validator
-//! does ([`validate`](crate::validate)) — issue slots for every
-//! operation, one write-stub claim per distinct `(producer, stub)`, one
-//! read-stub claim per consumer operand.
+//! communication cost, and a per-resource occupancy profile read from
+//! the validator's replay of the schedule's resource claims
+//! ([`validate`](crate::validate)) — issue slots for every operation,
+//! one write-stub claim per distinct `(producer, stub)`, one read-stub
+//! claim per consumer operand.
 //!
 //! The summary serialises to JSON ([`ScheduleMetrics::to_json`], used by
 //! `csched-eval`'s `table1 --metrics-json`) and renders as a
@@ -20,14 +20,13 @@
 use std::fmt::Write as _;
 
 use csched_ir::{DepGraph, Kernel};
-use csched_machine::{Architecture, ReadPortId, Resource, ResourceMap, RfId, WritePortId};
+use csched_machine::{Architecture, ReadPortId, Resource, RfId, WritePortId};
 
 use crate::driver::{min_latency, res_mii};
 use crate::retry::ScheduleReport;
 use crate::schedule::Schedule;
-use crate::table::{ResourceTable, TableMode};
 use crate::trace::json_escape;
-use crate::universe::SOpId;
+use crate::validate::replay_claims;
 
 /// Occupancy profile of one resource over a block's rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -41,11 +40,6 @@ pub struct ResourceLoad {
 }
 
 impl ResourceLoad {
-    /// Number of rows with at least one claim.
-    pub fn busy_rows(&self) -> usize {
-        self.profile.iter().filter(|&&n| n > 0).count()
-    }
-
     /// Total claims over all rows.
     pub fn total(&self) -> usize {
         self.profile.iter().sum()
@@ -132,10 +126,10 @@ pub struct ScheduleMetrics {
 }
 
 impl ScheduleMetrics {
-    /// Computes the metrics for `schedule` by replaying its resource
-    /// claims into fresh per-block tables, exactly as the validator does.
+    /// Computes the metrics for `schedule`, reading its occupancy from
+    /// the validator's replay of its resource claims.
     ///
-    /// The replay is best-effort: `schedule` is assumed to have passed
+    /// `schedule` is assumed to have passed
     /// [`validate`](crate::validate::validate), so claim failures (which
     /// cannot happen on a valid schedule) are ignored rather than
     /// reported here.
@@ -151,60 +145,9 @@ impl ScheduleMetrics {
             }
         };
 
-        // --- resource replay (mirrors validate.rs) ---
-        let map = ResourceMap::new(arch);
-        let mut tables: Vec<ResourceTable> = kernel
-            .blocks()
-            .iter()
-            .map(|b| {
-                let mode = if b.is_loop() {
-                    TableMode::Modulo(ii.unwrap_or(1).max(1))
-                } else {
-                    TableMode::Linear
-                };
-                ResourceTable::new(map.clone(), mode)
-            })
-            .collect();
-        for op in u.op_ids() {
-            let p = schedule.placement(op);
-            let block = u.op(op).block;
-            let interval = arch
-                .fu(p.fu)
-                .capability(u.op(op).opcode)
-                .map(|c| c.issue_interval)
-                .unwrap_or(1);
-            let _ = tables[block.index()].place_issue(p.cycle, p.fu, interval, op);
-        }
-        let mut placed_writes: std::collections::HashSet<(SOpId, csched_machine::WriteStub)> =
-            std::collections::HashSet::new();
-        let mut placed_reads: std::collections::HashSet<(SOpId, usize)> =
-            std::collections::HashSet::new();
-        for cid in u.comm_ids() {
-            for (leg_id, route) in schedule.transport(cid) {
-                let leg = u.comm(leg_id);
-                let p = schedule.placement(leg.producer);
-                let q = schedule.placement(leg.consumer);
-                let pb = u.op(leg.producer).block;
-                let qb = u.op(leg.consumer).block;
-                if placed_writes.insert((leg.producer, route.wstub)) {
-                    let fanout = arch.fu(p.fu).output_fanout();
-                    let _ = tables[pb.index()].place_write_stub(
-                        p.completion(),
-                        route.wstub,
-                        leg.producer,
-                        fanout,
-                    );
-                }
-                if placed_reads.insert((leg.consumer, leg.slot)) {
-                    let _ = tables[qb.index()].place_read_stub(
-                        q.cycle,
-                        route.rstub,
-                        leg.consumer,
-                        leg.slot,
-                    );
-                }
-            }
-        }
+        // The validator's replay; a valid schedule has no conflicts to
+        // report.
+        let tables = replay_claims(arch, kernel, schedule, &mut Vec::new());
 
         // --- per-block occupancy profiles ---
         let blocks: Vec<BlockOccupancy> = kernel

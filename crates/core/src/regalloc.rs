@@ -442,211 +442,3 @@ mod spill_tests {
         }
     }
 }
-
-/// Errors from [`assign`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AssignError {
-    /// A register file's demand exceeds its capacity; the spill plan in
-    /// the accompanying report says what to move where.
-    Overflow {
-        /// The overflowing file.
-        rf: RfId,
-        /// Registers required.
-        required: usize,
-        /// Registers available.
-        capacity: usize,
-    },
-}
-
-impl std::fmt::Display for AssignError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AssignError::Overflow {
-                rf,
-                required,
-                capacity,
-            } => write!(
-                f,
-                "register file {rf} needs {required} registers but has {capacity}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AssignError {}
-
-/// A concrete register assignment: each staged value gets a contiguous
-/// block of rotating registers in its file (modulo variable expansion —
-/// iteration `k`'s instance lives in `base + (k mod count)`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegisterAssignment {
-    /// Per (value producer, file): `(base register, instance count)`.
-    pub slots: HashMap<(SOpId, RfId), (usize, usize)>,
-    /// Registers used per file (indexed by `RfId`).
-    pub used: Vec<usize>,
-}
-
-impl RegisterAssignment {
-    /// The register iteration `iteration`'s instance of `value` occupies
-    /// in `rf`, or `None` if `(value, rf)` was not assigned (the value is
-    /// not staged through that file).
-    pub fn register_of(&self, value: SOpId, rf: RfId, iteration: u64) -> Option<usize> {
-        let &(base, count) = self.slots.get(&(value, rf))?;
-        Some(base + (iteration as usize % count.max(1)))
-    }
-}
-
-/// Produces a concrete register assignment for `schedule`, rotating each
-/// value across `ceil(lifetime / II)` registers in its staging file.
-///
-/// # Errors
-///
-/// Returns [`AssignError::Overflow`] when a file lacks capacity; run
-/// [`analyze`] for the spill plan in that case.
-pub fn assign(
-    arch: &Architecture,
-    kernel: &Kernel,
-    schedule: &Schedule,
-) -> Result<RegisterAssignment, AssignError> {
-    let report = analyze(arch, kernel, schedule);
-    let mut slots = HashMap::new();
-    let mut used = vec![0usize; arch.num_rfs()];
-    for pressure in &report.per_rf {
-        let mut next = 0usize;
-        for &(value, instances) in &pressure.values {
-            slots.insert((value, pressure.rf), (next, instances));
-            next += instances;
-        }
-        if next > arch.rf(pressure.rf).capacity() {
-            return Err(AssignError::Overflow {
-                rf: pressure.rf,
-                required: next,
-                capacity: arch.rf(pressure.rf).capacity(),
-            });
-        }
-        used[pressure.rf.index()] = next;
-    }
-    Ok(RegisterAssignment { slots, used })
-}
-
-#[cfg(test)]
-mod assign_tests {
-    use super::*;
-    use crate::{schedule_kernel, SchedulerConfig};
-    use csched_ir::KernelBuilder;
-    use csched_machine::imagine;
-
-    fn long_lived_kernel() -> Kernel {
-        // x is read again many cycles after it is produced, so it needs
-        // several rotating instances at small II.
-        let mut kb = KernelBuilder::new("longlife");
-        let input = kb.region("in", true);
-        let output = kb.region("out", true);
-        let lp = kb.loop_block("body");
-        let i = kb.loop_var(lp, 0i64.into());
-        let x = kb.load(lp, input, i.into(), 0i64.into());
-        let mut y = x;
-        for _ in 0..5 {
-            y = kb.push(lp, csched_machine::Opcode::IMul, [y.into(), 3i64.into()]);
-        }
-        // Late re-read of x keeps it live across the multiply chain.
-        let z = kb.push(lp, csched_machine::Opcode::IAdd, [y.into(), x.into()]);
-        kb.store(lp, output, i.into(), 100i64.into(), z.into());
-        let i1 = kb.push(lp, csched_machine::Opcode::IAdd, [i.into(), 1i64.into()]);
-        kb.set_update(i, i1.into());
-        kb.build().unwrap()
-    }
-
-    /// Brute-force check of modulo variable expansion: simulate the flat
-    /// lifetimes of every instance over many iterations and assert that no
-    /// register ever holds two live instances.
-    fn verify_no_overlap(schedule: &Schedule, assignment: &RegisterAssignment, trips: u64) {
-        let u = schedule.universe();
-        let ii = schedule.ii().unwrap_or(1) as i64;
-        // (rf, register) -> occupied flat-cycle intervals.
-        type Interval = (i64, i64, SOpId, u64);
-        let mut occupancy: HashMap<(RfId, usize), Vec<Interval>> = HashMap::new();
-        for cid in u.comm_ids() {
-            for (leg_id, route) in schedule.transport(cid) {
-                let leg = u.comm(leg_id);
-                if u.op(leg.producer).block != u.op(leg.consumer).block {
-                    continue; // persistent preamble values: one register
-                }
-                let p = schedule.placement(leg.producer);
-                let q = schedule.placement(leg.consumer);
-                for k in 0..trips {
-                    let write = p.completion() + k as i64 * ii;
-                    let read = q.cycle + (k + leg.distance as u64) as i64 * ii;
-                    let reg = assignment
-                        .register_of(leg.producer, route.wstub.rf, k)
-                        .expect("staged value assigned");
-                    occupancy.entry((route.wstub.rf, reg)).or_default().push((
-                        write,
-                        read,
-                        leg.producer,
-                        k,
-                    ));
-                }
-            }
-        }
-        for ((rf, reg), mut intervals) in occupancy {
-            intervals.sort();
-            // Merge intervals of the same instance (several readers).
-            let mut merged: Vec<Interval> = Vec::new();
-            for iv in intervals {
-                match merged.last_mut() {
-                    Some(last) if last.2 == iv.2 && last.3 == iv.3 => {
-                        last.1 = last.1.max(iv.1);
-                    }
-                    _ => merged.push(iv),
-                }
-            }
-            for w in merged.windows(2) {
-                assert!(
-                    w[0].1 <= w[1].0,
-                    "{rf:?} register {reg}: instance {:?}#{} (live {}..{}) overlaps {:?}#{} (from {})",
-                    w[0].2, w[0].3, w[0].0, w[0].1, w[1].2, w[1].3, w[1].0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn assignment_is_overlap_free_on_all_machines() {
-        let kernel = long_lived_kernel();
-        for arch in imagine::all_variants() {
-            let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
-            let assignment =
-                assign(&arch, &kernel, &s).unwrap_or_else(|e| panic!("{}: {e}", arch.name()));
-            verify_no_overlap(&s, &assignment, 16);
-            // Bookkeeping consistency.
-            for (&(_, rf), &(base, count)) in &assignment.slots {
-                assert!(base + count <= assignment.used[rf.index()]);
-            }
-        }
-    }
-
-    #[test]
-    fn long_lifetimes_rotate_across_registers() {
-        let kernel = long_lived_kernel();
-        let arch = imagine::distributed();
-        let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
-        let assignment = assign(&arch, &kernel, &s).unwrap();
-        let rotating = assignment
-            .slots
-            .values()
-            .filter(|&&(_, count)| count > 1)
-            .count();
-        assert!(rotating > 0, "x must need multiple rotating instances");
-        // Different iterations land in different registers.
-        let (&(value, rf), _) = assignment
-            .slots
-            .iter()
-            .find(|(_, &(_, count))| count > 1)
-            .unwrap();
-        assert_ne!(
-            assignment.register_of(value, rf, 0).unwrap(),
-            assignment.register_of(value, rf, 1).unwrap()
-        );
-    }
-}

@@ -327,107 +327,3 @@ impl fmt::Display for Schedule {
         )
     }
 }
-
-/// One issued operation in an expanded software pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PipelineSlot {
-    /// The operation issued.
-    pub op: SOpId,
-    /// The loop iteration it belongs to.
-    pub iteration: u64,
-    /// The unit executing it.
-    pub fu: FuId,
-}
-
-impl Schedule {
-    /// Expands the loop block's software pipeline for `trip` iterations
-    /// into a flat cycle-indexed issue table (iteration `k` offset by
-    /// `k · II`), the form a code generator's prologue/steady-state/
-    /// epilogue emission works from. Returns an empty table when the
-    /// kernel has no loop.
-    pub fn expand_pipeline(&self, kernel: &Kernel, trip: u64) -> Vec<Vec<PipelineSlot>> {
-        let Some(loop_block) = kernel.loop_block() else {
-            return Vec::new();
-        };
-        let Some(ii) = self.ii else { return Vec::new() };
-        let flat = self.block_len(loop_block);
-        if trip == 0 {
-            return Vec::new();
-        }
-        let total = (flat + (trip as i64 - 1) * ii as i64).max(0) as usize;
-        let mut table: Vec<Vec<PipelineSlot>> = vec![Vec::new(); total];
-        for op in self.universe.op_ids() {
-            if self.universe.op(op).block != loop_block {
-                continue;
-            }
-            let p = self.placement(op);
-            for k in 0..trip {
-                let cycle = (p.cycle + k as i64 * ii as i64) as usize;
-                table[cycle].push(PipelineSlot {
-                    op,
-                    iteration: k,
-                    fu: p.fu,
-                });
-            }
-        }
-        for row in &mut table {
-            row.sort_by_key(|s| (s.fu, s.op));
-        }
-        table
-    }
-}
-
-#[cfg(test)]
-mod pipeline_tests {
-    use crate::{schedule_kernel, SchedulerConfig};
-    use csched_ir::KernelBuilder;
-    use csched_machine::{imagine, Opcode};
-
-    #[test]
-    fn expansion_has_no_unit_conflicts_and_covers_all_ops() {
-        let mut kb = KernelBuilder::new("pipe");
-        let input = kb.region("in", true);
-        let output = kb.region("out", true);
-        let lp = kb.loop_block("body");
-        let i = kb.loop_var(lp, 0i64.into());
-        let x = kb.load(lp, input, i.into(), 0i64.into());
-        let y = kb.push(lp, Opcode::FMul, [x.into(), x.into()]);
-        let z = kb.push(lp, Opcode::FAdd, [y.into(), 1.5f64.into()]);
-        kb.store(lp, output, i.into(), 100i64.into(), z.into());
-        let i1 = kb.push(lp, Opcode::IAdd, [i.into(), 1i64.into()]);
-        kb.set_update(i, i1.into());
-        let kernel = kb.build().unwrap();
-
-        let arch = imagine::distributed();
-        let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
-        let trip = 9u64;
-        let table = s.expand_pipeline(&kernel, trip);
-        assert!(!table.is_empty());
-
-        let mut issued = 0usize;
-        for row in &table {
-            // No functional unit issues twice on one cycle.
-            let mut fus: Vec<_> = row.iter().map(|slot| slot.fu).collect();
-            fus.sort_unstable();
-            fus.dedup();
-            assert_eq!(fus.len(), row.len(), "unit double-booked in flat pipeline");
-            issued += row.len();
-        }
-        let loop_ops = s
-            .universe()
-            .op_ids()
-            .filter(|&o| s.universe().op(o).block == kernel.loop_block().unwrap())
-            .count();
-        assert_eq!(issued, loop_ops * trip as usize);
-
-        // Steady state: interior cycles issue from several iterations at
-        // once whenever the flat body is longer than the II.
-        let ii = s.ii().unwrap() as i64;
-        if s.block_len(kernel.loop_block().unwrap()) > ii {
-            let mid = table.len() / 2;
-            let iters: std::collections::HashSet<u64> =
-                table[mid].iter().map(|s| s.iteration).collect();
-            assert!(!iters.is_empty());
-        }
-    }
-}

@@ -55,7 +55,8 @@
 //! Linear tables expect non-negative cycles (the driver never schedules
 //! below cycle 0); a negative linear cycle is rejected as a conflict.
 
-use csched_machine::{FuId, ReadPortId, ReadStub, Resource, ResourceMap, WriteStub};
+use csched_ir::Kernel;
+use csched_machine::{Architecture, FuId, ReadPortId, ReadStub, Resource, ResourceMap, WriteStub};
 
 use crate::universe::SOpId;
 
@@ -141,6 +142,25 @@ impl ResourceTable {
             cells: vec![Vec::new(); rows * nres],
             journal: Vec::new(),
         }
+    }
+
+    /// One empty table per block of `kernel`, in block order: modulo
+    /// rows at `ii` for the loop block, linear rows for straight-line
+    /// blocks.
+    pub(crate) fn per_block(arch: &Architecture, kernel: &Kernel, ii: u32) -> Vec<Self> {
+        let map = ResourceMap::new(arch);
+        kernel
+            .blocks()
+            .iter()
+            .map(|b| {
+                let mode = if b.is_loop() {
+                    TableMode::Modulo(ii.max(1))
+                } else {
+                    TableMode::Linear
+                };
+                ResourceTable::new(map.clone(), mode)
+            })
+            .collect()
     }
 
     /// The table's mode.
@@ -546,34 +566,6 @@ impl ResourceTable {
         self.apply_claim(bcell, Payload::ReadBus { port: stub.port }, b_adm);
         self.apply_claim(icell, payload, i_adm);
         true
-    }
-
-    /// Whether a write stub could be placed (non-mutating probe).
-    pub fn can_place_write_stub(
-        &mut self,
-        cycle: i64,
-        stub: WriteStub,
-        value: SOpId,
-        fanout: usize,
-    ) -> bool {
-        let sp = self.savepoint();
-        let ok = self.place_write_stub(cycle, stub, value, fanout);
-        self.rollback(sp);
-        ok
-    }
-
-    /// Whether a read stub could be placed (non-mutating probe).
-    pub fn can_place_read_stub(
-        &mut self,
-        cycle: i64,
-        stub: ReadStub,
-        op: SOpId,
-        slot: usize,
-    ) -> bool {
-        let sp = self.savepoint();
-        let ok = self.place_read_stub(cycle, stub, op, slot);
-        self.rollback(sp);
-        ok
     }
 }
 
@@ -1073,18 +1065,6 @@ mod tests {
         let fu = arch.fu_by_name("ADD0").unwrap();
         assert!(!t.place_issue(0, fu, 4, op(0)));
         assert!(t.place_issue(0, fu, 3, op(0)));
-    }
-
-    #[test]
-    fn probes_do_not_mutate() {
-        let (arch, mut t) = setup();
-        let add0 = arch.fu_by_name("ADD0").unwrap();
-        let stub = arch.write_stubs(add0)[0];
-        assert!(t.can_place_write_stub(0, stub, op(0), 1));
-        assert!(t.can_place_write_stub(0, stub, op(1), 1)); // still free
-        let rstub = arch.read_stubs(add0, 1)[0];
-        assert!(t.can_place_read_stub(0, rstub, op(0), 1));
-        assert!(t.can_place_read_stub(0, rstub, op(1), 1));
     }
 
     #[test]

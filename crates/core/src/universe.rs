@@ -302,13 +302,6 @@ impl Universe {
         &self.operand_comms[self.operand_index(op, slot)]
     }
 
-    /// All communications into `op` across its operands.
-    pub fn comms_to(&self, op: SOpId) -> Vec<CommId> {
-        (0..self.op(op).num_operands)
-            .flat_map(|s| self.comms_to_operand(op, s).iter().copied())
-            .collect()
-    }
-
     /// Communications out of `op`'s result.
     pub fn comms_from(&self, op: SOpId) -> &[CommId] {
         &self.producer_comms[op.index()]
@@ -395,13 +388,5 @@ mod tests {
         assert!(u
             .comm_ids()
             .all(|c| u.comm(c).producer.index() < before_ops));
-    }
-
-    #[test]
-    fn comms_to_flattens_operands() {
-        let k = sample();
-        let u = Universe::build(&k);
-        let store = SOpId::from_raw(3);
-        assert_eq!(u.comms_to(store).len(), 3); // addr (2: init+carried) + value (1)
     }
 }

@@ -7,14 +7,14 @@
 //! scheduler never consults this module, so bookkeeping bugs in the engine
 //! cannot hide here; the property tests lean on it heavily.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use csched_ir::{DepGraph, DepKind, Kernel};
-use csched_machine::{Architecture, ResourceMap};
+use csched_machine::{Architecture, WriteStub};
 
 use crate::schedule::Schedule;
-use crate::table::{ResourceTable, TableMode};
+use crate::table::ResourceTable;
 use crate::universe::{CommId, SOpId};
 
 /// One validation failure.
@@ -255,20 +255,29 @@ pub fn validate(
         }
     }
 
-    // --- resource replay ---
-    let map = ResourceMap::new(arch);
-    let mut tables: Vec<ResourceTable> = kernel
-        .blocks()
-        .iter()
-        .map(|b| {
-            let mode = if b.is_loop() {
-                TableMode::Modulo(ii as u32)
-            } else {
-                TableMode::Linear
-            };
-            ResourceTable::new(map.clone(), mode)
-        })
-        .collect();
+    replay_claims(arch, kernel, schedule, &mut errors);
+
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
+/// Replays `schedule`'s resource claims into fresh per-block tables:
+/// the issue slots of every operation, one write-stub claim per distinct
+/// `(producer, stub)` and one read-stub claim per consumer operand. Each
+/// claim the tables refuse is pushed onto `errors` as a
+/// [`ValidationError::ResourceConflict`]. The metrics report reads its
+/// occupancy profiles from the returned tables.
+pub(crate) fn replay_claims(
+    arch: &Architecture,
+    kernel: &Kernel,
+    schedule: &Schedule,
+    errors: &mut Vec<ValidationError>,
+) -> Vec<ResourceTable> {
+    let u = schedule.universe();
+    let mut tables = ResourceTable::per_block(arch, kernel, schedule.ii().unwrap_or(1));
     for op in u.op_ids() {
         let p = schedule.placement(op);
         let block = u.op(op).block;
@@ -283,10 +292,8 @@ pub fn validate(
             });
         }
     }
-    // Stub claims: write stubs once per distinct (producer, stub); read
-    // stubs once per consumer operand.
-    let mut placed_writes: HashMap<(SOpId, csched_machine::WriteStub), ()> = HashMap::new();
-    let mut placed_reads: HashMap<(SOpId, usize), ()> = HashMap::new();
+    let mut placed_writes: HashSet<(SOpId, WriteStub)> = HashSet::new();
+    let mut placed_reads: HashSet<(SOpId, usize)> = HashSet::new();
     for cid in u.comm_ids() {
         for (leg_id, route) in schedule.transport(cid) {
             let leg = u.comm(leg_id);
@@ -294,10 +301,7 @@ pub fn validate(
             let q = schedule.placement(leg.consumer);
             let pb = u.op(leg.producer).block;
             let qb = u.op(leg.consumer).block;
-            if placed_writes
-                .insert((leg.producer, route.wstub), ())
-                .is_none()
-            {
+            if placed_writes.insert((leg.producer, route.wstub)) {
                 let fanout = arch.fu(p.fu).output_fanout();
                 if !tables[pb.index()].place_write_stub(
                     p.completion(),
@@ -310,7 +314,7 @@ pub fn validate(
                     });
                 }
             }
-            if placed_reads.insert((leg.consumer, leg.slot), ()).is_none()
+            if placed_reads.insert((leg.consumer, leg.slot))
                 && !tables[qb.index()].place_read_stub(q.cycle, route.rstub, leg.consumer, leg.slot)
             {
                 errors.push(ValidationError::ResourceConflict {
@@ -319,12 +323,7 @@ pub fn validate(
             }
         }
     }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    tables
 }
 
 #[cfg(test)]

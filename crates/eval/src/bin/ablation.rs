@@ -15,8 +15,11 @@ use std::process::ExitCode;
 use csched_core::{schedule_kernel, SchedulerConfig};
 use csched_eval::cli::{self, Args, CliError};
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[];
+
 fn main() -> ExitCode {
-    cli::main("ablation", run)
+    cli::main("ablation", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

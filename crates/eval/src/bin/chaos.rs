@@ -30,8 +30,18 @@ use csched_core::SchedulerConfig;
 use csched_eval::cli::{self, Args, CliError};
 use csched_ir::Kernel;
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--arch",
+    "--kernels",
+    "--max-faults",
+    "--runs",
+    "--seed",
+    "--step-limit",
+];
+
 fn main() -> ExitCode {
-    cli::main("chaos", run)
+    cli::main("chaos", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

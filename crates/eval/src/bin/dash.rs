@@ -256,8 +256,18 @@ fn run(plan: &Plan) -> Result<(), String> {
     }
 }
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--frames",
+    "--help",
+    "--interval-ms",
+    "--once",
+    "--slow",
+];
+
 fn main() -> ExitCode {
-    cli::main("dash", |args| {
+    cli::main("dash", FLAGS, |args| {
         if args.has("--help") || args.is_empty() {
             println!("{HELP}");
             return Ok(ExitCode::SUCCESS);

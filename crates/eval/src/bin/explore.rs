@@ -36,8 +36,23 @@ const USAGE: &str = "usage: explore [--candidates N] [--seed N] [--rounds N] \
 [--step-limit N] [--jobs N] [--kernels A,B,...] [--no-anchors] [--json] \
 [--journal PATH] [--resume PATH]";
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--candidates",
+    "--help",
+    "--jobs",
+    "--journal",
+    "--json",
+    "--kernels",
+    "--no-anchors",
+    "--resume",
+    "--rounds",
+    "--seed",
+    "--step-limit",
+];
+
 fn main() -> ExitCode {
-    cli::main("explore", run)
+    cli::main("explore", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

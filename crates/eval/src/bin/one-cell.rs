@@ -61,8 +61,22 @@ flags:
   --gantt           simulate and render a terminal Gantt chart
   --help            this text";
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--certify",
+    "--copies",
+    "--explain",
+    "--explain-json",
+    "--gantt",
+    "--heatmap",
+    "--help",
+    "--metrics-json",
+    "--sim",
+    "--timeline",
+];
+
 fn main() -> ExitCode {
-    cli::main("one-cell", run)
+    cli::main("one-cell", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

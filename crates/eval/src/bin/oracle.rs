@@ -47,8 +47,22 @@ const HELP: &str = "usage: oracle [flags]
   --help                  this text
 exit status: 0 ok, 1 soundness disagreement, 2 usage/journal error";
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--cell",
+    "--exact-steps",
+    "--explore-sample",
+    "--help",
+    "--heuristic-steps",
+    "--journal",
+    "--max-ii",
+    "--resume",
+    "--seed",
+    "--table",
+];
+
 fn main() -> ExitCode {
-    cli::main("oracle", run)
+    cli::main("oracle", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

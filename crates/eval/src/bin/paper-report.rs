@@ -27,8 +27,18 @@ use csched_eval::cli::{self, Args, CliError};
 use csched_eval::{costs, grid, report};
 use csched_ir::Kernel;
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--campaign",
+    "--csv",
+    "--journal",
+    "--no-sim",
+    "--resume",
+    "--step-limit",
+];
+
 fn main() -> ExitCode {
-    cli::main("paper-report", run)
+    cli::main("paper-report", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

@@ -22,8 +22,11 @@ use csched_core::{schedule_kernel, validate, SchedulerConfig};
 use csched_eval::cli::{self, Args, CliError};
 use csched_machine::imagine;
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[];
+
 fn main() -> ExitCode {
-    cli::main("scale-perf", run)
+    cli::main("scale-perf", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {

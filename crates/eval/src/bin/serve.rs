@@ -47,8 +47,6 @@ server flags:
                     cache entry cap (oldest evicted beyond it)
   --read-phase-ms N budget to read one whole request (slowloris guard)
   --no-telemetry    disable per-request spans and histograms
-  --span-ring N     recent-request span ring capacity (default 64)
-  --trace-events N  per-request cap on streamed TRACE events (default 4096)
 client modes:
   --kernel <name> --arch <org> [--limit N] [--wall-ms N]
                     one SCHED request (org: central | clustered2 |
@@ -67,8 +65,39 @@ client modes:
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--arch",
+    "--backoff-ms",
+    "--bench-suite",
+    "--cache",
+    "--client",
+    "--compact-bytes",
+    "--compact-entries",
+    "--durable",
+    "--events",
+    "--full",
+    "--help",
+    "--jobs",
+    "--kernel",
+    "--limit",
+    "--malformed",
+    "--metrics",
+    "--min-ratio",
+    "--no-telemetry",
+    "--queue",
+    "--read-phase-ms",
+    "--retries",
+    "--retry-seed",
+    "--stats",
+    "--step-limit",
+    "--trace",
+    "--wall-ms",
+];
+
 fn main() -> ExitCode {
-    cli::main("serve", run)
+    cli::main("serve", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {
@@ -100,10 +129,6 @@ fn run_server(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
             .num("--read-phase-ms")?
             .unwrap_or(defaults.read_phase_ms),
         telemetry: !args.has("--no-telemetry"),
-        span_ring: args.num("--span-ring")?.unwrap_or(defaults.span_ring),
-        trace_event_cap: args
-            .num("--trace-events")?
-            .unwrap_or(defaults.trace_event_cap),
         ..defaults
     };
     let compaction = &mut config.compaction;

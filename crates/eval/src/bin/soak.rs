@@ -638,8 +638,27 @@ fn soak(plan: &Plan) -> Result<(Summary, Vec<String>), String> {
     Ok((summary, violations))
 }
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--backoff-ms",
+    "--cache",
+    "--clients",
+    "--compact-bytes",
+    "--compact-entries",
+    "--fault-permille",
+    "--help",
+    "--kills",
+    "--read-phase-ms",
+    "--require-faults",
+    "--retries",
+    "--rounds",
+    "--seed",
+    "--server-bin",
+    "--step-limit",
+];
+
 fn main() -> ExitCode {
-    cli::main("soak", |args| {
+    cli::main("soak", FLAGS, |args| {
         if args.has("--help") {
             println!("{HELP}");
             return Ok(ExitCode::SUCCESS);

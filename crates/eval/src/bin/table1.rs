@@ -3,8 +3,7 @@
 //!
 //! Usage: `cargo run --release -p csched-eval --bin table1 --
 //! [--metrics-json | --campaign-json] [--journal <path>] [--resume <path>]
-//! [--step-limit <attempts>] [--jobs <threads>] [--gap]
-//! [--gap-steps <attempts>] [extra-kernel.k ...]`
+//! [--step-limit <attempts>] [--jobs <threads>] [extra-kernel.k ...]`
 //!
 //! With `--metrics-json`, schedules every Table 1 kernel on all four
 //! Imagine register-file organisations and prints the full
@@ -23,12 +22,7 @@
 //! results merge in grid order and the journal is written only from the
 //! main thread.
 //!
-//! With `--gap`, appends the heuristic-vs-exact optimality-gap table:
-//! every paper-grid cell is certified by the exact oracle under a tight
-//! per-cell step budget (`--gap-steps`, default 300,000), printing the
-//! heuristic II, the certified exact II (`?` when the budget ran out
-//! first), and the gap. Exits 1 if the oracle and the validator disagree
-//! on any cell.
+//! The heuristic-vs-exact optimality-gap table is `oracle --table`.
 //!
 //! Extra positional arguments name kernel text files (the
 //! `csched_ir::text` language). A file that fails to parse no longer
@@ -51,8 +45,18 @@ use csched_eval::cli::{self, Args, CliError};
 use csched_eval::report;
 use csched_ir::Kernel;
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--campaign-json",
+    "--jobs",
+    "--journal",
+    "--metrics-json",
+    "--resume",
+    "--step-limit",
+];
+
 fn main() -> ExitCode {
-    cli::main("table1", run)
+    cli::main("table1", FLAGS, run)
 }
 
 fn run(args: &Args) -> Result<ExitCode, CliError> {
@@ -60,14 +64,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
     let resume_path = args.value("--resume")?.map(Path::new);
     let step_limit: u64 = args.num("--step-limit")?.unwrap_or(1_000_000);
     let jobs: usize = args.num("--jobs")?.unwrap_or(1);
-    let gap_steps: u64 = args.num("--gap-steps")?.unwrap_or(300_000);
-    let files = args.positional(&[
-        "--journal",
-        "--resume",
-        "--step-limit",
-        "--jobs",
-        "--gap-steps",
-    ]);
+    let files = args.positional(&["--journal", "--resume", "--step-limit", "--jobs"]);
 
     // Parse extra kernels, collecting failures instead of aborting: the
     // rest of the evaluation still runs, and failed files surface as
@@ -184,30 +181,6 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
             "all {} kernels match their scalar references",
             workloads.len()
         );
-    }
-    if args.has("--gap") {
-        let cfg = csched_eval::GapConfig {
-            exact_step_limit: gap_steps,
-            ..csched_eval::GapConfig::default()
-        };
-        let report = match csched_eval::run_gap(&cfg, None, false) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("{e}");
-                return Ok(ExitCode::from(2));
-            }
-        };
-        println!("Optimality gap (exact oracle, {gap_steps} steps/cell):");
-        print!("{}", csched_eval::gap_table(&report));
-        if !report.disagreements().is_empty() {
-            for r in report.disagreements() {
-                eprintln!(
-                    "SOUNDNESS DISAGREEMENT on {} x {}: {}",
-                    r.kernel, r.arch, r.detail
-                );
-            }
-            return Ok(ExitCode::FAILURE);
-        }
     }
     Ok(exit(self_check_failed))
 }

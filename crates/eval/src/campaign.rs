@@ -127,12 +127,16 @@ impl CellRecord {
 /// the scheduler-configuration fingerprint. Journal entries from a
 /// different configuration therefore never match on resume.
 pub fn cell_key(kernel: &str, arch: &str, fingerprint: &str) -> u64 {
+    fnv1a([kernel, "\u{1f}", arch, "\u{1f}", fingerprint].map(str::as_bytes))
+}
+
+/// FNV-1a over `parts` read as one byte string: the campaign's cell key
+/// and the schedule cache's line checksum and kernel hash.
+pub(crate) fn fnv1a<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in [kernel, "\u{1f}", arch, "\u{1f}", fingerprint] {
-        for b in part.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for &b in parts.into_iter().flatten() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
@@ -710,6 +714,12 @@ mod tests {
                 "deliberate \"detail\"\nwith escapes".to_string()
             },
         }
+    }
+
+    #[test]
+    fn keys_and_checksums_keep_their_fnv1a_values() {
+        assert_eq!(fnv1a([b"a".as_slice()]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(cell_key("FFT", "central", "fp"), 8_527_896_245_817_773_696);
     }
 
     #[test]

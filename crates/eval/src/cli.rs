@@ -1,7 +1,8 @@
 //! The command line every csched-eval binary shares: flag lookup
 //! ([`Args`]), the kernel and architecture name tables, and one exit
 //! convention ([`main`]) — 0 success, 1 a run that failed, 2 a usage
-//! error reported as a single stderr line.
+//! error reported as a single stderr line. A `--flag` the binary does not
+//! read is a usage error, so a misspelled flag never runs silently.
 
 use std::fmt;
 use std::process::ExitCode;
@@ -127,6 +128,22 @@ impl Args {
         Ok(out)
     }
 
+    /// Checks that every flag (`--…`) is one of `flags`.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Usage`] naming the first flag that is not.
+    fn only(&self, flags: &[&str]) -> Result<(), CliError> {
+        match self
+            .0
+            .iter()
+            .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+        {
+            Some(flag) => Err(CliError::Usage(format!("unknown flag {flag}"))),
+            None => Ok(()),
+        }
+    }
+
     /// The arguments that are neither flags (`--…`) nor the value of one
     /// of `value_flags`.
     pub fn positional(&self, value_flags: &[&str]) -> Vec<&str> {
@@ -177,11 +194,19 @@ pub fn arch(name: &str) -> Result<Architecture, CliError> {
     })
 }
 
-/// Runs a binary's body on this process's arguments. A [`CliError`]
-/// prints as `<bin>: <error>` on stderr and exits 2.
-pub fn main(bin: &str, run: impl FnOnce(&Args) -> Result<ExitCode, CliError>) -> ExitCode {
-    run(&Args::from_env()).unwrap_or_else(|e| {
-        eprintln!("{bin}: {e}");
-        ExitCode::from(2)
-    })
+/// Runs a binary's body on this process's arguments, once every flag
+/// among them is one of `flags`, the flags the binary reads. A
+/// [`CliError`] prints as `<bin>: <error>` on stderr and exits 2.
+pub fn main(
+    bin: &str,
+    flags: &[&str],
+    run: impl FnOnce(&Args) -> Result<ExitCode, CliError>,
+) -> ExitCode {
+    let args = Args::from_env();
+    args.only(flags)
+        .and_then(|()| run(&args))
+        .unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            ExitCode::from(2)
+        })
 }

@@ -104,7 +104,7 @@
 //!   leading `"req"` key), then a
 //!   `TRACE end events=<sent> total=<seen> truncated=<0|1>` summary,
 //!   then the usual `OK`/`ERR` line. The event cap (client-requested,
-//!   clamped to [`ServeConfig::trace_event_cap`]) bounds what a worker
+//!   clamped to [`TRACE_EVENT_CAP`]) bounds what a worker
 //!   will ever write, so a slow trace reader cannot pin a worker any
 //!   longer than an ordinary slow client;
 //! - every `SCHED`/`TRACE` request is recorded as a
@@ -128,7 +128,7 @@ use csched_core::{
 };
 use csched_ir::Kernel;
 
-use crate::campaign::{cell_key, config_fingerprint, CampaignError, Journal};
+use crate::campaign::{cell_key, config_fingerprint, fnv1a, CampaignError, Journal};
 use crate::jsonl::num_field;
 use crate::pool::{Rejected, Service};
 use crate::telemetry::{
@@ -198,8 +198,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Default per-request placement-attempt budget.
     pub step_limit: u64,
-    /// Hard cap on client-requested budgets (`limit=` is clamped here).
-    pub max_step_limit: u64,
     /// Server-wide wall-clock deadline per request, in milliseconds
     /// (`None` = placement-attempt budget only).
     pub wall_ms: Option<u64>,
@@ -213,8 +211,6 @@ pub struct ServeConfig {
     /// checked between reads, with the remaining time re-armed as the
     /// socket timeout so the worker is freed within the budget.
     pub read_phase_ms: u64,
-    /// Maximum bytes accepted for one kernel or machine body.
-    pub max_request_bytes: usize,
     /// Persistent cache journal path (`None` = in-memory cache only).
     pub cache_path: Option<PathBuf>,
     /// `fsync` each cache append (survives power loss, not just
@@ -230,12 +226,17 @@ pub struct ServeConfig {
     /// nothing — `METRICS`/`TRACE` still answer, over empty
     /// aggregates.
     pub telemetry: bool,
-    /// Capacity of the recent-request span ring.
-    pub span_ring: usize,
-    /// Hard cap on trace events streamed per `TRACE` request
-    /// (client-requested `events=` is clamped here).
-    pub trace_event_cap: usize,
 }
+
+/// Hard cap on client-requested budgets (`limit=` is clamped here).
+const MAX_STEP_LIMIT: u64 = 1 << 22;
+/// Maximum bytes accepted for one kernel or machine body.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+/// Capacity of the recent-request span ring.
+const SPAN_RING: usize = 64;
+/// Hard cap on trace events streamed per `TRACE` request
+/// (client-requested `events=` is clamped here).
+pub const TRACE_EVENT_CAP: usize = 4096;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -243,18 +244,14 @@ impl Default for ServeConfig {
             jobs: 4,
             queue_cap: 16,
             step_limit: 200_000,
-            max_step_limit: 1 << 22,
             wall_ms: None,
             io_timeout: Duration::from_millis(5_000),
             read_phase_ms: 10_000,
-            max_request_bytes: 1 << 20,
             cache_path: None,
             durable: false,
             compaction: CompactionPolicy::default(),
             scheduler: SchedulerConfig::default(),
             telemetry: true,
-            span_ring: 64,
-            trace_event_cap: 4096,
         }
     }
 }
@@ -328,7 +325,7 @@ impl CacheEntry {
     /// Renders the full journal line: `{<body>,"sum":<fnv1a(body)>}`.
     fn to_line(&self, key: u64) -> String {
         let body = self.body(key);
-        format!("{{{body},\"sum\":{}}}", fnv1a(body.as_bytes()))
+        format!("{{{body},\"sum\":{}}}", fnv1a([body.as_bytes()]))
     }
 
     /// Parses and checksum-verifies one journal line.
@@ -337,7 +334,7 @@ impl CacheEntry {
         let sum_at = rest.rfind(",\"sum\":")?;
         let (body, sum_text) = rest.split_at(sum_at);
         let sum: u64 = sum_text.strip_prefix(",\"sum\":")?.parse().ok()?;
-        if fnv1a(body.as_bytes()) != sum {
+        if fnv1a([body.as_bytes()]) != sum {
             return None;
         }
         let entry = CacheEntry {
@@ -352,21 +349,11 @@ impl CacheEntry {
     }
 }
 
-/// FNV-1a over raw bytes (the cache line checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The content hash of a kernel: FNV-1a over its *canonical* textual
 /// form, so semantically identical requests (same kernel, different
 /// whitespace or comments) share one cache slot.
 pub fn kernel_hash(kernel: &Kernel) -> u64 {
-    fnv1a(csched_ir::text::print(kernel).as_bytes())
+    fnv1a([csched_ir::text::print(kernel).as_bytes()])
 }
 
 /// The content-addressed cache key of one request:
@@ -947,7 +934,7 @@ impl Server {
         )
         .map_err(ServeError::Cache)?;
         let config_fp = config_fingerprint(&config.scheduler, 0);
-        let telemetry = Telemetry::new(config.span_ring);
+        let telemetry = Telemetry::new(SPAN_RING);
         let state = Arc::new(ServerState {
             config,
             config_fp,
@@ -1435,12 +1422,10 @@ fn read_request<'a>(
             return None;
         }
     }
-    // max(1) guards a misconfigured zero cap: clamp panics if min > max.
-    let limit = limit.clamp(1, state.config.max_step_limit.max(1));
+    let limit = limit.clamp(1, MAX_STEP_LIMIT);
 
     let t_read = Instant::now();
-    let (kernel_text, arch_text) = match read_bodies(reader, state.config.max_request_bytes, phase)
-    {
+    let (kernel_text, arch_text) = match read_bodies(reader, MAX_REQUEST_BYTES, phase) {
         Ok(bodies) => bodies,
         Err(detail) => {
             let _ = respond(stream, &format!("ERR malformed {}\n", one_line(&detail)));
@@ -1693,7 +1678,7 @@ fn serve_trace<'a>(
     phase: &ReadPhase<'_>,
     span: &mut RequestSpan,
 ) -> Outcome {
-    let mut event_cap = state.config.trace_event_cap;
+    let mut event_cap = TRACE_EVENT_CAP;
     let mut full = false;
     let Some(req) = read_request(state, reader, stream, options, phase, span, |opt| {
         if let Some(v) = opt.strip_prefix("events=") {

@@ -154,18 +154,6 @@ pub struct StageTimes {
     pub respond_us: u64,
 }
 
-impl StageTimes {
-    /// Sum of all stage durations, saturating.
-    pub fn sum_us(&self) -> u64 {
-        self.read_us
-            .saturating_add(self.parse_us)
-            .saturating_add(self.cache_us)
-            .saturating_add(self.sched_us)
-            .saturating_add(self.journal_us)
-            .saturating_add(self.respond_us)
-    }
-}
-
 /// One request's structured record: identity, outcome, stage timings,
 /// and the scheduler-side rollup folded out of its trace stream.
 #[derive(Clone, Debug)]

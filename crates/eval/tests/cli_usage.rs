@@ -1,7 +1,7 @@
 //! Every csched-eval binary turns bad input (an unknown architecture or
-//! kernel, a value that is not a number, an argument it does not take)
-//! into exit status 2 with one stderr line, never a panic; a cell that
-//! fails to schedule is exit 1.
+//! kernel, a value that is not a number, an argument or flag it does not
+//! take) into exit status 2 with one stderr line, never a panic; a cell
+//! that fails to schedule is exit 1.
 
 use std::process::{Command, Output};
 
@@ -11,7 +11,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 #[test]
 fn bad_input_exits_2_with_one_stderr_line() {
-    let cases: [(&str, &[&str]); 13] = [
+    let cases: [(&str, &[&str]); 24] = [
         (env!("CARGO_BIN_EXE_ablation"), &["bogus"]),
         (env!("CARGO_BIN_EXE_chaos"), &["--arch", "bogus"]),
         (
@@ -41,6 +41,37 @@ fn bad_input_exits_2_with_one_stderr_line() {
         ),
         (env!("CARGO_BIN_EXE_soak"), &["--seed", "abc"]),
         (env!("CARGO_BIN_EXE_table1"), &["--jobs", "abc"]),
+        // A flag the binary does not read, misspelled or removed.
+        (env!("CARGO_BIN_EXE_ablation"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_chaos"), &["--run", "3"]),
+        (
+            env!("CARGO_BIN_EXE_dash"),
+            &["--addr", "127.0.0.1:1", "--onec"],
+        ),
+        (env!("CARGO_BIN_EXE_explore"), &["--job", "2"]),
+        (
+            env!("CARGO_BIN_EXE_one-cell"),
+            &["FFT", "distributed", "--heatmpa"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_oracle"),
+            &[
+                "--cell",
+                "Merge",
+                "central",
+                "--exact-step",
+                "1000",
+                "--table",
+            ],
+        ),
+        (env!("CARGO_BIN_EXE_paper-report"), &["--no-simm"]),
+        (env!("CARGO_BIN_EXE_scale-perf"), &["--fast"]),
+        (
+            env!("CARGO_BIN_EXE_serve"),
+            &["--addr", "127.0.0.1:0", "--span-ring", "8"],
+        ),
+        (env!("CARGO_BIN_EXE_soak"), &["--client", "2"]),
+        (env!("CARGO_BIN_EXE_table1"), &["--gap"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, args);

@@ -278,6 +278,28 @@ fn malformed_requests_get_typed_errors_and_service_survives() {
     server.shutdown();
 }
 
+/// A machine text that once panicked the parser (`latency 0`) is a
+/// typed `ERR malformed machine`, and the lone worker of a `jobs: 1`
+/// server lives on to answer the next request.
+#[test]
+fn zero_latency_machine_is_malformed_and_the_worker_survives() {
+    let config = ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    };
+    let (server, _) = Server::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.addr().to_string();
+    let (kernel, arch) = merge_request();
+    let bad = arch.replacen("latency 1", "latency 0", 1);
+    assert_ne!(bad, arch);
+    let rejected =
+        client_request(&addr, &kernel, &bad, None, None, TIMEOUT).unwrap_or_else(|e| e.to_string());
+    let ok = client_request(&addr, &kernel, &arch, None, None, TIMEOUT).unwrap();
+    assert!(ok.starts_with("CACHE miss\nOK "), "{ok}");
+    assert!(rejected.starts_with("ERR malformed machine:"), "{rejected}");
+    server.shutdown();
+}
+
 /// The stats line always carries the full counter and cache sections.
 #[test]
 fn stats_reports_counters_and_cache_state() {

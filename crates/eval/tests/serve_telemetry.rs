@@ -16,6 +16,7 @@ use std::time::Duration;
 use csched_eval::jsonl::{elements, field, num_field};
 use csched_eval::serve::{
     client_metrics, client_request, client_stats, client_trace, ServeConfig, Server,
+    TRACE_EVENT_CAP,
 };
 use csched_eval::telemetry::{validate_prometheus, MetricsSnapshot};
 use csched_ir::{Kernel, KernelBuilder};
@@ -129,27 +130,34 @@ fn trace_event_cap_bounds_the_stream_and_reports_truncation() {
         "capped trace still answers:\n{response}"
     );
 
-    // The client `events=` can only tighten the server-side cap.
-    let config = ServeConfig {
-        trace_event_cap: 2,
-        ..ServeConfig::default()
-    };
-    let (tight, _) = Server::bind("127.0.0.1:0", config).unwrap();
+    // The client `events=` can only tighten the server-side cap: a full
+    // stream longer than the cap is clamped to it.
+    let w = csched_kernels::by_name("Block Warp-U2").unwrap();
     let wide = client_trace(
-        &tight.addr().to_string(),
-        &kernel,
-        &arch,
+        &addr,
+        &csched_ir::text::print(&w.kernel),
+        &csched_machine::text::print(&csched_machine::imagine::clustered(2)),
         Some(1_000_000),
-        false,
+        true,
         TIMEOUT,
     )
     .unwrap();
     assert_eq!(
         wide.lines().filter(|l| l.starts_with('{')).count(),
-        2,
-        "client may not widen the server cap:\n{wide}"
+        TRACE_EVENT_CAP,
+        "client may not widen the server cap"
     );
-    tight.shutdown();
+    let summary = wide
+        .lines()
+        .find(|l| l.starts_with("TRACE end "))
+        .expect("summary line");
+    let total: usize = summary
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix("total="))
+        .and_then(|v| v.parse().ok())
+        .expect("total= in summary");
+    assert!(total > TRACE_EVENT_CAP, "{summary}");
+    assert!(summary.ends_with("truncated=1"), "{summary}");
     server.shutdown();
 }
 

@@ -436,31 +436,13 @@ impl Kernel {
         self.block_ids().find(|&b| self.block(b).is_loop())
     }
 
-    /// All `(op, slot)` uses of `value`, plus loop-variable uses reported
-    /// as updates/inits (see [`Kernel::loop_var_uses`]).
+    /// All `(op, slot)` uses of `value` as an operation operand.
     pub fn uses(&self, value: ValueId) -> Vec<(OpId, usize)> {
         let mut uses = Vec::new();
         for op in self.op_ids() {
             for (slot, operand) in self.op(op).operands().iter().enumerate() {
                 if operand.as_value() == Some(value) {
                     uses.push((op, slot));
-                }
-            }
-        }
-        uses
-    }
-
-    /// Loop variables whose `init` or `update` operand is `value`, as
-    /// `(block, var index, is_update)`.
-    pub fn loop_var_uses(&self, value: ValueId) -> Vec<(BlockId, usize, bool)> {
-        let mut uses = Vec::new();
-        for b in self.block_ids() {
-            for (i, lv) in self.block(b).loop_vars().iter().enumerate() {
-                if lv.init.as_value() == Some(value) {
-                    uses.push((b, i, false));
-                }
-                if lv.update.as_value() == Some(value) {
-                    uses.push((b, i, true));
                 }
             }
         }
@@ -876,9 +858,6 @@ mod tests {
         let uses = k.uses(i);
         assert_eq!(uses.len(), 3); // load addr, store addr, increment
         assert_eq!(k.value_def(i), ValueDef::LoopVar(lb, 0));
-        // the increment's result is used as the loop update
-        let i1 = k.block(lb).loop_vars()[0].update().as_value().unwrap();
-        assert_eq!(k.loop_var_uses(i1), vec![(lb, 0, true)]);
     }
 
     #[test]

@@ -187,6 +187,11 @@ pub enum ArchError {
         /// The offending input.
         input: InputRef,
     },
+    /// A bus feeds an input slot at or past its unit's inputs.
+    NoSuchInput {
+        /// The missing input.
+        input: InputRef,
+    },
     /// The architecture has no functional units.
     Empty,
     /// `output_fanout` is zero for a unit with an output.
@@ -210,6 +215,9 @@ impl fmt::Display for ArchError {
             }
             ArchError::UnreachableInput { input } => {
                 write!(f, "input {input} cannot read from any register file")
+            }
+            ArchError::NoSuchInput { input } => {
+                write!(f, "input {input} is past its unit's inputs")
             }
             ArchError::Empty => write!(f, "architecture has no functional units"),
             ArchError::ZeroFanout { fu } => {
@@ -431,11 +439,6 @@ impl Architecture {
     /// Looks up a register file by name.
     pub fn rf_by_name(&self, name: &str) -> Option<RfId> {
         self.rf_ids().find(|&rf| self.rf(rf).name() == name)
-    }
-
-    /// Looks up a bus by name.
-    pub fn bus_by_name(&self, name: &str) -> Option<BusId> {
-        self.bus_ids().find(|&b| self.bus(b).name() == name)
     }
 
     /// A multi-line human-readable summary of the machine.
@@ -744,8 +747,9 @@ impl ArchBuilder {
     /// # Errors
     ///
     /// Returns an [`ArchError`] if a unit's capabilities are inconsistent
-    /// with its inputs/output, or if a used input or output has no path to
-    /// any register file.
+    /// with its inputs/output, if a bus feeds an input the unit does not
+    /// have, or if a used input or output has no path to any register
+    /// file.
     pub fn build(self) -> Result<Architecture, ArchError> {
         if self.fus.is_empty() {
             return Err(ArchError::Empty);
@@ -809,6 +813,9 @@ impl ArchBuilder {
         let mut input_buses: Vec<Vec<BusId>> = vec![Vec::new(); total_inputs];
         for (b, inputs) in self.bus_inputs.iter().enumerate() {
             for input in inputs {
+                if input.slot() >= self.fus[input.fu.index()].num_inputs {
+                    return Err(ArchError::NoSuchInput { input: *input });
+                }
                 let idx = input_offsets[input.fu.index()] + input.slot();
                 input_buses[idx].push(BusId::from_raw(b));
             }

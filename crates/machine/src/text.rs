@@ -161,12 +161,21 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The largest count a machine text may declare: ports per register
+/// file, unit inputs and fanout, operation latency and issue interval.
+/// The machines this repository builds stay far below it (at most 344
+/// read ports on one file, latency 8); the cap keeps a hostile text from
+/// making the parser or the scheduler allocate without bound.
+pub const MAX_COUNT: usize = 1024;
+
 /// Parses the textual format produced by [`print()`].
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] for syntax errors and unknown names, or for a
-/// description the [`ArchBuilder`] rejects (e.g. unreachable inputs).
+/// Returns a [`ParseError`] for syntax errors, unknown or duplicate unit
+/// names, counts outside `1..=`[`MAX_COUNT`] (`0..=` for ports, inputs
+/// and fanout), or a description the [`ArchBuilder`] rejects (e.g.
+/// unreachable inputs).
 pub fn parse(text: &str) -> Result<Architecture, ParseError> {
     let err = |line: usize, message: String| ParseError { line, message };
     let mut lines = text
@@ -207,22 +216,15 @@ pub fn parse(text: &str) -> Result<Architecture, ParseError> {
         match words.first().copied() {
             Some("rf") => {
                 // rf NAME capacity N rports R wports W
-                let get = |key: &str| -> Result<usize, ParseError> {
-                    let pos = words
-                        .iter()
-                        .position(|&w| w == key)
-                        .ok_or_else(|| err(line, format!("missing `{key}`")))?;
-                    words
-                        .get(pos + 1)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err(line, format!("bad `{key}` value")))
-                };
                 let rname = words
                     .get(1)
                     .ok_or_else(|| err(line, "missing rf name".into()))?;
-                let rf = b.register_file(*rname, get("capacity")?);
-                let wports = (0..get("wports")?).map(|_| b.write_port(rf)).collect();
-                let rports = (0..get("rports")?).map(|_| b.read_port(rf)).collect();
+                let capacity = required(&words, "capacity", usize::MAX, line)?;
+                let wports = required(&words, "wports", MAX_COUNT, line)?;
+                let rports = required(&words, "rports", MAX_COUNT, line)?;
+                let rf = b.register_file(*rname, capacity);
+                let wports = (0..wports).map(|_| b.write_port(rf)).collect();
+                let rports = (0..rports).map(|_| b.read_port(rf)).collect();
                 rfs.insert(rname.to_string(), rf);
                 rf_wports.insert(rname.to_string(), wports);
                 rf_rports.insert(rname.to_string(), rports);
@@ -252,19 +254,9 @@ pub fn parse(text: &str) -> Result<Architecture, ParseError> {
                     Some(&"copy") => FuClass::CopyUnit,
                     other => return Err(err(line, format!("bad class {other:?}"))),
                 };
-                let inputs: usize = words
-                    .iter()
-                    .position(|&w| w == "inputs")
-                    .and_then(|p| words.get(p + 1))
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| err(line, "missing `inputs <n>`".into()))?;
+                let inputs = required(&words, "inputs", MAX_COUNT, line)?;
                 let has_output = !words.contains(&"no-output");
-                let fanout: usize = words
-                    .iter()
-                    .position(|&w| w == "fanout")
-                    .and_then(|p| words.get(p + 1))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1);
+                let fanout = count(&words, "fanout", MAX_COUNT, line)?.unwrap_or(1);
                 if !l.ends_with('{') {
                     return Err(err(line, "expected `{` after fu header".into()));
                 }
@@ -282,23 +274,21 @@ pub fn parse(text: &str) -> Result<Architecture, ParseError> {
                         .get(1)
                         .and_then(|m| Opcode::from_mnemonic(m))
                         .ok_or_else(|| err(cline, "unknown opcode mnemonic".into()))?;
-                    let latency: u32 = cw
-                        .iter()
-                        .position(|&w| w == "latency")
-                        .and_then(|p| cw.get(p + 1))
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err(cline, "missing `latency <n>`".into()))?;
-                    let interval: u32 = cw
-                        .iter()
-                        .position(|&w| w == "interval")
-                        .and_then(|p| cw.get(p + 1))
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(1);
-                    caps.push(Capability::new(opcode, latency).with_issue_interval(interval));
+                    let latency = required(&cw, "latency", MAX_COUNT, cline)?;
+                    let interval = count(&cw, "interval", MAX_COUNT, cline)?.unwrap_or(1);
+                    if latency == 0 || interval == 0 {
+                        return Err(err(cline, "latency and interval must be at least 1".into()));
+                    }
+                    caps.push(
+                        Capability::new(opcode, latency as u32)
+                            .with_issue_interval(interval as u32),
+                    );
                 }
                 let fu = b.functional_unit(*fname, class, inputs, has_output, caps);
                 b.set_output_fanout(fu, fanout);
-                fus.insert(fname.to_string(), fu);
+                if fus.insert(fname.to_string(), fu).is_some() {
+                    return Err(err(line, format!("duplicate fu `{fname}`")));
+                }
             }
             Some("drive") => {
                 // drive FU -> BUS
@@ -374,6 +364,36 @@ pub fn parse(text: &str) -> Result<Architecture, ParseError> {
     Err(err(0, "unexpected end of input (missing `}`)".into()))
 }
 
+/// The number after `key` in `words`, `None` when `key` is absent.
+///
+/// # Errors
+///
+/// The value is missing, not a number, or above `max`.
+fn count(words: &[&str], key: &str, max: usize, line: usize) -> Result<Option<usize>, ParseError> {
+    let Some(pos) = words.iter().position(|&w| w == key) else {
+        return Ok(None);
+    };
+    match words.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n <= max => Ok(Some(n)),
+        Some(n) => Err(ParseError {
+            line,
+            message: format!("`{key} {n}` is above the cap of {max}"),
+        }),
+        None => Err(ParseError {
+            line,
+            message: format!("bad `{key}` value"),
+        }),
+    }
+}
+
+/// [`count`] for a key that must be present.
+fn required(words: &[&str], key: &str, max: usize, line: usize) -> Result<usize, ParseError> {
+    count(words, key, max, line)?.ok_or(ParseError {
+        line,
+        message: format!("missing `{key} <n>`"),
+    })
+}
+
 fn arrow<'a>(words: &[&'a str], line: usize) -> Result<(&'a str, &'a str), ParseError> {
     let pos = words.iter().position(|&w| w == "->").ok_or(ParseError {
         line,
@@ -408,11 +428,11 @@ fn dotted(token: &str, line: usize) -> Result<(&str, usize), ParseError> {
         line,
         message: format!("expected `fu.slot`, got `{token}`"),
     })?;
-    let slot = token[dot + 1..].parse().map_err(|_| ParseError {
+    let slot = token[dot + 1..].parse::<u8>().map_err(|_| ParseError {
         line,
         message: format!("bad slot in `{token}`"),
     })?;
-    Ok((&token[..dot], slot))
+    Ok((&token[..dot], usize::from(slot)))
 }
 
 #[cfg(test)]
@@ -472,6 +492,27 @@ mod tests {
         }
     }
 
+    const POCKET: &str = r#"
+machine "pocket" {
+  rf R capacity 8 rports 2 wports 1
+  bus B
+  fu A class alu inputs 2 fanout 1 {
+    op iadd latency 1
+    op copy latency 1
+  }
+  drive A -> B
+  tap B -> R[0]
+  feed R[0] -> A.0
+  feed R[1] -> A.1
+}
+"#;
+
+    /// Parses [`POCKET`] with its one occurrence of `from` replaced.
+    fn pocket_with(from: &str, to: &str) -> Result<Architecture, ParseError> {
+        assert_eq!(POCKET.matches(from).count(), 1, "{from}");
+        parse(&POCKET.replace(from, to))
+    }
+
     #[test]
     fn hand_written_machine_parses() {
         let text = r#"
@@ -502,6 +543,53 @@ machine "pocket" {
         assert_eq!(e.line, 2);
         let e2 = parse("machine \"x\" {\n  drive NOPE -> B\n}\n").unwrap_err();
         assert!(e2.message.contains("NOPE"));
+    }
+
+    #[test]
+    fn zero_latency_or_interval_is_a_parse_error() {
+        let e = pocket_with("iadd latency 1", "iadd latency 0").unwrap_err();
+        assert_eq!(e.line, 6);
+        let e = pocket_with("iadd latency 1", "iadd latency 1 interval 0").unwrap_err();
+        assert!(e.message.contains("at least 1"), "{e}");
+    }
+
+    #[test]
+    fn feed_past_the_inputs_is_a_parse_error() {
+        let e = pocket_with("A.1", "A.5").unwrap_err();
+        assert!(e.message.contains("past its unit's inputs"), "{e}");
+        // With a unit after it, slot 2 of `A` once wired `C.0` instead.
+        let e = pocket_with(
+            "  drive A",
+            "  fu C class alu inputs 1 {\n  }\n  feed R[1] -> A.2\n  drive A",
+        )
+        .unwrap_err();
+        assert!(e.message.contains("past its unit's inputs"), "{e}");
+        // Slots past the model's u8 range do not wrap around to slot 0.
+        assert!(pocket_with("A.1", "A.257").is_err());
+    }
+
+    #[test]
+    fn counts_above_the_cap_are_parse_errors() {
+        let over = MAX_COUNT + 1;
+        for (from, to) in [
+            ("rports 2", format!("rports {over}")),
+            ("wports 1", format!("wports {over}")),
+            ("inputs 2", format!("inputs {over}")),
+            ("fanout 1", format!("fanout {over}")),
+            ("iadd latency 1", format!("iadd latency {over}")),
+            ("iadd latency 1", format!("iadd latency 1 interval {over}")),
+        ] {
+            let e = pocket_with(from, &to).unwrap_err();
+            assert!(e.message.contains("above the cap"), "{to}: {e}");
+        }
+        pocket_with("rports 2", &format!("rports {MAX_COUNT}")).unwrap();
+    }
+
+    #[test]
+    fn duplicate_unit_names_are_parse_errors() {
+        let e =
+            pocket_with("  drive A", "  fu A class alu inputs 1 {\n  }\n  drive A").unwrap_err();
+        assert!(e.message.contains("duplicate fu"), "{e}");
     }
 
     #[test]
