@@ -152,6 +152,17 @@ case "$BAD_REPLY" in
     "ERR malformed machine:"*) ;;
     *) echo "latency 0 got: $BAD_REPLY" >&2; exit 1 ;;
 esac
+# A wall-clock deadline may cut the anytime ladder short (`degraded=1`)
+# or stop it before any schedule (`ERR deadline`), so any reply goes. Such
+# an answer depends on timing and is not cached: the same request without
+# a deadline then gets the full ladder's answer. This runs before the
+# suite bench, which would otherwise have cached the cell already.
+cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel FIR-INT --arch distributed --wall-ms 400 \
+    > /dev/null || true
+cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel FIR-INT --arch distributed \
+    | tail -1 | grep -q ' degraded=0$'
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --bench-suite --min-ratio 10
 # SIGKILL mid-request: fire a request and kill the server under it; the
@@ -212,6 +223,11 @@ cargo run -q --release -p csched-eval --bin soak -- \
     --cache "$SOAK_CACHE" \
     --server-bin target/release/serve
 rm -f "$SOAK_CACHE"
+
+# Service robustness on the release profile, where the wall-deadline
+# sweep that is ignored under the debug profile takes a few seconds.
+step "serve robustness incl. the wall-deadline cache test (release)"
+cargo test -q --release -p csched-eval --test serve_robustness -- --include-ignored
 
 step "cargo test --doc --workspace"
 cargo test -q --doc --workspace

@@ -12,9 +12,10 @@
 //! pipeline phase hit it.
 //!
 //! [`CancelToken`] is the wall-clock escape hatch: a cheap, thread-safe
-//! flag that a supervisor (signal handler, watchdog thread, UI) can set
-//! at any moment. The scheduler polls it cooperatively at every budget
-//! step, so cancellation lands within one placement attempt.
+//! flag that another thread can set at any moment, optionally with a
+//! deadline after which it reads as set by itself. The scheduler polls it
+//! cooperatively at every budget step, so cancellation lands within one
+//! placement attempt.
 //!
 //! A budget is shared by everything downstream of one scheduling call:
 //! the anytime ladder hands the *same* budget to every rung, so the sum
@@ -52,7 +53,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::SchedError;
@@ -60,12 +61,16 @@ use crate::error::SchedError;
 /// A cooperative cancellation flag, cheaply cloneable across threads.
 ///
 /// Cancelling is sticky: once [`cancel`](CancelToken::cancel) has been
-/// called every clone observes it forever. The scheduler polls the token
-/// at each [`StepBudget::step`], so a cancelled schedule aborts within
-/// one placement attempt with [`SchedError::Cancelled`].
+/// called every clone observes it forever, and a token built
+/// [`with_deadline`](CancelToken::with_deadline) reads as cancelled from
+/// its deadline on. The scheduler polls the token at each
+/// [`StepBudget::step`], so a cancelled schedule aborts within one
+/// placement attempt with [`SchedError::Cancelled`]. Only a token with a
+/// deadline reads the clock when polled.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
@@ -74,14 +79,24 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A token that reads as cancelled once `deadline` has passed: the
+    /// "answer or degrade by then" form of a wall-clock bound.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        CancelToken {
+            deadline: Some(deadline),
+            ..Self::default()
+        }
+    }
+
     /// Requests cancellation. Idempotent; visible to all clones.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the deadline has
+    /// passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -145,11 +160,6 @@ impl StepBudget {
         self.limit - self.spent.get()
     }
 
-    /// Whether the budget can grant no further work.
-    pub fn is_exhausted(&self) -> bool {
-        self.spent.get() >= self.limit
-    }
-
     /// Charges one placement attempt.
     ///
     /// Checks *before* spending: when the limit is already reached the
@@ -196,169 +206,6 @@ impl StepBudget {
     }
 }
 
-/// Shared state between a [`Watchdog`] and its timer thread.
-struct WatchdogState {
-    /// Armed deadlines: `(registration id, deadline, token)`.
-    entries: Vec<(u64, Instant, CancelToken)>,
-    next_id: u64,
-    shutdown: bool,
-}
-
-/// A wall-clock deadline service over [`CancelToken`]s.
-///
-/// [`StepBudget`] deadlines are denominated in placement attempts and
-/// therefore deterministic — but a long-running service also needs a
-/// *wall-clock* bound per request ("answer or degrade within 250 ms"),
-/// which no attempt count can promise on a loaded machine. `Watchdog`
-/// provides that bound without a sleeper thread per request: one shared
-/// timer thread waits on the earliest armed deadline and
-/// [`cancel`](CancelToken::cancel)s every token whose deadline has
-/// passed. The scheduler already polls its token at each budget step, so
-/// an expired request stops cooperatively within one placement attempt.
-///
-/// Arming returns a [`WatchGuard`]; dropping the guard (the request
-/// finished in time) disarms the deadline without cancelling. Dropping
-/// the watchdog itself stops the timer thread; already-armed tokens are
-/// simply never cancelled by it.
-#[derive(Debug)]
-pub struct Watchdog {
-    shared: Arc<(Mutex<WatchdogState>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WatchdogState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WatchdogState")
-            .field("entries", &self.entries.len())
-            .field("shutdown", &self.shutdown)
-            .finish()
-    }
-}
-
-impl Watchdog {
-    /// Starts the shared timer thread.
-    pub fn new() -> Self {
-        let shared = Arc::new((
-            Mutex::new(WatchdogState {
-                entries: Vec::new(),
-                next_id: 0,
-                shutdown: false,
-            }),
-            Condvar::new(),
-        ));
-        let thread_shared = Arc::clone(&shared);
-        let thread = std::thread::spawn(move || Self::run(&thread_shared));
-        Watchdog {
-            shared,
-            thread: Some(thread),
-        }
-    }
-
-    fn run(shared: &(Mutex<WatchdogState>, Condvar)) {
-        let (lock, cvar) = shared;
-        let Ok(mut state) = lock.lock() else {
-            return; // a panicking registrar poisoned the lock; stand down
-        };
-        loop {
-            if state.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            // Cancel and drop every expired entry.
-            state.entries.retain(|(_, deadline, token)| {
-                if *deadline <= now {
-                    token.cancel();
-                    false
-                } else {
-                    true
-                }
-            });
-            let earliest = state.entries.iter().map(|(_, d, _)| *d).min();
-            let wait = match earliest {
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(now);
-                    match cvar.wait_timeout(state, timeout) {
-                        Ok((guard, _)) => guard,
-                        Err(_) => return,
-                    }
-                }
-                None => match cvar.wait(state) {
-                    Ok(guard) => guard,
-                    Err(_) => return,
-                },
-            };
-            state = wait;
-        }
-    }
-
-    /// Arms `token` to be cancelled `timeout` from now — the common
-    /// "answer or degrade within N milliseconds" form of
-    /// [`watch`](Self::watch), so callers never compute the absolute
-    /// deadline themselves.
-    pub fn watch_for(&self, token: CancelToken, timeout: std::time::Duration) -> WatchGuard {
-        self.watch(token, Instant::now() + timeout)
-    }
-
-    /// Arms `token` to be cancelled at `deadline`. The returned guard
-    /// disarms on drop; keep it alive for the duration of the request.
-    pub fn watch(&self, token: CancelToken, deadline: Instant) -> WatchGuard {
-        let (lock, cvar) = &*self.shared;
-        let id = match lock.lock() {
-            Ok(mut state) => {
-                let id = state.next_id;
-                state.next_id += 1;
-                state.entries.push((id, deadline, token));
-                id
-            }
-            // A poisoned watchdog can no longer cancel anything; the
-            // guard becomes a no-op rather than a panic.
-            Err(_) => u64::MAX,
-        };
-        cvar.notify_one();
-        WatchGuard {
-            shared: Arc::clone(&self.shared),
-            id,
-        }
-    }
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.shared;
-        if let Ok(mut state) = lock.lock() {
-            state.shutdown = true;
-        }
-        cvar.notify_one();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Disarms a [`Watchdog`] deadline on drop (the request finished before
-/// its wall-clock deadline, so the token must not be cancelled).
-#[derive(Debug)]
-pub struct WatchGuard {
-    shared: Arc<(Mutex<WatchdogState>, Condvar)>,
-    id: u64,
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        let (lock, cvar) = &*self.shared;
-        if let Ok(mut state) = lock.lock() {
-            state.entries.retain(|(id, _, _)| *id != self.id);
-        }
-        cvar.notify_one();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +221,7 @@ mod tests {
         // Refused charges do not advance `spent`.
         assert_eq!(b.step(), Err(BudgetStop::Deadline));
         assert_eq!(b.spent(), 3);
-        assert!(b.is_exhausted());
+        assert_eq!(b.remaining(), 0);
         match b.stop_error(BudgetStop::Deadline, "placement") {
             SchedError::DeadlineExceeded {
                 spent,
@@ -396,7 +243,7 @@ mod tests {
         assert!(!b.charge(3));
         assert_eq!(b.spent(), 3);
         assert!(b.charge(2));
-        assert!(b.is_exhausted());
+        assert_eq!(b.remaining(), 0);
         assert!(b.charge(0));
 
         let token = CancelToken::new();
@@ -409,7 +256,7 @@ mod tests {
     #[test]
     fn zero_budget_refuses_immediately() {
         let b = StepBudget::new(0);
-        assert!(b.is_exhausted());
+        assert_eq!(b.remaining(), 0);
         assert_eq!(b.step(), Err(BudgetStop::Deadline));
         assert_eq!(b.spent(), 0);
     }
@@ -437,70 +284,26 @@ mod tests {
             assert!(b.step().is_ok());
         }
         assert_eq!(b.spent(), 10_000);
-        assert!(!b.is_exhausted());
+        assert_eq!(b.remaining(), u64::MAX - 10_000);
     }
 
     #[test]
-    fn watchdog_cancels_expired_deadlines() {
-        let dog = Watchdog::new();
-        let token = CancelToken::new();
-        let _guard = dog.watch(
-            token.clone(),
-            Instant::now() + std::time::Duration::from_millis(20),
-        );
-        let start = Instant::now();
-        while !token.is_cancelled() {
-            assert!(
-                start.elapsed() < std::time::Duration::from_secs(10),
-                "watchdog never fired"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        // The budget sees the cancellation as usual.
-        let b = StepBudget::new(100).with_cancel(token);
+    fn a_passed_deadline_cancels_and_a_future_one_grants() {
+        let past = CancelToken::with_deadline(Instant::now());
+        let b = StepBudget::new(100).with_cancel(past.clone());
+        assert!(past.is_cancelled());
         assert_eq!(b.step(), Err(BudgetStop::Cancelled));
-    }
+        assert!(!b.charge(1));
+        assert_eq!(b.spent(), 0);
 
-    #[test]
-    fn dropping_the_guard_disarms_the_deadline() {
-        let dog = Watchdog::new();
-        let token = CancelToken::new();
-        let guard = dog.watch(
-            token.clone(),
-            Instant::now() + std::time::Duration::from_millis(30),
-        );
-        drop(guard);
-        std::thread::sleep(std::time::Duration::from_millis(80));
-        assert!(
-            !token.is_cancelled(),
-            "a disarmed deadline must not cancel its token"
-        );
-    }
-
-    #[test]
-    fn watchdog_handles_many_deadlines_in_any_order() {
-        let dog = Watchdog::new();
-        let soon = CancelToken::new();
-        let later = CancelToken::new();
-        // Register the *later* deadline first so the timer thread has to
-        // re-sort on the second registration.
-        let _g2 = dog.watch(
-            later.clone(),
-            Instant::now() + std::time::Duration::from_secs(600),
-        );
-        let _g1 = dog.watch(
-            soon.clone(),
-            Instant::now() + std::time::Duration::from_millis(20),
-        );
-        let start = Instant::now();
-        while !soon.is_cancelled() {
-            assert!(start.elapsed() < std::time::Duration::from_secs(10));
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(!later.is_cancelled());
-        // Dropping the watchdog joins the timer thread promptly even with
-        // a ten-minute deadline still armed.
-        drop(dog);
-        assert!(!later.is_cancelled());
+        let future =
+            CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(600));
+        let b = StepBudget::new(100).with_cancel(future.clone());
+        assert!(b.step().is_ok());
+        assert!(b.charge(2));
+        assert_eq!(b.spent(), 3);
+        // The flag still cancels a token that carries a deadline.
+        future.cancel();
+        assert_eq!(b.step(), Err(BudgetStop::Cancelled));
     }
 }

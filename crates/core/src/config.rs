@@ -24,6 +24,15 @@ pub enum ScheduleOrder {
     Recurrence,
 }
 
+/// Maximum candidate stubs considered per communication in the stub
+/// permutation search (§4.4). Candidates are scored best-first, and stubs
+/// beyond this many are near-duplicates through other buses or ports.
+pub const MAX_STUB_CANDIDATES: usize = 32;
+
+/// Maximum candidate functional units tried per (operation, cycle)
+/// before the driver delays the operation to the next cycle.
+pub const MAX_FU_CANDIDATES: usize = 10;
+
 /// Tunable parameters of the scheduler and communication scheduling.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SchedulerConfig {
@@ -39,10 +48,6 @@ pub struct SchedulerConfig {
     /// Maximum partial permutations the stub search may try per placement
     /// (§4.4: "an arbitrary, relatively large, number").
     pub search_budget: usize,
-    /// Maximum candidate stubs considered per communication in the
-    /// permutation search (candidates are scored best-first, and stubs
-    /// beyond this many are near-duplicates through other buses/ports).
-    pub max_stub_candidates: usize,
     /// Maximum (unit, cycle) placements tried when scheduling one inserted
     /// copy operation.
     pub max_copy_attempts: usize,
@@ -67,9 +72,6 @@ pub struct SchedulerConfig {
     /// placement attempts and move to the next II (bounds worst-case
     /// scheduling time on congested machines).
     pub max_attempts_per_ii: u64,
-    /// Maximum candidate functional units tried per (operation, cycle)
-    /// before delaying to the next cycle.
-    pub max_fu_candidates: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -79,7 +81,6 @@ impl Default for SchedulerConfig {
             comm_cost_heuristic: true,
             closing_first: true,
             search_budget: 256,
-            max_stub_candidates: 32,
             max_copy_attempts: 64,
             no_copy_scan: 6,
             max_copy_depth: 3,
@@ -87,17 +88,11 @@ impl Default for SchedulerConfig {
             cross_block_copy_slack: 32,
             max_ii: 512,
             max_attempts_per_ii: 40_000,
-            max_fu_candidates: 10,
         }
     }
 }
 
 impl SchedulerConfig {
-    /// The paper's configuration (same as `Default`).
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
     /// Ablation: cycle-order scheduling (§4.6 discusses why this loses).
     pub fn cycle_order() -> Self {
         SchedulerConfig {
@@ -142,7 +137,6 @@ mod tests {
         assert_eq!(c.order, ScheduleOrder::Operation);
         assert!(c.comm_cost_heuristic);
         assert!(c.closing_first);
-        assert_eq!(c, SchedulerConfig::paper());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use csched_ir::{BlockId, DepGraph, DepKind, Kernel, OpId};
 use csched_machine::{Architecture, FuId, Opcode};
 
 use crate::budget::StepBudget;
-use crate::config::{ScheduleOrder, SchedulerConfig};
+use crate::config::{ScheduleOrder, SchedulerConfig, MAX_FU_CANDIDATES};
 use crate::conn::ConnCache;
 use crate::engine::{Engine, OrderEdge};
 use crate::schedule::Schedule;
@@ -119,14 +119,15 @@ pub(crate) fn min_latency(arch: &Architecture, opcode: Opcode) -> u32 {
 /// across every II attempt, and the retry ladder in [`crate::retry`]
 /// builds one per `(arch, kernel)` and reuses it for the whole ladder
 /// (every rung varies only the [`SchedulerConfig`], which no `Prepared`
-/// field depends on).
+/// field depends on). The exact oracle ([`crate::exact`]) starts from
+/// the same checks, dependence graph, memory-order edges and MII.
 pub(crate) struct Prepared {
     cache: Arc<ConnCache>,
-    graph: DepGraph,
-    order_edges: Vec<OrderEdge>,
+    pub(crate) graph: DepGraph,
+    pub(crate) order_edges: Vec<OrderEdge>,
     asap: Vec<i64>,
-    mii: u32,
-    has_loop: bool,
+    pub(crate) mii: u32,
+    pub(crate) has_loop: bool,
 }
 
 /// Runs the configuration-independent front half of [`schedule_kernel`]:
@@ -528,9 +529,7 @@ fn ordered_fus_into(
         scratch.scored.push((cost, load, caps, fu));
     }
     scratch.scored.sort_unstable();
-    scratch
-        .scored
-        .truncate(engine.config_ref().max_fu_candidates);
+    scratch.scored.truncate(MAX_FU_CANDIDATES);
     scratch.fus.clear();
     scratch
         .fus

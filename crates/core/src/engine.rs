@@ -68,7 +68,7 @@ use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub, RfId, Wri
 use crate::conn::ConnCache;
 
 use crate::budget::{BudgetStop, StepBudget};
-use crate::config::SchedulerConfig;
+use crate::config::{SchedulerConfig, MAX_STUB_CANDIDATES};
 use crate::error::SchedError;
 use crate::schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
 use crate::table::{ResourceTable, WriteSearch};
@@ -538,11 +538,6 @@ impl<'a> Engine<'a> {
     /// The architecture being scheduled for.
     pub fn arch(&self) -> &Architecture {
         self.arch
-    }
-
-    /// The engine's scheduler configuration.
-    pub fn config_ref(&self) -> &SchedulerConfig {
-        &self.config
     }
 
     /// The shared connectivity cache.
@@ -1219,7 +1214,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Scores and ranks the read stubs available to operand (`o`, `slot`),
-    /// appending the best `max_stub_candidates` to `out`. `scored` is a
+    /// appending the best [`MAX_STUB_CANDIDATES`] to `out`. `scored` is a
     /// scratch buffer; all scoring is O(1) reads of the shared
     /// [`ConnCache`]. The sort key `(score, port, bus)` is a total order
     /// ((port, bus) identifies a stub), so ranking is deterministic.
@@ -1262,7 +1257,7 @@ impl<'a> Engine<'a> {
             }
             scored.push((score, stub));
         }
-        let max = self.config.max_stub_candidates;
+        let max = MAX_STUB_CANDIDATES;
         if scored.len() > max {
             scored.select_nth_unstable_by_key(max - 1, |&(s, stub)| (s, stub.port, stub.bus));
             scored.truncate(max);
@@ -1493,7 +1488,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Scores and ranks the write stubs available to `cid`'s producer,
-    /// appending the best `max_stub_candidates` to `out`. Scores depend
+    /// appending the best [`MAX_STUB_CANDIDATES`] to `out`. Scores depend
     /// only on a stub's register file, so the [`ConnCache`]'s per-RF stub
     /// groups let each file be scored once instead of once per stub.
     fn write_candidates_into(
@@ -1567,7 +1562,7 @@ impl<'a> Engine<'a> {
 
     /// Takes the stubs of `fu`'s port runs in `ranked` order, passing each
     /// one's index among `fu`'s regrouped write stubs to `take`, until
-    /// `max_stub_candidates` are taken.
+    /// [`MAX_STUB_CANDIDATES`] are taken.
     ///
     /// The full ranking sorts stubs by `(score, rotated port, rotated
     /// bus)`. That key factors over the per-`(file, port)` runs: the score
@@ -1591,7 +1586,7 @@ impl<'a> Engine<'a> {
         let nbuses = self.arch.num_buses().max(1) as u32;
         let shift = (producer.index() as u32).wrapping_mul(13) % nbuses;
         let split = (nbuses - shift) % nbuses;
-        let max = self.config.max_stub_candidates;
+        let max = MAX_STUB_CANDIDATES;
         let mut taken = 0;
         for ri in ranked {
             let run = &runs[ri as usize];

@@ -17,13 +17,13 @@
 //! oracle searches a *normalised* space and its `Infeasible` verdict is
 //! relative to it:
 //!
-//! - every operation issues within a window of `II + window_slack`
-//!   cycles (straight-line blocks: `straight_horizon`) past its earliest
-//!   feasible cycle given already-placed neighbours — any modulo
+//! - every operation issues within a window of `II +` [`WINDOW_SLACK`]
+//!   cycles (straight-line blocks: [`STRAIGHT_HORIZON`]) past its
+//!   earliest feasible cycle given already-placed neighbours — any modulo
 //!   schedule can be compacted operation-by-operation into this window,
-//!   with `window_slack` covering back-edge effects;
-//! - copy chains have depth ≤ 1 and at most `max_copies` copies, each
-//!   issuing within `copy_slack` cycles of its producer's completion
+//!   with [`WINDOW_SLACK`] covering back-edge effects;
+//! - copy chains have depth ≤ 1 and at most [`MAX_COPIES`] copies, each
+//!   issuing within [`COPY_SLACK`] cycles of its producer's completion
 //!   (the paper machines never need more on the evaluation kernels; a
 //!   machine that does shows up as a *conservative* `Infeasible`, never
 //!   as a bogus `Certified`).
@@ -43,7 +43,7 @@
 //! [`ExactReport::render_text`].
 //!
 //! ```
-//! use csched_core::exact::{certify_min_ii, ExactConfig, ExactVerdict};
+//! use csched_core::exact::{certify_min_ii, ExactVerdict};
 //! use csched_core::StepBudget;
 //! use csched_ir::KernelBuilder;
 //! use csched_machine::{toy, Opcode};
@@ -57,56 +57,35 @@
 //!
 //! let arch = toy::motivating_example();
 //! let budget = StepBudget::new(100_000);
-//! let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget)?;
+//! let report = certify_min_ii(&arch, &kernel, 128, &budget)?;
 //! assert_eq!(report.verdict, ExactVerdict::Certified { ii: 1 });
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::collections::HashMap;
 
-use csched_ir::{BlockId, DepGraph, DepKind, Kernel};
+use csched_ir::{BlockId, Kernel};
 use csched_machine::{Architecture, Capability, FuId, Opcode, ReadStub};
 
 use crate::budget::{BudgetStop, StepBudget};
-use crate::driver::{not_copy_connected, res_mii};
+use crate::driver::{prepare, Prepared};
 use crate::error::SchedError;
 use crate::schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
 use crate::table::{ResourceTable, Savepoint};
 use crate::universe::{Comm, CommId, SOpId, Universe};
 use crate::validate;
 
-/// Tunables of the exact search. The defaults define the normalised
-/// search space the `Infeasible` verdict is relative to (module docs).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExactConfig {
-    /// Upper bound on the candidate II iterated to; reaching it without a
-    /// schedule yields [`ExactVerdict::Infeasible`].
-    pub max_ii: u32,
-    /// Extra cycles past `II` in each loop operation's issue window.
-    pub window_slack: i64,
-    /// Issue-window length for straight-line block operations.
-    pub straight_horizon: i64,
-    /// Allow depth-1 copy insertion when no direct route closes a
-    /// communication.
-    pub allow_copies: bool,
-    /// Maximum copies live in one candidate schedule.
-    pub max_copies: usize,
-    /// Cycles past its producer's completion a copy may issue.
-    pub copy_slack: i64,
-}
+// The normalised search space the `Infeasible` verdict is relative to
+// (module docs). Gap journals key on these values.
 
-impl Default for ExactConfig {
-    fn default() -> Self {
-        ExactConfig {
-            max_ii: 128,
-            window_slack: 8,
-            straight_horizon: 64,
-            allow_copies: true,
-            max_copies: 4,
-            copy_slack: 8,
-        }
-    }
-}
+/// Extra cycles past `II` in each loop operation's issue window.
+pub const WINDOW_SLACK: i64 = 8;
+/// Issue-window length for straight-line block operations.
+pub const STRAIGHT_HORIZON: i64 = 64;
+/// Maximum copies live in one candidate schedule.
+pub const MAX_COPIES: usize = 4;
+/// Cycles past its producer's completion a copy may issue.
+pub const COPY_SLACK: i64 = 8;
 
 /// The oracle's answer for one `(architecture, kernel)` cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,7 +107,7 @@ pub enum ExactVerdict {
         limit: u64,
     },
     /// No schedule exists within the normalised search space for any II
-    /// up to the configured cap.
+    /// up to the `max_ii` cap.
     Infeasible {
         /// The largest candidate II refuted.
         max_ii: u32,
@@ -250,9 +229,9 @@ impl ExactReport {
 
 /// Certifies the minimum initiation interval of `kernel` on `arch`.
 ///
-/// Iterates candidate IIs upward from `max(RecMII, ResMII)`, running a
-/// complete branch-and-bound search at each; the first II with a
-/// schedule is the certified minimum (every smaller II was refuted).
+/// Iterates candidate IIs upward from `max(RecMII, ResMII)` to `max_ii`,
+/// running a complete branch-and-bound search at each; the first II with
+/// a schedule is the certified minimum (every smaller II was refuted).
 /// The witness schedule is re-checked by the independent validator
 /// before the verdict is issued.
 ///
@@ -266,31 +245,18 @@ impl ExactReport {
 pub fn certify_min_ii(
     arch: &Architecture,
     kernel: &Kernel,
-    cfg: &ExactConfig,
+    max_ii: u32,
     budget: &StepBudget,
 ) -> Result<ExactReport, SchedError> {
-    if !arch.copy_connectivity().is_copy_connected() {
-        return Err(not_copy_connected(arch));
-    }
-    for op in kernel.op_ids() {
-        let opcode = kernel.op(op).opcode();
-        if arch.fus_for(opcode).is_empty() {
-            return Err(SchedError::NoCapableUnit { opcode });
-        }
-    }
-    let graph = DepGraph::build(kernel, |opcode| crate::driver::min_latency(arch, opcode));
-    let has_loop = kernel.loop_block().is_some();
-    let mii = if has_loop {
-        graph.rec_mii(kernel).max(res_mii(arch, kernel))
-    } else {
-        0
-    };
+    let prep = prepare(arch, kernel)?;
+    let has_loop = prep.has_loop;
+    let mii = if has_loop { prep.mii } else { 0 };
     let first = mii.max(1);
-    let last = if has_loop { cfg.max_ii } else { first };
+    let last = if has_loop { max_ii } else { first };
 
     let mut per_ii = Vec::new();
     for ii in first..=last {
-        let mut search = Searcher::new(arch, kernel, &graph, cfg, budget, ii);
+        let mut search = Searcher::new(arch, kernel, &prep, budget, ii);
         let outcome = search.run();
         let mut stats = search.stats;
         stats.ii = ii;
@@ -344,7 +310,6 @@ pub fn certify_min_ii(
 struct Searcher<'a> {
     arch: &'a Architecture,
     kernel: &'a Kernel,
-    cfg: &'a ExactConfig,
     budget: &'a StepBudget,
     ii: u32,
     universe: Universe,
@@ -375,8 +340,7 @@ impl<'a> Searcher<'a> {
     fn new(
         arch: &'a Architecture,
         kernel: &'a Kernel,
-        graph: &DepGraph,
-        cfg: &'a ExactConfig,
+        prep: &Prepared,
         budget: &'a StepBudget,
         ii: u32,
     ) -> Self {
@@ -386,7 +350,7 @@ impl<'a> Searcher<'a> {
         let tables = ResourceTable::per_block(arch, kernel, ii);
         let mut order = Vec::with_capacity(num_ops);
         for block in kernel.block_ids() {
-            for op in graph.operation_order(kernel, block) {
+            for op in prep.graph.operation_order(kernel, block) {
                 order.push(SOpId::from_raw(op.index()));
             }
         }
@@ -397,24 +361,13 @@ impl<'a> Searcher<'a> {
         let copy_cand = fu_candidates(arch, Opcode::Copy);
         let mut order_preds = vec![Vec::new(); num_ops];
         let mut order_succs = vec![Vec::new(); num_ops];
-        for e in graph.edges() {
-            if e.kind != DepKind::Mem {
-                continue;
-            }
-            if kernel.op(e.from).block() != kernel.op(e.to).block() {
-                continue;
-            }
-            let (from, to) = (
-                SOpId::from_raw(e.from.index()),
-                SOpId::from_raw(e.to.index()),
-            );
-            order_preds[to.index()].push((from, e.distance));
-            order_succs[from.index()].push((to, e.distance));
+        for e in &prep.order_edges {
+            order_preds[e.to.index()].push((e.from, e.distance));
+            order_succs[e.from.index()].push((e.to, e.distance));
         }
         Searcher {
             arch,
             kernel,
-            cfg,
             budget,
             ii,
             universe,
@@ -488,9 +441,9 @@ impl<'a> Searcher<'a> {
         }
         lo = lo.max(0);
         let window = if is_loop {
-            self.ii as i64 + self.cfg.window_slack
+            self.ii as i64 + WINDOW_SLACK
         } else {
-            self.cfg.straight_horizon
+            STRAIGHT_HORIZON
         };
 
         for ci in 0..self.cand[op.index()].len() {
@@ -631,8 +584,7 @@ impl<'a> Searcher<'a> {
         // Depth-1 copy insertion: split the communication through a copy
         // in the producer's block (cross-block values stage there too,
         // mirroring the engine's preamble copies).
-        if !self.cfg.allow_copies || self.copies_used >= self.cfg.max_copies || self.copy_depth > 0
-        {
+        if self.copies_used >= MAX_COPIES || self.copy_depth > 0 {
             return Ok(false);
         }
         let cblock = pblock;
@@ -640,7 +592,7 @@ impl<'a> Searcher<'a> {
         for ci in 0..self.copy_cand.len() {
             let (cfu, ccap) = self.copy_cand[ci];
             let lo_c = p.completion() + 1;
-            let mut hi_c = lo_c + self.cfg.copy_slack - 1;
+            let mut hi_c = lo_c + COPY_SLACK - 1;
             if cblock == qblock {
                 hi_c = hi_c.min(q.cycle + c.distance as i64 * cbii - ccap.latency as i64);
             }
@@ -793,7 +745,7 @@ mod tests {
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
         let budget = StepBudget::new(5_000_000);
-        let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget).unwrap();
+        let report = certify_min_ii(&arch, &kernel, 128, &budget).unwrap();
         assert_eq!(report.verdict, ExactVerdict::Certified { ii: 2 }, "{}", {
             report.render_text()
         });
@@ -819,7 +771,7 @@ mod tests {
 
         let heuristic = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
         let budget = StepBudget::new(5_000_000);
-        let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget).unwrap();
+        let report = certify_min_ii(&arch, &kernel, 128, &budget).unwrap();
         let exact = report.verdict.certified_ii().unwrap();
         assert!(exact <= heuristic.ii().unwrap());
         assert!(report.mii <= exact);
@@ -834,7 +786,7 @@ mod tests {
         kb.push(b, Opcode::IAdd, [x.into(), 3i64.into()]);
         let kernel = kb.build().unwrap();
         let budget = StepBudget::new(100_000);
-        let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget).unwrap();
+        let report = certify_min_ii(&arch, &kernel, 128, &budget).unwrap();
         assert_eq!(report.verdict, ExactVerdict::Certified { ii: 0 });
         let schedule = report.schedule.unwrap();
         assert_eq!(schedule.ii(), None);
@@ -846,7 +798,7 @@ mod tests {
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
         let budget = StepBudget::new(3);
-        let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget).unwrap();
+        let report = certify_min_ii(&arch, &kernel, 128, &budget).unwrap();
         assert_eq!(
             report.verdict,
             ExactVerdict::GapUnknown { spent: 3, limit: 3 }
@@ -880,11 +832,7 @@ mod tests {
         let arch = toy::motivating_example();
         let kernel = bus_bound_loop();
         let budget = StepBudget::new(20_000_000);
-        let cfg = ExactConfig {
-            max_ii: 2,
-            ..ExactConfig::default()
-        };
-        let report = certify_min_ii(&arch, &kernel, &cfg, &budget).unwrap();
+        let report = certify_min_ii(&arch, &kernel, 2, &budget).unwrap();
         assert_eq!(report.mii, 2, "issue pressure alone says 2");
         assert_eq!(
             report.verdict,
@@ -902,11 +850,8 @@ mod tests {
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
         let budget = StepBudget::new(5_000_000);
-        let cfg = ExactConfig {
-            max_ii: 1, // below the MII of 2: nothing to search
-            ..ExactConfig::default()
-        };
-        let report = certify_min_ii(&arch, &kernel, &cfg, &budget).unwrap();
+        // A cap of 1 is below the MII of 2: nothing to search.
+        let report = certify_min_ii(&arch, &kernel, 1, &budget).unwrap();
         assert_eq!(report.verdict, ExactVerdict::Infeasible { max_ii: 1 });
         assert!(report.per_ii.is_empty());
     }
@@ -917,7 +862,7 @@ mod tests {
         let kernel = pressured_loop();
         let run = || {
             let budget = StepBudget::new(5_000_000);
-            certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget).unwrap()
+            certify_min_ii(&arch, &kernel, 128, &budget).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.verdict, b.verdict);

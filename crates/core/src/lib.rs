@@ -76,13 +76,13 @@ pub mod trace;
 mod universe;
 pub mod validate;
 
-pub use budget::{BudgetStop, CancelToken, StepBudget, WatchGuard, Watchdog};
-pub use config::{ScheduleOrder, SchedulerConfig};
+pub use budget::{BudgetStop, CancelToken, StepBudget};
+pub use config::{ScheduleOrder, SchedulerConfig, MAX_FU_CANDIDATES, MAX_STUB_CANDIDATES};
 pub use conn::ConnCache;
 pub use driver::{res_mii, schedule_kernel, schedule_kernel_budgeted, schedule_kernel_traced};
 pub use engine::{Engine, OrderEdge};
 pub use error::SchedError;
-pub use exact::{certify_min_ii, ExactConfig, ExactReport, ExactVerdict};
+pub use exact::{certify_min_ii, ExactReport, ExactVerdict};
 pub use explain::{explain, Binding, Counterfactual, Explanation, ResourceRank};
 pub use metrics::ScheduleMetrics;
 pub use retry::{

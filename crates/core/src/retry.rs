@@ -505,15 +505,14 @@ mod tests {
 
     #[test]
     fn mined_recurrence_rung_closes_a_certified_optimality_gap() {
-        use crate::exact::{certify_min_ii, ExactConfig, ExactVerdict};
+        use crate::exact::{certify_min_ii, ExactVerdict};
 
         let arch = toy::motivating_example();
         let kernel = pressured_loop();
         // The oracle certifies II = 2 on this cell; the plain height
         // order cannot reach it (it settles at 3).
         let budget = StepBudget::new(10_000_000);
-        let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget)
-            .expect("the oracle must run");
+        let report = certify_min_ii(&arch, &kernel, 128, &budget).expect("the oracle must run");
         assert_eq!(report.verdict, ExactVerdict::Certified { ii: 2 });
 
         // Pin the II cap at the certified minimum: the caller rung and

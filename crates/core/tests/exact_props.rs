@@ -3,7 +3,7 @@
 //! (the oracle is sound as a lower bound), every exact witness passes
 //! the independent validator, and certification is deterministic.
 
-use csched_core::exact::{certify_min_ii, ExactConfig, ExactVerdict};
+use csched_core::exact::{certify_min_ii, ExactVerdict};
 use csched_core::{schedule_kernel, validate, SchedulerConfig, StepBudget};
 use csched_ir::{Kernel, KernelBuilder};
 use csched_machine::{imagine, toy, Architecture, Opcode};
@@ -72,7 +72,7 @@ proptest! {
         prop_assert!(kernel.num_ops() <= 8, "generator must stay small");
         let arch = machine(which);
         let budget = StepBudget::new(3_000_000);
-        let report = certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget)
+        let report = certify_min_ii(&arch, &kernel, 128, &budget)
             .map_err(|e| TestCaseError::fail(format!("oracle: {e}")))?;
         if let Some(witness) = &report.schedule {
             prop_assert!(
@@ -111,7 +111,7 @@ proptest! {
         let arch = machine(which);
         let run = || {
             let budget = StepBudget::new(500_000);
-            certify_min_ii(&arch, &kernel, &ExactConfig::default(), &budget)
+            certify_min_ii(&arch, &kernel, 128, &budget)
         };
         let a = run().map_err(|e| TestCaseError::fail(format!("oracle: {e}")))?;
         let b = run().map_err(|e| TestCaseError::fail(format!("oracle: {e}")))?;

@@ -32,7 +32,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         csched_machine::imagine::clustered(4),
     ];
     let configs: Vec<(&str, SchedulerConfig)> = vec![
-        ("paper", SchedulerConfig::paper()),
+        ("paper", SchedulerConfig::default()),
         ("cycle-order", SchedulerConfig::cycle_order()),
         ("no-comm-cost", SchedulerConfig::without_comm_cost()),
         ("no-closing-first", SchedulerConfig::without_closing_first()),

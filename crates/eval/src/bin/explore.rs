@@ -61,13 +61,14 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::SUCCESS);
     }
 
+    let defaults = ExploreConfig::default();
     let config = ExploreConfig {
-        candidates: args.num("--candidates")?.unwrap_or(24),
-        seed: args.num("--seed")?.unwrap_or(0xC5C4ED),
-        refine_rounds: args.num("--rounds")?.unwrap_or(1),
-        step_limit: args.num("--step-limit")?.unwrap_or(1_000_000),
+        candidates: args.num("--candidates")?.unwrap_or(defaults.candidates),
+        seed: args.num("--seed")?.unwrap_or(defaults.seed),
+        refine_rounds: args.num("--rounds")?.unwrap_or(defaults.refine_rounds),
+        step_limit: args.num("--step-limit")?.unwrap_or(defaults.step_limit),
         anchors: !args.has("--no-anchors"),
-        ..ExploreConfig::default()
+        ..defaults
     };
     let jobs: usize = args.num("--jobs")?.unwrap_or(1);
     let workloads = match args.value("--kernels")? {

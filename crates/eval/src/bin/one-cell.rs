@@ -34,12 +34,13 @@
 
 use std::process::ExitCode;
 
-use csched_core::exact::{certify_min_ii, ExactConfig, ExactVerdict};
+use csched_core::exact::{certify_min_ii, ExactVerdict};
 use csched_core::{
     explain, schedule_kernel, validate, CommDisposition, ScheduleMetrics, SchedulerConfig,
     StepBudget,
 };
 use csched_eval::cli::{self, Args, CliError};
+use csched_eval::gap::GapConfig;
 use csched_kernels::Workload;
 use csched_machine::Architecture;
 use csched_sim::Timeline;
@@ -219,10 +220,12 @@ fn report(
     Ok(())
 }
 
-/// Grades the heuristic II against the exact oracle.
+/// Grades the heuristic II against the exact oracle, with the gap pass's
+/// default II cap and step budget.
 fn certify(arch: &Architecture, w: &Workload, heuristic_ii: u32) -> Result<(), String> {
-    let budget = StepBudget::new(2_000_000);
-    let report = certify_min_ii(arch, &w.kernel, &ExactConfig::default(), &budget)
+    let gap = GapConfig::default();
+    let budget = StepBudget::new(gap.exact_step_limit);
+    let report = certify_min_ii(arch, &w.kernel, gap.max_ii, &budget)
         .map_err(|e| format!("exact oracle failed: {e}"))?;
     match report.verdict {
         ExactVerdict::Certified { ii } if ii == heuristic_ii => {

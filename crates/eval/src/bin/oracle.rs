@@ -77,7 +77,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
         .num("--heuristic-steps")?
         .unwrap_or(cfg.heuristic_step_limit);
     cfg.seed = args.num("--seed")?.unwrap_or(cfg.seed);
-    cfg.exact.max_ii = args.num("--max-ii")?.unwrap_or(cfg.exact.max_ii);
+    cfg.max_ii = args.num("--max-ii")?.unwrap_or(cfg.max_ii);
     cfg.explore_sample = args.num("--explore-sample")?.unwrap_or(cfg.explore_sample);
 
     let journal = args.value("--journal")?.map(Path::new);

@@ -26,6 +26,7 @@ use std::path::{Path, PathBuf};
 use csched_core::trace::json_escape;
 use csched_core::{
     regalloc, schedule_kernel_budgeted, validate, SchedError, SchedulerConfig, StepBudget,
+    MAX_FU_CANDIDATES, MAX_STUB_CANDIDATES,
 };
 use csched_ir::Kernel;
 use csched_machine::Architecture;
@@ -142,16 +143,17 @@ pub(crate) fn fnv1a<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u64 {
 }
 
 /// A stable fingerprint of everything that decides a cell's outcome:
-/// the scheduler configuration knobs plus the campaign step limit.
+/// the scheduler configuration knobs and candidate limits plus the
+/// campaign step limit.
 pub fn config_fingerprint(config: &SchedulerConfig, step_limit: u64) -> String {
     format!(
-        "order={:?};heur={};closing={};search={};stubs={};copyatt={};noscan={};copydepth={};\
-         delay={};xslack={};maxii={};attperii={};fucand={};step_limit={step_limit}",
+        "order={:?};heur={};closing={};search={};stubs={MAX_STUB_CANDIDATES};copyatt={};\
+         noscan={};copydepth={};delay={};xslack={};maxii={};attperii={};\
+         fucand={MAX_FU_CANDIDATES};step_limit={step_limit}",
         config.order,
         config.comm_cost_heuristic,
         config.closing_first,
         config.search_budget,
-        config.max_stub_candidates,
         config.max_copy_attempts,
         config.no_copy_scan,
         config.max_copy_depth,
@@ -159,7 +161,6 @@ pub fn config_fingerprint(config: &SchedulerConfig, step_limit: u64) -> String {
         config.cross_block_copy_slack,
         config.max_ii,
         config.max_attempts_per_ii,
-        config.max_fu_candidates,
     )
 }
 
@@ -550,7 +551,12 @@ pub fn run_campaign_jobs(
         jobs,
         |_, &(name, kernel, arch, key)| match resume.get(&key) {
             Some(done) => (false, key, done.clone()),
-            None => (true, key, run_cell(name, kernel, arch, config, step_limit)),
+            None => {
+                let budget = StepBudget::new(step_limit);
+                let timed_out = format!("step limit {step_limit} exhausted");
+                let record = run_cell(name, kernel, arch, config, &budget, &timed_out);
+                (true, key, record)
+            }
         },
         |_, (fresh, key, record)| {
             if *fresh {
@@ -569,14 +575,19 @@ pub fn run_campaign_jobs(
     })
 }
 
-fn run_cell(
+/// Schedules one cell under `budget`, validates the schedule and reads
+/// its register demand. A budget stop records `timed_out` as the detail.
+/// The record's attempts are what `budget` spent during this call, so a
+/// budget shared across cells charges each cell its own share.
+pub(crate) fn run_cell(
     name: &str,
     kernel: &Kernel,
     arch: &Architecture,
     config: &SchedulerConfig,
-    step_limit: u64,
+    budget: &StepBudget,
+    timed_out: &str,
 ) -> CellRecord {
-    let budget = StepBudget::new(step_limit);
+    let before = budget.spent();
     let mut record = CellRecord {
         kernel: name.to_string(),
         arch: arch.name().to_string(),
@@ -587,7 +598,7 @@ fn run_cell(
         attempts: 0,
         detail: String::new(),
     };
-    match schedule_kernel_budgeted(arch, kernel, config.clone(), &budget) {
+    match schedule_kernel_budgeted(arch, kernel, config.clone(), budget) {
         Ok(schedule) => match validate::validate(arch, kernel, &schedule) {
             Ok(()) => {
                 record.status = CellStatus::Ok;
@@ -608,13 +619,13 @@ fn run_cell(
         },
         Err(SchedError::DeadlineExceeded { .. } | SchedError::Cancelled { .. }) => {
             record.status = CellStatus::TimedOut;
-            record.detail = format!("step limit {step_limit} exhausted");
+            record.detail = timed_out.to_string();
         }
         Err(e) => {
             record.detail = e.to_string();
         }
     }
-    record.attempts = budget.spent();
+    record.attempts = budget.spent() - before;
     record
 }
 
@@ -896,6 +907,17 @@ mod tests {
         assert_ne!(cell_key("A", "x", &fp1), cell_key("A", "x", &fp2));
         // The separator keeps ("AB","C") distinct from ("A","BC").
         assert_ne!(cell_key("AB", "C", &fp1), cell_key("A", "BC", &fp1));
+    }
+
+    /// Serve cache keys and campaign and explore journals fold this text
+    /// in, so a change to it orphans every key already written.
+    #[test]
+    fn default_fingerprint_keeps_its_text() {
+        assert_eq!(
+            config_fingerprint(&SchedulerConfig::default(), 0),
+            "order=Operation;heur=true;closing=true;search=256;stubs=32;copyatt=64;noscan=6;\
+             copydepth=3;delay=96;xslack=32;maxii=512;attperii=40000;fucand=10;step_limit=0"
+        );
     }
 
     #[test]

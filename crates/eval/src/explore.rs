@@ -29,22 +29,20 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-use csched_core::{
-    regalloc, schedule_kernel_budgeted, validate, SchedError, SchedulerConfig, StepBudget,
-};
+use csched_core::{SchedulerConfig, StepBudget};
 use csched_ir::Kernel;
 use csched_machine::cost::{self, CostParams};
 use csched_machine::gen::{DesignPoint, DesignSpace, Rng};
 use csched_machine::{imagine, Architecture};
 
 use crate::campaign::{
-    cell_key, config_fingerprint, CampaignError, CellRecord, CellStatus, Journal,
+    cell_key, config_fingerprint, run_cell, CampaignError, CellRecord, CellStatus, Journal,
 };
 
 /// Everything that decides an exploration's outcome (and therefore its
 /// journal keys): the space, the sampling budget and seed, the
-/// refinement depth, the per-candidate step budget, and the scheduler
-/// configuration.
+/// refinement depth and the per-candidate step budget. Every cell runs
+/// under `SchedulerConfig::default()`.
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
     /// The space candidates are drawn from.
@@ -63,8 +61,6 @@ pub struct ExploreConfig {
     /// Whether to seed the sweep with the paper's four Imagine machines
     /// as named anchor candidates.
     pub anchors: bool,
-    /// Scheduler configuration used for every cell.
-    pub sched: SchedulerConfig,
 }
 
 impl Default for ExploreConfig {
@@ -76,7 +72,6 @@ impl Default for ExploreConfig {
             refine_rounds: 1,
             step_limit: 1_000_000,
             anchors: true,
-            sched: SchedulerConfig::default(),
         }
     }
 }
@@ -362,55 +357,15 @@ struct Pending {
 fn run_candidate(
     kernels: &[(&str, &Kernel)],
     arch: &Architecture,
-    sched: &SchedulerConfig,
     step_limit: u64,
 ) -> Vec<CellRecord> {
     let budget = StepBudget::new(step_limit);
-    let mut records = Vec::with_capacity(kernels.len());
-    for &(name, kernel) in kernels {
-        let before = budget.spent();
-        let mut record = CellRecord {
-            kernel: name.to_string(),
-            arch: arch.name().to_string(),
-            status: CellStatus::Failed,
-            ii: 0,
-            copies: 0,
-            max_registers: 0,
-            attempts: 0,
-            detail: String::new(),
-        };
-        match schedule_kernel_budgeted(arch, kernel, sched.clone(), &budget) {
-            Ok(schedule) => match validate::validate(arch, kernel, &schedule) {
-                Ok(()) => {
-                    record.status = CellStatus::Ok;
-                    record.ii = schedule.ii().unwrap_or(1);
-                    record.copies = schedule.num_copies();
-                    record.max_registers =
-                        regalloc::analyze(arch, kernel, &schedule).max_required();
-                }
-                Err(violations) => {
-                    record.detail = format!(
-                        "invalid schedule: {}",
-                        violations
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    );
-                }
-            },
-            Err(SchedError::DeadlineExceeded { .. } | SchedError::Cancelled { .. }) => {
-                record.status = CellStatus::TimedOut;
-                record.detail = format!("candidate step limit {step_limit} exhausted");
-            }
-            Err(e) => {
-                record.detail = e.to_string();
-            }
-        }
-        record.attempts = budget.spent().saturating_sub(before);
-        records.push(record);
-    }
-    records
+    let timed_out = format!("candidate step limit {step_limit} exhausted");
+    let config = SchedulerConfig::default();
+    kernels
+        .iter()
+        .map(|&(name, kernel)| run_cell(name, kernel, arch, &config, &budget, &timed_out))
+        .collect()
 }
 
 fn score_candidate(arch: &Architecture, records: &[CellRecord]) -> Option<Score> {
@@ -439,7 +394,6 @@ fn score_candidate(arch: &Architecture, records: &[CellRecord]) -> Option<Score>
 fn eval_batch(
     batch: Vec<Pending>,
     kernels: &[(&str, &Kernel)],
-    sched: &SchedulerConfig,
     sched_fp: &str,
     step_limit: u64,
     jobs: usize,
@@ -471,7 +425,7 @@ fn eval_batch(
                 keys.iter().map(|k| resume.get(k).cloned()).collect();
             let (fresh, records) = match journaled {
                 Some(records) => (false, records),
-                None => (true, run_candidate(kernels, &p.arch, sched, step_limit)),
+                None => (true, run_candidate(kernels, &p.arch, step_limit)),
             };
             let score = score_candidate(&p.arch, &records);
             (
@@ -526,7 +480,7 @@ pub fn explore(
 ) -> Result<ExploreReport, CampaignError> {
     let sched_fp = format!(
         "explore;{}",
-        config_fingerprint(&config.sched, config.step_limit)
+        config_fingerprint(&SchedulerConfig::default(), config.step_limit)
     );
     let mut seen: HashSet<u64> = HashSet::new();
     let mut batch: Vec<Pending> = Vec::new();
@@ -594,7 +548,6 @@ pub fn explore(
     let mut candidates = eval_batch(
         batch,
         kernels,
-        &config.sched,
         &sched_fp,
         config.step_limit,
         jobs,
@@ -628,7 +581,6 @@ pub fn explore(
         candidates.extend(eval_batch(
             next,
             kernels,
-            &config.sched,
             &sched_fp,
             config.step_limit,
             jobs,

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use csched_core::exact::{certify_min_ii, ExactConfig};
+use csched_core::exact::{certify_min_ii, COPY_SLACK, MAX_COPIES, STRAIGHT_HORIZON, WINDOW_SLACK};
 use csched_core::{
     schedule_kernel_budgeted, validate, SchedError, Schedule, SchedulerConfig, StepBudget,
 };
@@ -39,8 +39,9 @@ use crate::jsonl::{num_field, str_field};
 /// Configuration of one gap campaign.
 #[derive(Clone, Debug)]
 pub struct GapConfig {
-    /// Oracle search-space parameters.
-    pub exact: ExactConfig,
+    /// The largest II the oracle tries; reaching it without a schedule
+    /// records `infeasible`.
+    pub max_ii: u32,
     /// Step budget for the heuristic schedule of each cell.
     pub heuristic_step_limit: u64,
     /// Step budget for the oracle search of each cell (exhausting it
@@ -56,7 +57,7 @@ pub struct GapConfig {
 impl Default for GapConfig {
     fn default() -> Self {
         GapConfig {
-            exact: ExactConfig::default(),
+            max_ii: 128,
             heuristic_step_limit: 400_000,
             exact_step_limit: 2_000_000,
             explore_sample: 0,
@@ -66,19 +67,14 @@ impl Default for GapConfig {
 }
 
 /// A deterministic fingerprint of everything that affects a cell's gap
-/// record; folded into the journal key so a journal written under one
-/// configuration is never resumed under another.
+/// record, the oracle's normalised search space included; folded into
+/// the journal key so a journal written under one configuration is never
+/// resumed under another.
 pub fn gap_fingerprint(cfg: &GapConfig) -> String {
     format!(
-        "gap-v1 hsl={} xsl={} maxii={} ws={} sh={} copies={} cs={} ac={}",
-        cfg.heuristic_step_limit,
-        cfg.exact_step_limit,
-        cfg.exact.max_ii,
-        cfg.exact.window_slack,
-        cfg.exact.straight_horizon,
-        cfg.exact.max_copies,
-        cfg.exact.copy_slack,
-        cfg.exact.allow_copies,
+        "gap-v1 hsl={} xsl={} maxii={} ws={WINDOW_SLACK} sh={STRAIGHT_HORIZON} \
+         copies={MAX_COPIES} cs={COPY_SLACK} ac=true",
+        cfg.heuristic_step_limit, cfg.exact_step_limit, cfg.max_ii,
     )
 }
 
@@ -249,7 +245,7 @@ fn grade(
     };
 
     let xb = StepBudget::new(cfg.exact_step_limit);
-    let mut record = match certify_min_ii(arch, kernel, &cfg.exact, &xb) {
+    let mut record = match certify_min_ii(arch, kernel, cfg.max_ii, &xb) {
         Err(e) => GapRecord {
             kernel: kernel.name().to_string(),
             arch: arch.name().to_string(),
@@ -587,14 +583,21 @@ mod tests {
         assert_eq!(report.nonzero_gaps().len(), 1);
     }
 
+    /// Gap journals fold this text into their keys, so a change to it
+    /// orphans every journal already written.
+    #[test]
+    fn default_fingerprint_keeps_its_text() {
+        assert_eq!(
+            gap_fingerprint(&GapConfig::default()),
+            "gap-v1 hsl=400000 xsl=2000000 maxii=128 ws=8 sh=64 copies=4 cs=8 ac=true"
+        );
+    }
+
     #[test]
     fn fingerprint_changes_with_the_search_space() {
         let a = gap_fingerprint(&GapConfig::default());
         let cfg = GapConfig {
-            exact: ExactConfig {
-                max_copies: 1,
-                ..ExactConfig::default()
-            },
+            max_ii: 64,
             ..GapConfig::default()
         };
         assert_ne!(a, gap_fingerprint(&cfg));

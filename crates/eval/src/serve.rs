@@ -20,14 +20,17 @@
 //!   admitted work is never abandoned.
 //! - **Per-request deadlines.** Each request schedules under a
 //!   [`StepBudget`] of placement attempts (deterministic), optionally
-//!   fenced by a wall-clock deadline enforced through a shared
-//!   [`Watchdog`] cancelling the request's
-//!   [`CancelToken`]. Socket reads and writes
-//!   carry timeouts, so a stalled client cannot pin a worker.
+//!   fenced by a wall-clock deadline carried by the budget's
+//!   [`CancelToken`], which reads as cancelled once the deadline passes.
+//!   Socket reads and writes carry timeouts, so a stalled client cannot
+//!   pin a worker.
 //! - **Graceful degradation.** Scheduling runs the anytime ladder
 //!   ([`csched_core::schedule_kernel_anytime`]): when a deadline
 //!   expires mid-ladder the response is the best relaxed-II schedule
-//!   completed so far, flagged `degraded=1`, instead of an error.
+//!   completed so far, flagged `degraded=1`, instead of an error. An
+//!   answer the wall-clock deadline cut short depends on timing, so it
+//!   is answered but never cached: the cache holds only answers that are
+//!   a function of the key and the step limit.
 //! - **Corruption quarantine.** The cache journal checksums every
 //!   entry. A torn final line (crash mid-append) is repaired silently;
 //!   a bit-flipped interior entry is *quarantined* on load — serving
@@ -110,7 +113,7 @@
 //! - every `SCHED`/`TRACE` request is recorded as a
 //!   [`RequestSpan`] with per-stage
 //!   timings — including shed connections (recorded by the acceptor),
-//!   watchdog deadline expiries, and requests served during the ENOSPC
+//!   wall-clock deadline expiries, and requests served during the ENOSPC
 //!   degraded latch — unless [`ServeConfig::telemetry`] is off, in
 //!   which case the schedule path runs sink-free and records nothing.
 
@@ -124,7 +127,7 @@ use std::time::{Duration, Instant};
 
 use csched_core::{
     explain, regalloc, schedule_kernel_anytime, schedule_kernel_anytime_traced, validate,
-    CancelToken, RetryPolicy, SchedulerConfig, StepBudget, Watchdog,
+    CancelToken, RetryPolicy, SchedulerConfig, StepBudget,
 };
 use csched_ir::Kernel;
 
@@ -218,9 +221,6 @@ pub struct ServeConfig {
     pub durable: bool,
     /// Journal compaction thresholds (see [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
-    /// Scheduler configuration every request runs under (part of the
-    /// cache key).
-    pub scheduler: SchedulerConfig,
     /// Record per-request telemetry spans and histograms. When off, the
     /// schedule path runs with no trace sink attached and records
     /// nothing — `METRICS`/`TRACE` still answer, over empty
@@ -250,7 +250,6 @@ impl Default for ServeConfig {
             cache_path: None,
             durable: false,
             compaction: CompactionPolicy::default(),
-            scheduler: SchedulerConfig::default(),
             telemetry: true,
         }
     }
@@ -774,10 +773,10 @@ impl ScheduleCache {
     }
 
     /// Test hook: trips the full-disk latch as if an append had just
-    /// returned ENOSPC. Public (not `cfg(test)`) so integration tests
-    /// and the soak harness can exercise degraded mode without an
-    /// actual full device.
-    pub fn latch_degraded_for_test(&mut self) {
+    /// returned ENOSPC, so degraded mode is exercised without an actual
+    /// full device.
+    #[cfg(test)]
+    fn latch_degraded_for_test(&mut self) {
         self.degraded = true;
     }
 }
@@ -834,7 +833,6 @@ struct ServerState {
     config_fp: String,
     stats: ServeStats,
     cache: Mutex<ScheduleCache>,
-    watchdog: Watchdog,
     telemetry: Telemetry,
     started: Instant,
 }
@@ -933,14 +931,13 @@ impl Server {
             config.compaction,
         )
         .map_err(ServeError::Cache)?;
-        let config_fp = config_fingerprint(&config.scheduler, 0);
+        let config_fp = config_fingerprint(&SchedulerConfig::default(), 0);
         let telemetry = Telemetry::new(SPAN_RING);
         let state = Arc::new(ServerState {
             config,
             config_fp,
             stats: ServeStats::default(),
             cache: Mutex::new(cache),
-            watchdog: Watchdog::new(),
             telemetry,
             started: Instant::now(),
         });
@@ -1468,26 +1465,25 @@ fn read_bodies(
 /// The cold path `SCHED` misses and every `TRACE` share: schedules the
 /// request under its step budget and wall deadline with `capture`
 /// attached, validates the schedule independently, and builds its cache
-/// entry. A failure comes back as its outcome and `ERR` line.
+/// entry. The flag beside the entry says the wall deadline cut the
+/// anytime ladder short (`degraded=1` for timing, not the step limit).
+/// A failure comes back as its outcome and `ERR` line.
 fn schedule_request(
     state: &ServerState,
     req: &Request,
     mut capture: Option<&mut TraceCapture>,
     span: &mut RequestSpan,
-) -> Result<CacheEntry, (Outcome, String)> {
+) -> Result<(CacheEntry, bool), (Outcome, String)> {
     let t_sched = Instant::now();
-    let token = CancelToken::new();
-    let budget = StepBudget::new(req.limit).with_cancel(token.clone());
-    let _guard = req.wall_ms.map(|ms| {
-        state
-            .watchdog
-            .watch_for(token.clone(), Duration::from_millis(ms))
+    let token = req.wall_ms.map_or_else(CancelToken::new, |ms| {
+        CancelToken::with_deadline(t_sched + Duration::from_millis(ms))
     });
+    let budget = StepBudget::new(req.limit).with_cancel(token.clone());
     let (result, report) = match capture.as_deref_mut() {
         Some(sink) => schedule_kernel_anytime_traced(
             &req.arch,
             &req.kernel,
-            state.config.scheduler.clone(),
+            SchedulerConfig::default(),
             &RetryPolicy::default(),
             &budget,
             sink,
@@ -1495,11 +1491,12 @@ fn schedule_request(
         None => schedule_kernel_anytime(
             &req.arch,
             &req.kernel,
-            state.config.scheduler.clone(),
+            SchedulerConfig::default(),
             &RetryPolicy::default(),
             &budget,
         ),
     };
+    let wall_cut = report.degraded && token.is_cancelled();
     if let Some(capture) = &capture {
         span.rejects = capture.rejects();
         span.deadline_events = capture.deadline_events();
@@ -1530,7 +1527,7 @@ fn schedule_request(
                         .binding
                         .kind();
                 }
-                Ok(CacheEntry {
+                let entry = CacheEntry {
                     ii: schedule.ii().unwrap_or(0),
                     copies: schedule.num_copies() as u64,
                     max_registers: regalloc::analyze(&req.arch, &req.kernel, &schedule)
@@ -1538,7 +1535,8 @@ fn schedule_request(
                     attempts: report.attempts_spent,
                     degraded: report.degraded,
                     limit: req.limit,
-                })
+                };
+                Ok((entry, wall_cut))
             }
         },
         Err(e) if e.is_budget_stop() => Err((
@@ -1601,8 +1599,8 @@ fn serve_sched<'a>(
     // ladder rungs; with telemetry off the scheduler runs sink-free (no
     // event is even constructed).
     let mut capture = state.config.telemetry.then(TraceCapture::rollup_only);
-    let entry = match schedule_request(state, &req, capture.as_mut(), span) {
-        Ok(entry) => entry,
+    let (entry, wall_cut) = match schedule_request(state, &req, capture.as_mut(), span) {
+        Ok(scheduled) => scheduled,
         Err((outcome, line)) => {
             let _ = respond(stream, &line);
             return outcome;
@@ -1610,9 +1608,11 @@ fn serve_sched<'a>(
     };
     // Journal before responding: a response is only ever sent for a
     // durably recorded entry, so a crash immediately after the response
-    // still serves this key warm on restart.
+    // still serves this key warm on restart. An answer the wall deadline
+    // cut short is answered but not cached: it depends on timing, and a
+    // later request without that deadline deserves the full ladder.
     let t_journal = Instant::now();
-    {
+    if !wall_cut {
         let Ok(mut cache) = state.cache.lock() else {
             let _ = respond(stream, "ERR internal cache lock poisoned\n");
             return Outcome::Internal;
@@ -1725,7 +1725,7 @@ fn serve_trace<'a>(
     }
 
     let outcome = match result {
-        Ok(entry) => {
+        Ok((entry, _)) => {
             text.push_str(&ok_line(&entry));
             Outcome::OkCold {
                 degraded: entry.degraded,

@@ -4,7 +4,7 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csched_eval::serve::{client_raw, client_request, client_stats, ServeConfig, Server};
 
@@ -241,6 +241,62 @@ fn exhausted_budget_is_a_typed_deadline_error_and_not_cached() {
     let stats = client_stats(&addr, TIMEOUT).unwrap();
     assert!(stats.contains("\"deadline\":1"), "{stats}");
     server.shutdown();
+}
+
+/// An answer a `wall_ms=` deadline cut short (`degraded=1`) depends on
+/// the timing of the request that got it, so it must not become the
+/// warm answer: the same request without a deadline misses and gets
+/// what a fresh server answers. The deadline is bisected over fractions
+/// of the wall-free cold time until one answer comes back degraded: a
+/// deadline before the first schedule answers `ERR deadline` (longer
+/// next), one after the whole ladder answers `degraded=0` (shorter next).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "cold FIR-INT schedules take seconds under the debug profile; CI runs it on release"
+)]
+fn wall_cut_answer_is_returned_but_not_cached() {
+    let w = csched_kernels::by_name("FIR-INT").unwrap();
+    let kernel = csched_ir::text::print(&w.kernel);
+    let arch = csched_machine::text::print(&csched_machine::imagine::distributed());
+    let fresh_server = || {
+        Server::bind("127.0.0.1:0", ServeConfig::default())
+            .unwrap()
+            .0
+    };
+
+    let server = fresh_server();
+    let addr = server.addr().to_string();
+    let start = Instant::now();
+    let fresh = client_request(&addr, &kernel, &arch, None, None, TIMEOUT).unwrap();
+    let cold_ms = start.elapsed().as_millis() as u64;
+    server.shutdown();
+    assert!(
+        fresh.starts_with("CACHE miss\nOK ") && fresh.ends_with(" degraded=0\n"),
+        "{fresh}"
+    );
+
+    let (mut short, mut long) = (0, 2 * cold_ms);
+    for _ in 0..12 {
+        let wall_ms = (short + long) / 2;
+        let server = fresh_server();
+        let addr = server.addr().to_string();
+        let cut = client_request(&addr, &kernel, &arch, None, Some(wall_ms), TIMEOUT).unwrap();
+        if cut.ends_with(" degraded=1\n") {
+            let again = client_request(&addr, &kernel, &arch, None, None, TIMEOUT).unwrap();
+            server.shutdown();
+            assert_eq!(again, fresh, "wall_ms={wall_ms} answered {cut}");
+            return;
+        }
+        server.shutdown();
+        if cut.starts_with("ERR deadline") {
+            short = wall_ms;
+        } else {
+            assert_eq!(cut, fresh, "wall_ms={wall_ms}");
+            long = wall_ms;
+        }
+    }
+    panic!("no wall_ms= cut the ladder short (cold time {cold_ms} ms)");
 }
 
 /// Malformed requests of several shapes are rejected with one-line typed

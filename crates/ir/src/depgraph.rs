@@ -276,39 +276,6 @@ impl DepGraph {
         asap
     }
 
-    /// Latest feasible issue cycle per operation (ALAP) against each
-    /// block's ASAP-critical-path length, over distance-0 edges.
-    pub fn alap(&self, kernel: &Kernel) -> Vec<i64> {
-        let asap = self.asap(kernel);
-        let mut alap = vec![i64::MAX; kernel.num_ops()];
-        for block in kernel.block_ids() {
-            let ops = kernel.block(block).ops();
-            let horizon = ops
-                .iter()
-                .map(|&o| asap[o.index()] + self.latency(o) as i64)
-                .max()
-                .unwrap_or(0);
-            for &op in ops.iter().rev() {
-                let mut latest = horizon - self.latency(op) as i64;
-                for e in self.succs(op) {
-                    if e.distance == 0 && kernel.op(e.to).block() == block {
-                        latest = latest.min(alap[e.to.index()] - self.latency(op) as i64);
-                    }
-                }
-                alap[op.index()] = latest;
-            }
-        }
-        alap
-    }
-
-    /// Scheduling slack per operation: `alap - asap` (0 = on the critical
-    /// path).
-    pub fn slack(&self, kernel: &Kernel) -> Vec<i64> {
-        let asap = self.asap(kernel);
-        let alap = self.alap(kernel);
-        asap.iter().zip(&alap).map(|(&a, &l)| l - a).collect()
-    }
-
     /// The recurrence-constrained minimum initiation interval of the loop
     /// block: the smallest `ii` such that no dependence cycle requires
     /// `Σ latency > ii · Σ distance`. Returns 1 if the kernel has no loop
@@ -702,34 +669,6 @@ mod slack_tests {
     use super::*;
     use crate::kernel::KernelBuilder;
     use csched_machine::{default_latency, Opcode};
-
-    #[test]
-    fn slack_is_zero_on_the_critical_path() {
-        // chain: load(4) -> imul(2) -> store; a side iadd has slack.
-        let mut kb = KernelBuilder::new("slack");
-        let input = kb.region("in", true);
-        let output = kb.region("out", true);
-        let b = kb.straight_block("b");
-        let x = kb.load(b, input, 0i64.into(), 0i64.into());
-        let y = kb.push(b, Opcode::IMul, [x.into(), 3i64.into()]);
-        let side = kb.push(b, Opcode::IAdd, [x.into(), 1i64.into()]);
-        kb.store(b, output, 0i64.into(), 0i64.into(), y.into());
-        kb.store(b, output, 1i64.into(), 0i64.into(), side.into());
-        let k = kb.build().unwrap();
-        let g = DepGraph::build(&k, default_latency);
-        let slack = g.slack(&k);
-        let asap = g.asap(&k);
-        let alap = g.alap(&k);
-        // Everything well-formed: asap <= alap.
-        for op in k.op_ids() {
-            assert!(asap[op.index()] <= alap[op.index()], "{op}");
-        }
-        // The load and the multiply chain are critical.
-        assert_eq!(slack[0], 0, "load is critical");
-        assert_eq!(slack[1], 0, "multiply is critical");
-        // The side add (latency 1 vs the 2-cycle multiply) has slack.
-        assert!(slack[2] > 0, "side add has slack: {slack:?}");
-    }
 
     #[test]
     fn asap_respects_latencies() {

@@ -9,7 +9,6 @@
 //! single-driver/single-receiver buses, so the scheduler needs no special
 //! cases.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::ids::{BusId, FuId, InputRef, ReadPortId, RfId, WritePortId};
@@ -882,15 +881,6 @@ impl ArchBuilder {
             total_inputs,
         })
     }
-}
-
-/// Per-class counts of the units in an architecture, used in reports.
-pub fn class_histogram(arch: &Architecture) -> HashMap<FuClass, usize> {
-    let mut h = HashMap::new();
-    for fu in arch.fu_ids() {
-        *h.entry(arch.fu(fu).class()).or_insert(0) += 1;
-    }
-    h
 }
 
 #[cfg(test)]

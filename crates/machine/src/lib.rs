@@ -50,10 +50,7 @@ mod stub;
 pub mod text;
 pub mod toy;
 
-pub use arch::{
-    class_histogram, ArchBuilder, ArchError, Architecture, Bus, FuClass, FunctionalUnit,
-    RegisterFile,
-};
+pub use arch::{ArchBuilder, ArchError, Architecture, Bus, FuClass, FunctionalUnit, RegisterFile};
 pub use connect::CopyConnectivity;
 pub use fault::FaultSpec;
 pub use ids::{BusId, FuId, InputRef, ReadPortId, RfId, WritePortId};
