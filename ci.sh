@@ -74,6 +74,15 @@ cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 step "golden decision-stream digests on the full grid (release)"
 cargo test -q --release -p csched-core --test decision_golden -- --include-ignored
 
+# Anytime II replay: an untraced anytime call replays each II attempt its
+# ladder repeats instead of rerunning it. On the 40 grid cells at
+# 200,000, 50,000 and 5,000 steps it must answer, report, spend and count
+# rejects exactly as a traced call, which reruns everything, does; the
+# test also pins that a single run's decision stream is a prefix of the
+# ladder's. Ignored under the debug profile; seconds on release.
+step "anytime II replay equivalence on the full grid (release)"
+cargo test -q --release -p csched-core --test anytime_replay -- --include-ignored
+
 # Design-space exploration smoke: a small sampled sweep on 2 worker
 # threads must print JSON byte-identical to the single-threaded run
 # (candidates merge in index order; the report carries no thread count
@@ -198,6 +207,11 @@ cargo run -q --release -p csched-eval --bin serve -- \
 [ "$(grep -c '^{"req":' "$SERVE_DIR/trace.txt")" -le 64 ]
 grep -q '^TRACE end events=' "$SERVE_DIR/trace.txt"
 tail -1 "$SERVE_DIR/trace.txt" | grep -q '^OK ii='
+# The client's step limit rides on TRACE too: one step cannot schedule a
+# loop (the client exits 1 on the ERR line).
+{ cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel Merge --arch distributed \
+    --trace --limit 1 || true; } | tail -1 | grep -q '^ERR deadline '
 cargo run -q --release -p csched-eval --bin dash -- \
     --addr "$SERVE_ADDR" --once | grep -q '^csched dash'
 kill "$SERVE_PID" 2>/dev/null || true

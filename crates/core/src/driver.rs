@@ -7,6 +7,7 @@
 //! for the ablation configuration. Every tentative placement is accepted
 //! or rejected by communication scheduling ([`Engine::place`]).
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use csched_ir::{BlockId, DepGraph, DepKind, Kernel, OpId};
@@ -15,7 +16,7 @@ use csched_machine::{Architecture, FuId, Opcode};
 use crate::budget::StepBudget;
 use crate::config::{ScheduleOrder, SchedulerConfig, MAX_FU_CANDIDATES};
 use crate::conn::ConnCache;
-use crate::engine::{Engine, OrderEdge};
+use crate::engine::{Engine, OrderEdge, Tally};
 use crate::schedule::Schedule;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::universe::SOpId;
@@ -181,44 +182,53 @@ pub(crate) fn prepare(arch: &Architecture, kernel: &Kernel) -> Result<Prepared, 
     })
 }
 
-/// Lazily-built, memoised [`Prepared`] for one `(arch, kernel)` pair.
+/// The memory one scheduling call shares across every II attempt and
+/// ladder rung: the lazily built [`Prepared`], a record of each failed
+/// II attempt, and what the call's engines counted.
 ///
-/// The retry ladder and the anytime improvement loop call
-/// [`PrepCache::get`] once per rung; only the first call pays for the
-/// build, and a build *error* surfaces at exactly the point the
-/// un-cached driver would have reported it (so rung records and error
-/// taxonomy are unchanged by the caching).
+/// The accept/reject search is deterministic, so an II attempt that
+/// failed on its own terms is a pure function of the configuration the
+/// engine ran (slack applied) and the II, apart from the two fields only
+/// the driver reads: `max_ii`, the loop bound, and
+/// `max_attempts_per_ii`, the per-II cap. When a later rung of the same
+/// call would repeat such an attempt, an untraced call replays its
+/// record instead: it charges the recorded steps, adds the recorded
+/// counts and branches on the recorded failure (DESIGN.md §14 gives the
+/// conditions and the argument).
 pub(crate) struct PrepCache {
-    inner: Option<Prepared>,
+    prepared: Option<Prepared>,
+    /// Failed II attempts by key (configuration without `max_ii` and
+    /// `max_attempts_per_ii`, and II), oldest first.
+    failed: Vec<(SchedulerConfig, u32, IiRecord)>,
+    /// Rejects and budget refusals of every II attempt, replays included.
+    pub(crate) tally: Tally,
+    /// Budget steps charged by replaying failed II attempts.
+    pub(crate) replayed: u64,
 }
 
 impl PrepCache {
     pub(crate) fn new() -> Self {
-        PrepCache { inner: None }
+        PrepCache {
+            prepared: None,
+            failed: Vec::new(),
+            tally: Tally::default(),
+            replayed: 0,
+        }
     }
+}
 
-    /// The memoised [`Prepared`], building it on first use.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`prepare`].
-    pub(crate) fn get(
-        &mut self,
-        arch: &Architecture,
-        kernel: &Kernel,
-    ) -> Result<&Prepared, SchedError> {
-        if self.inner.is_none() {
-            self.inner = Some(prepare(arch, kernel)?);
-        }
-        match self.inner.as_ref() {
-            Some(p) => Ok(p),
-            // Unreachable: just populated above.
-            None => Err(SchedError::internal(
-                "prepare",
-                "preparation cache empty after fill".to_string(),
-            )),
-        }
-    }
+/// What a failed II attempt did: the driver's branch reads only its
+/// failure, and a replay charges and counts the rest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct IiRecord {
+    /// Placement attempts made, each charging one budget step.
+    attempts: u64,
+    tally: Tally,
+    /// The block and operation that could not be placed.
+    block: BlockId,
+    op: OpId,
+    /// Whether a cross-block copy insertion failed on the way (§4.5).
+    cross_block: bool,
 }
 
 /// Schedules `kernel` on `arch` with the paper's algorithm.
@@ -251,7 +261,7 @@ pub fn schedule_kernel(
     kernel: &Kernel,
     config: SchedulerConfig,
 ) -> Result<Schedule, SchedError> {
-    schedule_kernel_impl(arch, kernel, config, None, None, None)
+    schedule_kernel_impl(arch, kernel, config, None, None, &mut PrepCache::new())
 }
 
 /// [`schedule_kernel`] under a deterministic [`StepBudget`]: every
@@ -274,7 +284,14 @@ pub fn schedule_kernel_budgeted(
     config: SchedulerConfig,
     budget: &StepBudget,
 ) -> Result<Schedule, SchedError> {
-    schedule_kernel_impl(arch, kernel, config, None, Some(budget), None)
+    schedule_kernel_impl(
+        arch,
+        kernel,
+        config,
+        None,
+        Some(budget),
+        &mut PrepCache::new(),
+    )
 }
 
 /// [`schedule_kernel`] with every pipeline decision traced into `sink`.
@@ -295,108 +312,129 @@ pub fn schedule_kernel_traced(
     config: SchedulerConfig,
     sink: &mut dyn TraceSink,
 ) -> Result<Schedule, SchedError> {
-    schedule_kernel_impl(arch, kernel, config, Some(sink), None, None)
+    schedule_kernel_impl(
+        arch,
+        kernel,
+        config,
+        Some(sink),
+        None,
+        &mut PrepCache::new(),
+    )
 }
 
+/// The II search of Figure 11 under `config`, sharing `memo` with the
+/// other calls of one scheduling request (a ladder's rungs).
 pub(crate) fn schedule_kernel_impl(
     arch: &Architecture,
     kernel: &Kernel,
     config: SchedulerConfig,
     mut sink: Option<&mut dyn TraceSink>,
     budget: Option<&StepBudget>,
-    prep: Option<&Prepared>,
+    memo: &mut PrepCache,
 ) -> Result<Schedule, SchedError> {
-    let owned;
-    let prep = match prep {
-        Some(p) => p,
-        None => {
-            owned = prepare(arch, kernel)?;
-            &owned
-        }
+    let PrepCache {
+        prepared,
+        failed,
+        tally,
+        replayed,
+    } = memo;
+    let prep = match prepared {
+        Some(p) => &*p,
+        None => prepared.insert(prepare(arch, kernel)?),
     };
-    let Prepared {
-        cache,
-        graph,
-        order_edges,
-        asap,
-        mii,
-        has_loop,
-    } = prep;
-    let (mii, has_loop) = (*mii, *has_loop);
+    let mii = prep.mii;
 
     let mut slack = config.cross_block_copy_slack;
     for slack_round in 0..2 {
+        let mut cfg = config.clone();
+        cfg.cross_block_copy_slack = slack;
+        // The record key: `cfg` without the fields only the driver reads.
+        let key = SchedulerConfig {
+            max_ii: 0,
+            max_attempts_per_ii: 0,
+            ..cfg.clone()
+        };
         let mut ii = mii;
         let mut failures = 0u32;
         while ii <= config.max_ii {
-            let mut cfg = config.clone();
-            cfg.cross_block_copy_slack = slack;
-            let mut engine = Engine::with_cache(
-                arch,
-                kernel,
-                cfg,
-                order_edges.clone(),
-                asap.clone(),
-                ii,
-                Arc::clone(cache),
-            );
-            engine.stats.ii_tried = ii - mii + 1;
-            if slack_round > 0 {
-                engine.stats.backtracked = true;
-            }
-            if let Some(s) = sink.as_mut() {
-                s.event(TraceEvent::IiStart { ii });
-                engine.set_trace_sink(&mut **s);
-            }
-            if let Some(b) = budget {
-                engine.set_budget(b);
-            }
-            match run_blocks(&mut engine, kernel, graph, &config) {
-                Ok(()) => {
-                    debug_assert!(engine.all_closed());
-                    return engine.into_schedule(has_loop);
-                }
-                Err(RunError::Block(block, op)) if !kernel.block(block).is_loop() => {
-                    if let Some(e) = engine.take_internal_error() {
-                        return Err(e);
-                    }
-                    if let (Some(stop), Some(b)) = (engine.take_budget_stop(), budget) {
-                        return Err(b.stop_error(stop, "placement"));
-                    }
-                    if engine.stats.cross_block_copy_failures > 0 && slack_round == 0 {
-                        break; // grow slack and retry (§4.5 equivalent)
-                    }
-                    return Err(block_failed(kernel, block, op));
-                }
-                Err(RunError::Block(b, op)) => {
-                    if let Some(e) = engine.take_internal_error() {
-                        return Err(e);
-                    }
-                    if let (Some(stop), Some(bu)) = (engine.take_budget_stop(), budget) {
-                        return Err(bu.stop_error(stop, "placement"));
-                    }
-                    if std::env::var_os("CSCHED_DEBUG").is_some() {
-                        eprintln!(
-                            "[csched] II={ii} failed at {op} ({:?}) in block {b}, attempts={}",
-                            kernel.op(op).opcode(),
-                            engine.stats.attempts
+            // A sink must see every event, so a traced call runs every
+            // II for real.
+            let known = sink
+                .is_none()
+                .then(|| replay(failed, &key, ii, config.max_attempts_per_ii, budget))
+                .flatten();
+            let record = match known {
+                Some(record) => {
+                    tally.add(&record.tally);
+                    *replayed += record.attempts;
+                    if cfg!(debug_assertions) {
+                        let mut scratch = Tally::default();
+                        let rerun = run_ii(
+                            arch,
+                            kernel,
+                            prep,
+                            &cfg,
+                            ii,
+                            slack_round > 0,
+                            None,
+                            None,
+                            &mut scratch,
+                        );
+                        debug_assert!(
+                            matches!(rerun, ControlFlow::Continue(r) if r == record),
+                            "replayed II {ii} reruns differently"
                         );
                     }
-                    if engine.stats.cross_block_copy_failures > 0 && slack_round == 0 {
-                        break; // §4.5: widen the writer-side copy range
-                    }
-                    // Escalating II steps keep the search near-linear in
-                    // schedule quality while bounding its cost on kernels
-                    // whose achievable II sits far above the MII.
-                    failures += 1;
-                    ii += match failures {
-                        0..=4 => 1,
-                        5..=10 => 2,
-                        11..=16 => 4,
-                        _ => 8,
-                    };
+                    record
                 }
+                None => match run_ii(
+                    arch,
+                    kernel,
+                    prep,
+                    &cfg,
+                    ii,
+                    slack_round > 0,
+                    sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
+                    budget,
+                    tally,
+                ) {
+                    ControlFlow::Break(result) => return result,
+                    ControlFlow::Continue(record) => {
+                        // A run past its cap may have been ended by it.
+                        if record.attempts <= config.max_attempts_per_ii {
+                            failed.push((key.clone(), ii, record));
+                        }
+                        if kernel.block(record.block).is_loop()
+                            && std::env::var_os("CSCHED_DEBUG").is_some()
+                        {
+                            eprintln!(
+                                "[csched] II={ii} failed at {} ({:?}) in block {}, attempts={}",
+                                record.op,
+                                kernel.op(record.op).opcode(),
+                                record.block,
+                                record.attempts
+                            );
+                        }
+                        record
+                    }
+                },
+            };
+            if record.cross_block && slack_round == 0 {
+                break; // §4.5: widen the writer-side copy range and retry
             }
+            if !kernel.block(record.block).is_loop() {
+                return Err(block_failed(kernel, record.block, record.op));
+            }
+            // Escalating II steps keep the search near-linear in
+            // schedule quality while bounding its cost on kernels
+            // whose achievable II sits far above the MII.
+            failures += 1;
+            ii += match failures {
+                0..=4 => 1,
+                5..=10 => 2,
+                11..=16 => 4,
+                _ => 8,
+            };
         }
         if ii > config.max_ii {
             return Err(SchedError::IiExhausted {
@@ -412,6 +450,80 @@ pub(crate) fn schedule_kernel_impl(
     Err(SchedError::IiExhausted {
         mii,
         max_ii: config.max_ii,
+    })
+}
+
+/// The record of a failed II attempt that `key` at `ii` would repeat,
+/// charged to `budget`, if a replay is exact: the recorded run was not
+/// ended by the per-II cap (only such runs are recorded) and its
+/// attempts fit under the current cap `cap`, and the budget takes all
+/// the recorded steps ([`StepBudget::charge`] refuses once the token is
+/// cancelled). Otherwise the II must run for real.
+fn replay(
+    failed: &[(SchedulerConfig, u32, IiRecord)],
+    key: &SchedulerConfig,
+    ii: u32,
+    cap: u64,
+    budget: Option<&StepBudget>,
+) -> Option<IiRecord> {
+    let &(_, _, record) = failed.iter().find(|(k, i, _)| *i == ii && k == key)?;
+    let charged = record.attempts <= cap && budget.is_none_or(|b| b.charge(record.attempts));
+    charged.then_some(record)
+}
+
+/// Runs II `ii` for real under `cfg` (slack applied; `backtracked` in
+/// the second slack round), adding what the engine counted to `tally`.
+/// It breaks with the driver's answer when it schedules or stops on the
+/// budget, cancellation or an internal error, and continues with its
+/// record when it fails on its own terms.
+#[allow(clippy::too_many_arguments)]
+fn run_ii(
+    arch: &Architecture,
+    kernel: &Kernel,
+    prep: &Prepared,
+    cfg: &SchedulerConfig,
+    ii: u32,
+    backtracked: bool,
+    sink: Option<&mut dyn TraceSink>,
+    budget: Option<&StepBudget>,
+    tally: &mut Tally,
+) -> ControlFlow<Result<Schedule, SchedError>, IiRecord> {
+    let mut engine = Engine::with_cache(
+        arch,
+        kernel,
+        cfg.clone(),
+        prep.order_edges.clone(),
+        prep.asap.clone(),
+        ii,
+        Arc::clone(&prep.cache),
+    );
+    engine.stats.ii_tried = ii - prep.mii + 1;
+    engine.stats.backtracked = backtracked;
+    if let Some(s) = sink {
+        s.event(TraceEvent::IiStart { ii });
+        engine.set_trace_sink(s);
+    }
+    if let Some(b) = budget {
+        engine.set_budget(b);
+    }
+    let result = run_blocks(&mut engine, kernel, &prep.graph, cfg);
+    tally.add(&engine.tally);
+    let Err(RunError::Block(block, op)) = result else {
+        debug_assert!(engine.all_closed());
+        return ControlFlow::Break(engine.into_schedule(prep.has_loop));
+    };
+    if let Some(e) = engine.take_internal_error() {
+        return ControlFlow::Break(Err(e));
+    }
+    if let (Some(stop), Some(b)) = (engine.take_budget_stop(), budget) {
+        return ControlFlow::Break(Err(b.stop_error(stop, "placement")));
+    }
+    ControlFlow::Continue(IiRecord {
+        attempts: engine.stats.attempts,
+        tally: engine.tally,
+        block,
+        op,
+        cross_block: engine.stats.cross_block_copy_failures > 0,
     })
 }
 

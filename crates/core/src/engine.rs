@@ -100,6 +100,37 @@ enum Undo {
     CommAdded,
 }
 
+/// The events a rollup counts, counted where the engine emits them, so
+/// an untraced run knows them too: [`TraceEvent::PlaceReject`] by
+/// [`RejectReason`] (indexed in [`RejectReason::ALL`] order) and
+/// [`TraceEvent::DeadlineExceeded`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    pub(crate) rejects: [u64; 5],
+    pub(crate) deadline_events: u64,
+}
+
+impl Tally {
+    pub(crate) fn add(&mut self, other: &Tally) {
+        for (total, n) in self.rejects.iter_mut().zip(other.rejects) {
+            *total += n;
+        }
+        self.deadline_events += other.deadline_events;
+    }
+
+    /// What was counted since `earlier`, a copy of this tally.
+    fn since(&self, earlier: &Tally) -> Tally {
+        let mut rejects = self.rejects;
+        for (n, before) in rejects.iter_mut().zip(earlier.rejects) {
+            *n -= before;
+        }
+        Tally {
+            rejects,
+            deadline_events: self.deadline_events - earlier.deadline_events,
+        }
+    }
+}
+
 /// Cached lookup of the `CSCHED_DEBUG{n}` environment flags.
 ///
 /// Setting `CSCHED_DEBUG2=1` prints failed copy insertions and
@@ -192,6 +223,7 @@ struct ClosingRecord {
     attempts: u64,
     rejections: u64,
     cross_block_copy_failures: u64,
+    tally: Tally,
     /// Copy work it used up.
     copy_work: u32,
     /// Its events in [`EventLog::events`] (empty when untraced).
@@ -205,6 +237,7 @@ struct ClosingRerun {
     /// replay is exact).
     ok: bool,
     stats: SchedStats,
+    tally: Tally,
     /// Placement attempts it made (budget steps, with a budget).
     attempts: u64,
     copy_work: u32,
@@ -389,6 +422,8 @@ pub struct Engine<'a> {
     /// insertion).
     copy_work: u32,
     pub(crate) stats: SchedStats,
+    /// Rejects and budget refusals so far (see [`Tally`]).
+    pub(crate) tally: Tally,
     /// Number of placed operations per unit, maintained incrementally
     /// (placement increments, rollback decrements) — the driver's
     /// load tiebreak reads it in O(1) instead of scanning all ops.
@@ -482,6 +517,7 @@ impl<'a> Engine<'a> {
             internal_error: None,
             copy_work: 0,
             stats: SchedStats::default(),
+            tally: Tally::default(),
             fu_load: vec![0; arch.num_fus()],
             scratch: Scratch::default(),
             trace: None,
@@ -780,6 +816,7 @@ impl<'a> Engine<'a> {
         if let Some(budget) = self.budget {
             if let Err(stop) = budget.step() {
                 self.budget_stop = Some(stop);
+                self.tally.deadline_events += 1;
                 let phase = "placement";
                 self.emit(TraceEvent::DeadlineExceeded {
                     spent: budget.spent(),
@@ -801,6 +838,7 @@ impl<'a> Engine<'a> {
         }
 
         if !self.timing_feasible(op, cycle, cap.latency) {
+            self.tally.rejects[RejectReason::Timing as usize] += 1;
             self.emit(TraceEvent::PlaceReject {
                 op: op.index() as u32,
                 fu: fu.index() as u32,
@@ -816,6 +854,7 @@ impl<'a> Engine<'a> {
             self.stats.rejections += 1;
             self.rollback(sp);
             let reason = self.last_reject;
+            self.tally.rejects[reason as usize] += 1;
             self.emit(TraceEvent::PlaceReject {
                 op: op.index() as u32,
                 fu: fu.index() as u32,
@@ -1688,7 +1727,7 @@ impl<'a> Engine<'a> {
         record.reads.extend(self.op_read_stubs(op));
         record.writes.clear();
         record.writes.extend(self.op_write_stubs(op));
-        let (stats, copy_work) = (self.stats, self.copy_work);
+        let (stats, tally, copy_work) = (self.stats, self.tally, self.copy_work);
         let start = self.open_recording();
         let ok = self.close_comms(op, depth, allow_copies);
         let end = self.close_recording();
@@ -1699,6 +1738,7 @@ impl<'a> Engine<'a> {
         record.rejections = self.stats.rejections - stats.rejections;
         record.cross_block_copy_failures =
             self.stats.cross_block_copy_failures - stats.cross_block_copy_failures;
+        record.tally = self.tally.since(&tally);
         record.copy_work = copy_work - self.copy_work;
         record.events = start..end;
         ok
@@ -1741,6 +1781,7 @@ impl<'a> Engine<'a> {
         self.stats.attempts += record.attempts;
         self.stats.rejections += record.rejections;
         self.stats.cross_block_copy_failures += record.cross_block_copy_failures;
+        self.tally.add(&record.tally);
         self.copy_work -= record.copy_work;
         for i in record.events.clone() {
             let event = self.events.events[i].clone();
@@ -1749,6 +1790,7 @@ impl<'a> Engine<'a> {
         if let Some((rerun, spent)) = check {
             debug_assert!(!rerun.ok, "replayed a closing that reruns differently");
             debug_assert_eq!(self.stats, rerun.stats, "replayed counters differ");
+            debug_assert_eq!(self.tally, rerun.tally, "replayed rejects differ");
             debug_assert_eq!(
                 self.copy_work, rerun.copy_work,
                 "replayed copy work differs"
@@ -1774,7 +1816,7 @@ impl<'a> Engine<'a> {
     /// check of [`Engine::replay_closing`]).
     fn rerun_closing(&mut self, op: SOpId, depth: usize, allow_copies: bool) -> ClosingRerun {
         let sp = self.savepoint();
-        let (stats, copy_work) = (self.stats, self.copy_work);
+        let (stats, tally, copy_work) = (self.stats, self.tally, self.copy_work);
         let budget = self.budget.take();
         let muted = std::mem::replace(&mut self.events.muted, true);
         let start = self.open_recording();
@@ -1783,6 +1825,7 @@ impl<'a> Engine<'a> {
         let rerun = ClosingRerun {
             ok: ok || self.internal_error.is_some(),
             stats: self.stats,
+            tally: self.tally,
             attempts: self.stats.attempts - stats.attempts,
             copy_work: self.copy_work,
             events: self.events.events.split_off(start),
@@ -1790,7 +1833,7 @@ impl<'a> Engine<'a> {
         self.events.muted = muted;
         self.budget = budget;
         self.rollback(sp);
-        (self.stats, self.copy_work) = (stats, copy_work);
+        (self.stats, self.tally, self.copy_work) = (stats, tally, copy_work);
         rerun
     }
 

@@ -24,7 +24,16 @@
 //! that no relaxation can fix — a machine that is not copy-connected, an
 //! opcode with no capable unit, an internal invariant break — abort the
 //! ladder immediately. Once a rung schedules, the rest of the budget goes
-//! to searching below the II it found.
+//! to searching below the II it found, with that rung's configuration:
+//! the per-II cap doubles only after an improvement rung succeeds, and
+//! the search stops at the first rung that fails.
+//!
+//! The first improvement rung therefore repeats every II attempt the
+//! acquiring rung failed below its answer. The search is deterministic,
+//! so an untraced call replays such an attempt from the record the call
+//! kept of it (same steps charged, same rejects counted, same failure)
+//! instead of rerunning it; a traced call reruns it, so its sink sees
+//! every event.
 //!
 //! [`schedule_kernel`]: crate::schedule_kernel
 
@@ -198,19 +207,14 @@ fn run_ladder(
                 max_ii: cfg.max_ii,
             });
         }
-        // The prepared tables are shared by every rung; a build error is
-        // handled exactly like the same error from the driver itself.
-        let result = match prep.get(arch, kernel) {
-            Ok(p) => schedule_kernel_impl(
-                arch,
-                kernel,
-                cfg,
-                sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
-                Some(budget),
-                Some(p),
-            ),
-            Err(e) => Err(e),
-        };
+        let result = schedule_kernel_impl(
+            arch,
+            kernel,
+            cfg,
+            sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
+            Some(budget),
+            prep,
+        );
         match result {
             Ok(schedule) => {
                 report.attempts.push(record);
@@ -250,8 +254,8 @@ pub struct AnytimeReport {
     /// *some* schedule.
     pub ladder: ScheduleReport,
     /// Improvement rungs tried after the first schedule was acquired,
-    /// each searching below the best II found so far with escalating
-    /// per-II effort.
+    /// each searching below the best II found so far, with the per-II
+    /// effort doubled after each one that succeeded.
     pub improvements: Vec<Attempt>,
     /// Budget spent when the first schedule was acquired (equals
     /// `ladder.attempts_spent`; 0 when acquisition failed outright).
@@ -267,24 +271,53 @@ pub struct AnytimeReport {
     /// The initiation interval of the returned schedule (`None` for
     /// straight-line kernels or when scheduling failed).
     pub best_ii: Option<u32>,
+    /// Placement rejects over the whole call, by
+    /// [`RejectReason`](crate::trace::RejectReason) in
+    /// [`RejectReason::ALL`](crate::trace::RejectReason::ALL) order: what
+    /// a sink counts from a traced call's
+    /// [`TraceEvent::PlaceReject`] events.
+    pub rejects: [u64; 5],
+    /// Budget refusals over the whole call: a traced call's
+    /// [`TraceEvent::DeadlineExceeded`] events.
+    pub deadline_events: u64,
+    /// Steps of `attempts_spent` charged by replaying known-failed II
+    /// attempts instead of rerunning them (always 0 when traced).
+    pub replayed_spent: u64,
+}
+
+impl AnytimeReport {
+    /// The index of the last acquisition rung tried (0 when the caller's
+    /// configuration answered, or when no rung started): the highest
+    /// [`TraceEvent::RungAdvanced`] attempt of a traced call.
+    pub fn rung(&self) -> u32 {
+        self.ladder.attempts.last().map_or(0, |a| a.attempt as u32)
+    }
 }
 
 /// *Anytime* scheduling: acquire a schedule fast, then spend the rest of
 /// the budget improving it, and always return the best one found.
 ///
 /// Phase one runs the relaxation ladder (module docs), every rung
-/// charging `budget`. Phase two repeatedly re-schedules with the II cap
-/// lowered to one below the best II achieved, escalating the per-II
-/// placement-attempt cap each rung (a backoff ladder in reverse: more
-/// effort per rung as cheaper rungs fail), until either
+/// charging `budget`. Phase two re-schedules with the configuration of
+/// the rung that succeeded and the II cap lowered to one below the best
+/// II achieved. Its first rung keeps that rung's per-II
+/// placement-attempt cap, and the cap doubles after each rung that finds
+/// a better schedule. The phase stops at its first failure:
 ///
 /// - an improvement rung fails with [`SchedError::IiExhausted`] at its
-///   full escalated effort — no better schedule was found, the result is
-///   *not* degraded; or
+///   full effort — no better schedule was found, the result is *not*
+///   degraded; or
 /// - the shared budget runs dry (or the budget's
-///   [`CancelToken`](crate::CancelToken) fires) mid-rung — the
-///   best-so-far schedule is returned with
+///   [`CancelToken`](crate::CancelToken) fires) mid-rung, or cuts the
+///   rung's effort — the best-so-far schedule is returned with
 ///   [`AnytimeReport::degraded`] set.
+///
+/// The first improvement rung thus retries every II the acquiring rung
+/// failed below its answer. An untraced call replays each such repeated
+/// II attempt from the record the call kept of it, charging the same
+/// steps and counting the same rejects, instead of rerunning it
+/// ([`AnytimeReport::replayed_spent`]); the answer and the report are
+/// those of a traced call.
 ///
 /// This is the graceful-degradation primitive for a scheduling service:
 /// a request whose deadline expires mid-ladder still gets the best
@@ -315,11 +348,16 @@ pub fn schedule_kernel_anytime(
 /// a service attaching a sink sees exactly where a degraded request's
 /// budget went.
 ///
+/// A traced call replays nothing: a sink sees every event, and every
+/// II attempt runs for real.
+///
 /// Restricted to [`crate::trace::decision_filter`] events, the stream of
-/// a successful un-degraded run is byte-identical to
 /// [`schedule_kernel_traced`](crate::schedule_kernel_traced) on the same
-/// inputs: the first acquisition rung runs the caller's configuration
-/// unchanged, and the decision filter drops the ladder markers.
+/// inputs is a prefix of this stream unless the budget stops the first
+/// acquisition rung: that rung runs the caller's configuration
+/// unchanged, and the decision filter drops the ladder markers. The two
+/// are equal only when no II below the answer failed, because the first
+/// improvement rung retries every II the acquiring rung failed.
 ///
 /// # Errors
 ///
@@ -341,9 +379,26 @@ fn schedule_anytime_impl(
     config: SchedulerConfig,
     policy: &RetryPolicy,
     budget: &StepBudget,
-    mut sink: Option<&mut dyn TraceSink>,
+    sink: Option<&mut dyn TraceSink>,
 ) -> (Result<Schedule, SchedError>, AnytimeReport) {
     let mut prep = PrepCache::new();
+    let (result, mut report) = anytime(arch, kernel, config, policy, budget, sink, &mut prep);
+    report.rejects = prep.tally.rejects;
+    report.deadline_events = prep.tally.deadline_events;
+    report.replayed_spent = prep.replayed;
+    (result, report)
+}
+
+/// Both phases of [`schedule_kernel_anytime`], sharing `prep`.
+fn anytime(
+    arch: &Architecture,
+    kernel: &Kernel,
+    config: SchedulerConfig,
+    policy: &RetryPolicy,
+    budget: &StepBudget,
+    mut sink: Option<&mut dyn TraceSink>,
+    prep: &mut PrepCache,
+) -> (Result<Schedule, SchedError>, AnytimeReport) {
     let (acquired, ladder) = run_ladder(
         arch,
         kernel,
@@ -351,7 +406,7 @@ fn schedule_anytime_impl(
         policy,
         budget,
         sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
-        &mut prep,
+        prep,
     );
     let mut report = AnytimeReport {
         acquired_spent: ladder.attempts_spent,
@@ -399,17 +454,14 @@ fn schedule_anytime_impl(
             attempts_granted: cfg.max_attempts_per_ii,
             error: None,
         };
-        let improved = match prep.get(arch, kernel) {
-            Ok(p) => schedule_kernel_impl(
-                arch,
-                kernel,
-                cfg,
-                sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
-                Some(budget),
-                Some(p),
-            ),
-            Err(e) => Err(e),
-        };
+        let improved = schedule_kernel_impl(
+            arch,
+            kernel,
+            cfg,
+            sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
+            Some(budget),
+            prep,
+        );
         match improved {
             Ok(better) => {
                 report.improvements.push(record);

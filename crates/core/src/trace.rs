@@ -14,8 +14,10 @@
 //!
 //! [`JsonlSink`] renders each event as one line of JSON for machine
 //! consumption (golden-file tests, external tooling). A consumer that
-//! folds events into its own counters (the service's span rollup, the
-//! benchmark ledger) implements [`TraceSink`] directly.
+//! folds events into its own counters (the benchmark ledger) implements
+//! [`TraceSink`] directly. The rejects by reason and the budget stops
+//! need no sink: the engine counts them where it emits them, and
+//! [`AnytimeReport`](crate::AnytimeReport) carries a call's totals.
 //!
 //! Events are emitted *as decisions are explored*, not only for the
 //! surviving schedule: an accepted placement inside a copy chain that is

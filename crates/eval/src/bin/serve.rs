@@ -54,7 +54,8 @@ client modes:
                     [--backoff-ms N] [--retry-seed N] to retry torn or
                     transient failures with seeded jittered backoff;
                     add --trace [--events N] [--full] to stream the
-                    schedule's trace events as JSONL instead
+                    schedule's trace events as JSONL instead (under the
+                    same --limit and --wall-ms)
   --stats           print the service counters JSON line
   --metrics         print the METRICS JSON line + Prometheus exposition
   --malformed       send a broken request; expect ERR malformed
@@ -186,7 +187,16 @@ fn run_client(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
         if args.has("--trace") {
             let events = args.num("--events")?;
             let full = args.has("--full");
-            client_trace(addr, &kernel_text, &arch_text, events, full, CLIENT_TIMEOUT)
+            client_trace(
+                addr,
+                &kernel_text,
+                &arch_text,
+                limit,
+                wall_ms,
+                events,
+                full,
+                CLIENT_TIMEOUT,
+            )
         } else if let Some(retries) = args.num("--retries")? {
             let retry = RetryConfig {
                 retries,

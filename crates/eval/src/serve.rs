@@ -1463,15 +1463,17 @@ fn read_bodies(
 }
 
 /// The cold path `SCHED` misses and every `TRACE` share: schedules the
-/// request under its step budget and wall deadline with `capture`
-/// attached, validates the schedule independently, and builds its cache
-/// entry. The flag beside the entry says the wall deadline cut the
-/// anytime ladder short (`degraded=1` for timing, not the step limit).
-/// A failure comes back as its outcome and `ERR` line.
+/// request under its step budget and wall deadline (with `capture`
+/// attached for `TRACE`), validates the schedule independently, and
+/// builds its cache entry. The span's reject, budget-stop and rung
+/// rollup comes from the scheduler's report either way. The flag beside
+/// the entry says the wall deadline cut the anytime ladder short
+/// (`degraded=1` for timing, not the step limit). A failure comes back
+/// as its outcome and `ERR` line.
 fn schedule_request(
     state: &ServerState,
     req: &Request,
-    mut capture: Option<&mut TraceCapture>,
+    capture: Option<&mut TraceCapture>,
     span: &mut RequestSpan,
 ) -> Result<(CacheEntry, bool), (Outcome, String)> {
     let t_sched = Instant::now();
@@ -1479,7 +1481,7 @@ fn schedule_request(
         CancelToken::with_deadline(t_sched + Duration::from_millis(ms))
     });
     let budget = StepBudget::new(req.limit).with_cancel(token.clone());
-    let (result, report) = match capture.as_deref_mut() {
+    let (result, report) = match capture {
         Some(sink) => schedule_kernel_anytime_traced(
             &req.arch,
             &req.kernel,
@@ -1497,11 +1499,9 @@ fn schedule_request(
         ),
     };
     let wall_cut = report.degraded && token.is_cancelled();
-    if let Some(capture) = &capture {
-        span.rejects = capture.rejects();
-        span.deadline_events = capture.deadline_events();
-        span.rung = capture.rung();
-    }
+    span.rejects = report.rejects;
+    span.deadline_events = report.deadline_events;
+    span.rung = report.rung();
     span.attempts = report.attempts_spent;
     span.degraded = report.degraded;
     let entry = match result {
@@ -1594,12 +1594,10 @@ fn serve_sched<'a>(
     span.cache = CacheDisposition::Miss;
     span.stages.cache_us = elapsed_us(t_cache);
 
-    // Cold path. With telemetry on, a rollup-only sink rides along so the
-    // span can attribute the request's attempts to reject reasons and
-    // ladder rungs; with telemetry off the scheduler runs sink-free (no
-    // event is even constructed).
-    let mut capture = state.config.telemetry.then(TraceCapture::rollup_only);
-    let (entry, wall_cut) = match schedule_request(state, &req, capture.as_mut(), span) {
+    // Cold path, sink-free: no event is even constructed, and the
+    // scheduler replays the II attempts its ladder repeats. The span's
+    // reject and rung rollup comes from the scheduler's own counters.
+    let (entry, wall_cut) = match schedule_request(state, &req, None, span) {
         Ok(scheduled) => scheduled,
         Err((outcome, line)) => {
             let _ = respond(stream, &line);
@@ -1761,20 +1759,35 @@ pub fn client_request(
     wall_ms: Option<u64>,
     timeout: Duration,
 ) -> Result<String, ServeError> {
-    let mut request = String::from("SCHED");
+    let head = request_head("SCHED", limit, wall_ms);
+    client_raw(
+        addr,
+        framed(head, kernel_text, arch_text).as_bytes(),
+        timeout,
+    )
+}
+
+/// The header line of a `verb` request up to its newline: the verb and
+/// its `limit=` and `wall_ms=` options.
+fn request_head(verb: &str, limit: Option<u64>, wall_ms: Option<u64>) -> String {
+    let mut head = verb.to_string();
     if let Some(limit) = limit {
-        request.push_str(&format!(" limit={limit}"));
+        head.push_str(&format!(" limit={limit}"));
     }
     if let Some(wall) = wall_ms {
-        request.push_str(&format!(" wall_ms={wall}"));
+        head.push_str(&format!(" wall_ms={wall}"));
     }
-    request.push('\n');
-    request.push_str(&format!("KERNEL {}\n", kernel_text.len()));
-    request.push_str(kernel_text);
-    request.push_str(&format!("ARCH {}\n", arch_text.len()));
-    request.push_str(arch_text);
-    request.push_str("END\n");
-    client_raw(addr, request.as_bytes(), timeout)
+    head
+}
+
+/// A whole request: `head`, then the `KERNEL` and `ARCH` sections and
+/// `END`.
+fn framed(head: String, kernel_text: &str, arch_text: &str) -> String {
+    format!(
+        "{head}\nKERNEL {}\n{kernel_text}ARCH {}\n{arch_text}END\n",
+        kernel_text.len(),
+        arch_text.len()
+    )
 }
 
 /// Sends `STATS` and returns the JSON line.
@@ -1798,33 +1811,35 @@ pub fn client_metrics(addr: &str, timeout: Duration) -> Result<String, ServeErro
 
 /// Sends one `TRACE` request and returns the full response text: the
 /// JSONL event lines, the `TRACE end` summary, and the final `OK`/`ERR`
-/// line.
+/// line. `limit` and `wall_ms` bound the scheduling as for
+/// [`client_request`].
 ///
 /// # Errors
 ///
 /// [`ServeError::Io`] when the connection fails or times out.
+#[allow(clippy::too_many_arguments)]
 pub fn client_trace(
     addr: &str,
     kernel_text: &str,
     arch_text: &str,
+    limit: Option<u64>,
+    wall_ms: Option<u64>,
     events: Option<usize>,
     full: bool,
     timeout: Duration,
 ) -> Result<String, ServeError> {
-    let mut request = String::from("TRACE");
+    let mut head = request_head("TRACE", limit, wall_ms);
     if let Some(events) = events {
-        request.push_str(&format!(" events={events}"));
+        head.push_str(&format!(" events={events}"));
     }
     if full {
-        request.push_str(" full=1");
+        head.push_str(" full=1");
     }
-    request.push('\n');
-    request.push_str(&format!("KERNEL {}\n", kernel_text.len()));
-    request.push_str(kernel_text);
-    request.push_str(&format!("ARCH {}\n", arch_text.len()));
-    request.push_str(arch_text);
-    request.push_str("END\n");
-    client_raw(addr, request.as_bytes(), timeout)
+    client_raw(
+        addr,
+        framed(head, kernel_text, arch_text).as_bytes(),
+        timeout,
+    )
 }
 
 /// Sends raw request bytes and reads the response to EOF — the hook for

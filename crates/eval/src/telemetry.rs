@@ -10,8 +10,9 @@
 //! - a [`RequestSpan`] per request with stage timings
 //!   (read/parse/cache-probe/schedule/journal/respond), attempts spent,
 //!   the retry-ladder rung reached, the cache disposition, and a
-//!   reject-reason rollup folded out of the trace stream by
-//!   [`TraceCapture`];
+//!   reject-reason rollup, all read from the scheduler's
+//!   [`AnytimeReport`](csched_core::AnytimeReport) (a `TRACE` request
+//!   also retains its events in a [`TraceCapture`]);
 //! - a fixed-capacity deterministic ring of recent spans (oldest
 //!   evicted first, capacity fixed at construction — never reallocates
 //!   under load);
@@ -155,7 +156,7 @@ pub struct StageTimes {
 }
 
 /// One request's structured record: identity, outcome, stage timings,
-/// and the scheduler-side rollup folded out of its trace stream.
+/// and the scheduler-side rollup of its anytime report.
 #[derive(Clone, Debug)]
 pub struct RequestSpan {
     /// Monotonic per-server request id (also injected into `TRACE`
@@ -181,7 +182,7 @@ pub struct RequestSpan {
     /// (timing, issue_slot, read_permutation, write_permutation,
     /// closing).
     pub rejects: [u64; 5],
-    /// Budget-stop events observed in the trace stream.
+    /// Budget stops (the trace stream's `deadline_exceeded` events).
     pub deadline_events: u64,
     /// Achieved loop II (0 = none/straight-line/failed).
     pub ii: u32,
@@ -257,24 +258,21 @@ pub fn elapsed_us(start: Instant) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Trace capture: rollup + bounded event retention
+// Trace capture: bounded event retention
 // ---------------------------------------------------------------------
 
-/// A [`TraceSink`] that folds the trace stream into a span-sized rollup
-/// (reject reasons, ladder rungs, budget stops) and optionally retains
-/// the first `cap` events for wire streaming.
+/// A [`TraceSink`] that retains the first `cap` events of a `TRACE`
+/// request for wire streaming. The span's reject and rung rollup comes
+/// from the scheduler's report, not from here.
 ///
 /// Retention keeps the *first* events rather than the last: a `TRACE`
 /// client's cap bounds how much a worker will ever write back, and the
 /// head of the stream is where the schedule's decision structure lives
 /// (the tail of a capped stream is mid-search noise). `total()` and
 /// [`truncated`](TraceCapture::truncated) quantify what the cap
-/// dropped.
+/// dropped; a zero cap retains and counts nothing.
 #[derive(Debug)]
 pub struct TraceCapture {
-    rejects: [u64; 5],
-    deadline_events: u64,
-    rungs: u32,
     cap: usize,
     filter: Option<fn(&TraceEvent) -> bool>,
     events: Vec<TraceEvent>,
@@ -282,40 +280,16 @@ pub struct TraceCapture {
 }
 
 impl TraceCapture {
-    /// Rollup only — retains no events (the `SCHED` path).
-    pub fn rollup_only() -> Self {
-        TraceCapture::capture(0, false)
-    }
-
-    /// Rollup plus retention of the first `cap` events; `full` retains
-    /// every event kind, otherwise only the stable decision-level
-    /// stream ([`decision_filter`]) is retained.
+    /// Retention of the first `cap` events; `full` retains every event
+    /// kind, otherwise only the stable decision-level stream
+    /// ([`decision_filter`]) is retained.
     pub fn capture(cap: usize, full: bool) -> Self {
         TraceCapture {
-            rejects: [0; 5],
-            deadline_events: 0,
-            rungs: 0,
             cap,
             filter: if full { None } else { Some(decision_filter) },
             events: Vec::with_capacity(cap.min(1024)),
             total: 0,
         }
-    }
-
-    /// Reject counts by [`RejectReason`] declaration order.
-    pub fn rejects(&self) -> [u64; 5] {
-        self.rejects
-    }
-
-    /// Budget-stop events seen.
-    pub fn deadline_events(&self) -> u64 {
-        self.deadline_events
-    }
-
-    /// Highest ladder rung the retry machinery advanced to (0 = the
-    /// first configuration answered).
-    pub fn rung(&self) -> u32 {
-        self.rungs
     }
 
     /// The retained events, in arrival order.
@@ -332,30 +306,10 @@ impl TraceCapture {
     pub fn truncated(&self) -> bool {
         self.total > self.events.len() as u64
     }
-
-    fn reject_slot(reason: RejectReason) -> usize {
-        match reason {
-            RejectReason::Timing => 0,
-            RejectReason::IssueSlot => 1,
-            RejectReason::ReadPermutation => 2,
-            RejectReason::WritePermutation => 3,
-            RejectReason::Closing => 4,
-        }
-    }
 }
 
 impl TraceSink for TraceCapture {
     fn event(&mut self, event: TraceEvent) {
-        match &event {
-            TraceEvent::PlaceReject { reason, .. } => {
-                self.rejects[TraceCapture::reject_slot(*reason)] += 1;
-            }
-            TraceEvent::DeadlineExceeded { .. } => self.deadline_events += 1,
-            TraceEvent::RungAdvanced { attempt, .. } => {
-                self.rungs = self.rungs.max(*attempt);
-            }
-            _ => {}
-        }
         if self.cap == 0 {
             return;
         }
@@ -976,7 +930,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_capture_rolls_up_and_caps() {
+    fn trace_capture_filters_and_caps() {
         let mut cap = TraceCapture::capture(2, false);
         for i in 0..4u32 {
             cap.event(TraceEvent::IiStart { ii: i });
@@ -992,10 +946,8 @@ mod tests {
             relaxation: "x".into(),
             max_ii: 8,
         });
-        // Rollup sees everything; capture keeps the first 2 decision
-        // events (rejects and rung markers are filtered out).
-        assert_eq!(cap.rejects()[0], 4);
-        assert_eq!(cap.rung(), 2);
+        // The capture keeps the first 2 decision events (rejects and
+        // rung markers are filtered out) and counts all 4.
         assert_eq!(cap.events().len(), 2);
         assert_eq!(cap.total(), 4);
         assert!(cap.truncated());

@@ -67,7 +67,7 @@ fn trace_streams_the_motivating_example_golden_byte_identically() {
     let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
     let (kernel, arch) = figure4_request();
-    let response = client_trace(&addr, &kernel, &arch, None, false, TIMEOUT).unwrap();
+    let response = client_trace(&addr, &kernel, &arch, None, None, None, false, TIMEOUT).unwrap();
 
     let mut got = String::new();
     let mut tail = Vec::new();
@@ -110,7 +110,8 @@ fn trace_event_cap_bounds_the_stream_and_reports_truncation() {
     let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
     let (kernel, arch) = figure4_request();
-    let response = client_trace(&addr, &kernel, &arch, Some(3), false, TIMEOUT).unwrap();
+    let response =
+        client_trace(&addr, &kernel, &arch, None, None, Some(3), false, TIMEOUT).unwrap();
 
     let events = response.lines().filter(|l| l.starts_with('{')).count();
     assert_eq!(events, 3, "cap must bound the stream:\n{response}");
@@ -137,6 +138,8 @@ fn trace_event_cap_bounds_the_stream_and_reports_truncation() {
         &addr,
         &csched_ir::text::print(&w.kernel),
         &csched_machine::text::print(&csched_machine::imagine::clustered(2)),
+        None,
+        None,
         Some(1_000_000),
         true,
         TIMEOUT,
@@ -158,6 +161,78 @@ fn trace_event_cap_bounds_the_stream_and_reports_truncation() {
         .expect("total= in summary");
     assert!(total > TRACE_EVENT_CAP, "{summary}");
     assert!(summary.ends_with("truncated=1"), "{summary}");
+    server.shutdown();
+}
+
+/// The client's `--limit` and `--wall-ms` bound a `--trace` request too:
+/// a one-step budget cannot schedule a loop, so the reply ends in
+/// `ERR deadline` and the client exits 1.
+#[test]
+fn client_trace_forwards_the_step_limit() {
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args([
+            "--client",
+            &addr,
+            "--kernel",
+            "Merge",
+            "--arch",
+            "distributed",
+        ])
+        .args(["--trace", "--limit", "1", "--wall-ms", "60000"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout
+            .lines()
+            .last()
+            .is_some_and(|l| l.starts_with("ERR deadline ")),
+        "{stdout}"
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    server.shutdown();
+}
+
+/// A `SCHED` miss runs sink-free and reads its span's rollup from the
+/// scheduler's counters; a `TRACE` of the same cell runs traced. Sort on
+/// distributed fails two IIs below its answer, so the miss replays its
+/// improvement rung while the trace reruns it, and both spans still carry
+/// the same attempts, rung and rejects.
+#[test]
+fn sched_and_trace_spans_carry_the_same_rollup() {
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let w = csched_kernels::by_name("Sort").unwrap();
+    let kernel = csched_ir::text::print(&w.kernel);
+    let arch = csched_machine::text::print(&csched_machine::imagine::distributed());
+    let miss = client_request(&addr, &kernel, &arch, None, None, TIMEOUT).unwrap();
+    assert!(miss.starts_with("CACHE miss\nOK "), "{miss}");
+    let trace = client_trace(&addr, &kernel, &arch, None, None, Some(1), false, TIMEOUT).unwrap();
+    assert!(
+        trace.lines().last().is_some_and(|l| l.starts_with("OK ")),
+        "{trace}"
+    );
+
+    let metrics = client_metrics(&addr, TIMEOUT).unwrap();
+    let json_line = metrics.lines().next().unwrap();
+    let spans = elements(field(json_line, "spans").expect("spans array present"));
+    let rollup = |verb: &str| {
+        let span = spans
+            .iter()
+            .find(|s| s.contains(&format!("\"verb\":\"{verb}\"")))
+            .unwrap_or_else(|| panic!("no {verb} span: {json_line}"));
+        (
+            num_field(span, "attempts").unwrap(),
+            num_field(span, "rung").unwrap(),
+            field(span, "rejects").unwrap().to_string(),
+        )
+    };
+    let sched = rollup("SCHED");
+    assert_eq!(sched, rollup("TRACE"));
+    assert_eq!(sched.0, 6_026, "{json_line}");
+    assert_ne!(sched.2, "[0,0,0,0,0]", "{json_line}");
     server.shutdown();
 }
 
