@@ -19,8 +19,8 @@
 //!
 //! A budget is shared by everything downstream of one scheduling call:
 //! the anytime ladder hands the *same* budget to every rung, so the sum
-//! of work over all relaxation and improvement attempts stays bounded —
-//! see [`schedule_kernel_anytime`].
+//! of work over all relaxation attempts stays bounded — see
+//! [`schedule_kernel_anytime`].
 //!
 //! ```
 //! use csched_core::{schedule_kernel_budgeted, SchedError, SchedulerConfig, StepBudget};

@@ -7,7 +7,6 @@
 //! for the ablation configuration. Every tentative placement is accepted
 //! or rejected by communication scheduling ([`Engine::place`]).
 
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use csched_ir::{BlockId, DepGraph, DepKind, Kernel, OpId};
@@ -183,52 +182,21 @@ pub(crate) fn prepare(arch: &Architecture, kernel: &Kernel) -> Result<Prepared, 
 }
 
 /// The memory one scheduling call shares across every II attempt and
-/// ladder rung: the lazily built [`Prepared`], a record of each failed
-/// II attempt, and what the call's engines counted.
-///
-/// The accept/reject search is deterministic, so an II attempt that
-/// failed on its own terms is a pure function of the configuration the
-/// engine ran (slack applied) and the II, apart from the two fields only
-/// the driver reads: `max_ii`, the loop bound, and
-/// `max_attempts_per_ii`, the per-II cap. When a later rung of the same
-/// call would repeat such an attempt, an untraced call replays its
-/// record instead: it charges the recorded steps, adds the recorded
-/// counts and branches on the recorded failure (DESIGN.md §14 gives the
-/// conditions and the argument).
+/// ladder rung: the lazily built [`Prepared`], and what the call's
+/// engines counted.
 pub(crate) struct PrepCache {
     prepared: Option<Prepared>,
-    /// Failed II attempts by key (configuration without `max_ii` and
-    /// `max_attempts_per_ii`, and II), oldest first.
-    failed: Vec<(SchedulerConfig, u32, IiRecord)>,
-    /// Rejects and budget refusals of every II attempt, replays included.
+    /// Rejects and budget refusals of every II attempt.
     pub(crate) tally: Tally,
-    /// Budget steps charged by replaying failed II attempts.
-    pub(crate) replayed: u64,
 }
 
 impl PrepCache {
     pub(crate) fn new() -> Self {
         PrepCache {
             prepared: None,
-            failed: Vec::new(),
             tally: Tally::default(),
-            replayed: 0,
         }
     }
-}
-
-/// What a failed II attempt did: the driver's branch reads only its
-/// failure, and a replay charges and counts the rest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct IiRecord {
-    /// Placement attempts made, each charging one budget step.
-    attempts: u64,
-    tally: Tally,
-    /// The block and operation that could not be placed.
-    block: BlockId,
-    op: OpId,
-    /// Whether a cross-block copy insertion failed on the way (§4.5).
-    cross_block: bool,
 }
 
 /// Schedules `kernel` on `arch` with the paper's algorithm.
@@ -332,12 +300,7 @@ pub(crate) fn schedule_kernel_impl(
     budget: Option<&StepBudget>,
     memo: &mut PrepCache,
 ) -> Result<Schedule, SchedError> {
-    let PrepCache {
-        prepared,
-        failed,
-        tally,
-        replayed,
-    } = memo;
+    let PrepCache { prepared, tally } = memo;
     let prep = match prepared {
         Some(p) => &*p,
         None => prepared.insert(prepare(arch, kernel)?),
@@ -348,82 +311,52 @@ pub(crate) fn schedule_kernel_impl(
     for slack_round in 0..2 {
         let mut cfg = config.clone();
         cfg.cross_block_copy_slack = slack;
-        // The record key: `cfg` without the fields only the driver reads.
-        let key = SchedulerConfig {
-            max_ii: 0,
-            max_attempts_per_ii: 0,
-            ..cfg.clone()
-        };
         let mut ii = mii;
         let mut failures = 0u32;
         while ii <= config.max_ii {
-            // A sink must see every event, so a traced call runs every
-            // II for real.
-            let known = sink
-                .is_none()
-                .then(|| replay(failed, &key, ii, config.max_attempts_per_ii, budget))
-                .flatten();
-            let record = match known {
-                Some(record) => {
-                    tally.add(&record.tally);
-                    *replayed += record.attempts;
-                    if cfg!(debug_assertions) {
-                        let mut scratch = Tally::default();
-                        let rerun = run_ii(
-                            arch,
-                            kernel,
-                            prep,
-                            &cfg,
-                            ii,
-                            slack_round > 0,
-                            None,
-                            None,
-                            &mut scratch,
-                        );
-                        debug_assert!(
-                            matches!(rerun, ControlFlow::Continue(r) if r == record),
-                            "replayed II {ii} reruns differently"
-                        );
-                    }
-                    record
-                }
-                None => match run_ii(
-                    arch,
-                    kernel,
-                    prep,
-                    &cfg,
-                    ii,
-                    slack_round > 0,
-                    sink.as_mut().map(|s| &mut **s as &mut dyn TraceSink),
-                    budget,
-                    tally,
-                ) {
-                    ControlFlow::Break(result) => return result,
-                    ControlFlow::Continue(record) => {
-                        // A run past its cap may have been ended by it.
-                        if record.attempts <= config.max_attempts_per_ii {
-                            failed.push((key.clone(), ii, record));
-                        }
-                        if kernel.block(record.block).is_loop()
-                            && std::env::var_os("CSCHED_DEBUG").is_some()
-                        {
-                            eprintln!(
-                                "[csched] II={ii} failed at {} ({:?}) in block {}, attempts={}",
-                                record.op,
-                                kernel.op(record.op).opcode(),
-                                record.block,
-                                record.attempts
-                            );
-                        }
-                        record
-                    }
-                },
+            let mut engine = Engine::with_cache(
+                arch,
+                kernel,
+                cfg.clone(),
+                prep.order_edges.clone(),
+                prep.asap.clone(),
+                ii,
+                Arc::clone(&prep.cache),
+            );
+            engine.stats.ii_tried = ii - mii + 1;
+            engine.stats.backtracked = slack_round > 0;
+            if let Some(s) = sink.as_mut() {
+                s.event(TraceEvent::IiStart { ii });
+                engine.set_trace_sink(&mut **s);
+            }
+            if let Some(b) = budget {
+                engine.set_budget(b);
+            }
+            let result = run_blocks(&mut engine, kernel, &prep.graph, &cfg);
+            tally.add(&engine.tally);
+            let Err(RunError::Block(block, op)) = result else {
+                debug_assert!(engine.all_closed());
+                return engine.into_schedule(prep.has_loop);
             };
-            if record.cross_block && slack_round == 0 {
+            if let Some(e) = engine.take_internal_error() {
+                return Err(e);
+            }
+            if let (Some(stop), Some(b)) = (engine.take_budget_stop(), budget) {
+                return Err(b.stop_error(stop, "placement"));
+            }
+            let is_loop = kernel.block(block).is_loop();
+            if is_loop && std::env::var_os("CSCHED_DEBUG").is_some() {
+                eprintln!(
+                    "[csched] II={ii} failed at {op} ({:?}) in block {block}, attempts={}",
+                    kernel.op(op).opcode(),
+                    engine.stats.attempts
+                );
+            }
+            if engine.stats.cross_block_copy_failures > 0 && slack_round == 0 {
                 break; // §4.5: widen the writer-side copy range and retry
             }
-            if !kernel.block(record.block).is_loop() {
-                return Err(block_failed(kernel, record.block, record.op));
+            if !is_loop {
+                return Err(block_failed(kernel, block, op));
             }
             // Escalating II steps keep the search near-linear in
             // schedule quality while bounding its cost on kernels
@@ -450,80 +383,6 @@ pub(crate) fn schedule_kernel_impl(
     Err(SchedError::IiExhausted {
         mii,
         max_ii: config.max_ii,
-    })
-}
-
-/// The record of a failed II attempt that `key` at `ii` would repeat,
-/// charged to `budget`, if a replay is exact: the recorded run was not
-/// ended by the per-II cap (only such runs are recorded) and its
-/// attempts fit under the current cap `cap`, and the budget takes all
-/// the recorded steps ([`StepBudget::charge`] refuses once the token is
-/// cancelled). Otherwise the II must run for real.
-fn replay(
-    failed: &[(SchedulerConfig, u32, IiRecord)],
-    key: &SchedulerConfig,
-    ii: u32,
-    cap: u64,
-    budget: Option<&StepBudget>,
-) -> Option<IiRecord> {
-    let &(_, _, record) = failed.iter().find(|(k, i, _)| *i == ii && k == key)?;
-    let charged = record.attempts <= cap && budget.is_none_or(|b| b.charge(record.attempts));
-    charged.then_some(record)
-}
-
-/// Runs II `ii` for real under `cfg` (slack applied; `backtracked` in
-/// the second slack round), adding what the engine counted to `tally`.
-/// It breaks with the driver's answer when it schedules or stops on the
-/// budget, cancellation or an internal error, and continues with its
-/// record when it fails on its own terms.
-#[allow(clippy::too_many_arguments)]
-fn run_ii(
-    arch: &Architecture,
-    kernel: &Kernel,
-    prep: &Prepared,
-    cfg: &SchedulerConfig,
-    ii: u32,
-    backtracked: bool,
-    sink: Option<&mut dyn TraceSink>,
-    budget: Option<&StepBudget>,
-    tally: &mut Tally,
-) -> ControlFlow<Result<Schedule, SchedError>, IiRecord> {
-    let mut engine = Engine::with_cache(
-        arch,
-        kernel,
-        cfg.clone(),
-        prep.order_edges.clone(),
-        prep.asap.clone(),
-        ii,
-        Arc::clone(&prep.cache),
-    );
-    engine.stats.ii_tried = ii - prep.mii + 1;
-    engine.stats.backtracked = backtracked;
-    if let Some(s) = sink {
-        s.event(TraceEvent::IiStart { ii });
-        engine.set_trace_sink(s);
-    }
-    if let Some(b) = budget {
-        engine.set_budget(b);
-    }
-    let result = run_blocks(&mut engine, kernel, &prep.graph, cfg);
-    tally.add(&engine.tally);
-    let Err(RunError::Block(block, op)) = result else {
-        debug_assert!(engine.all_closed());
-        return ControlFlow::Break(engine.into_schedule(prep.has_loop));
-    };
-    if let Some(e) = engine.take_internal_error() {
-        return ControlFlow::Break(Err(e));
-    }
-    if let (Some(stop), Some(b)) = (engine.take_budget_stop(), budget) {
-        return ControlFlow::Break(Err(b.stop_error(stop, "placement")));
-    }
-    ControlFlow::Continue(IiRecord {
-        attempts: engine.stats.attempts,
-        tally: engine.tally,
-        block,
-        op,
-        cross_block: engine.stats.cross_block_copy_failures > 0,
     })
 }
 

@@ -134,7 +134,7 @@ impl SchedError {
     ///
     /// Budget stops are the *caller's* bound, not a verdict on the
     /// kernel/machine pair: a service maps them to a typed deadline
-    /// response (or a degraded best-so-far answer), a campaign records
+    /// response, a campaign records
     /// the cell as `TimedOut`, and neither treats them as a scheduling
     /// failure.
     pub fn is_budget_stop(&self) -> bool {

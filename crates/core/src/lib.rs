@@ -87,7 +87,6 @@ pub use explain::{explain, Binding, Counterfactual, Explanation, ResourceRank};
 pub use metrics::ScheduleMetrics;
 pub use retry::{
     schedule_kernel_anytime, schedule_kernel_anytime_traced, AnytimeReport, Attempt, RetryPolicy,
-    ScheduleReport,
 };
 pub use schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
 pub use table::{ResourceTable, Row, TableMode, WriteSearch};
@@ -112,7 +111,7 @@ const _: () = {
     shared_across_threads::<SchedulerConfig>();
     shared_across_threads::<Schedule>();
     shared_across_threads::<SchedError>();
-    shared_across_threads::<ScheduleReport>();
+    shared_across_threads::<AnytimeReport>();
     shared_across_threads::<ScheduleMetrics>();
     shared_across_threads::<CancelToken>();
     moved_between_threads::<StepBudget>();

@@ -1,20 +1,19 @@
-//! The anytime ladder's II replay: an untraced `schedule_kernel_anytime`
-//! replays each II attempt it already failed instead of rerunning it, and
-//! must answer exactly what a traced call, which reruns everything,
-//! answers — the same schedule, the same `AnytimeReport`, the same budget
-//! spend, and reject and budget-stop counts equal to what a sink counts
-//! from the traced call's events.
+//! The anytime ladder: `schedule_kernel_anytime` answers with the first
+//! rung that schedules, and an untraced call must answer exactly what a
+//! traced call answers — the same schedule, the same `AnytimeReport`,
+//! the same budget spend — with reject and budget-stop counts equal to
+//! what a sink counts from the traced call's events.
 //!
 //! The grid-wide tests take about a minute under the debug profile, so
 //! they are ignored there; CI runs them with `cargo test --release -p
-//! csched-core --test anytime_replay -- --include-ignored`. The small
+//! csched-core --test anytime_ladder -- --include-ignored`. The small
 //! Sort × distributed case runs under every profile, so a debug run
-//! exercises the engine's rerun of every replayed II.
+//! covers the ladder too.
 
 use csched_core::trace::decision_filter;
 use csched_core::{
     schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_traced, AnytimeReport,
-    RetryPolicy, SchedulerConfig, StepBudget, TraceEvent, TraceSink,
+    RetryPolicy, SchedError, Schedule, SchedulerConfig, StepBudget, TraceEvent, TraceSink,
 };
 use csched_machine::{imagine, Architecture};
 
@@ -61,8 +60,12 @@ impl TraceSink for Rollup {
 }
 
 /// Schedules `kernel` on `arch` under `limit` steps untraced and traced,
-/// asserts that the two calls agree, and returns the untraced report.
-fn untraced_matches_traced(arch: &Architecture, kernel: &str, limit: u64) -> AnytimeReport {
+/// asserts that the two calls agree, and returns the untraced answer.
+fn untraced_matches_traced(
+    arch: &Architecture,
+    kernel: &str,
+    limit: u64,
+) -> (Result<Schedule, SchedError>, AnytimeReport) {
     let w = csched_kernels::by_name(kernel).unwrap_or_else(|| panic!("unknown kernel {kernel}"));
     let label = format!("{kernel} on {} at {limit} steps", arch.name());
     let anytime = |budget: &StepBudget, sink: Option<&mut Rollup>| match sink {
@@ -93,98 +96,97 @@ fn untraced_matches_traced(arch: &Architecture, kernel: &str, limit: u64) -> Any
         format!("{traced_result:?}"),
         "{label}: the answers differ"
     );
-    assert_eq!(
-        traced_report.replayed_spent, 0,
-        "{label}: a traced call replayed"
-    );
-    let replayed = AnytimeReport {
-        replayed_spent: 0,
-        ..report.clone()
-    };
-    assert_eq!(replayed, traced_report, "{label}: the reports differ");
+    assert_eq!(report, traced_report, "{label}: the reports differ");
     assert_eq!(
         budget.spent(),
         traced_budget.spent(),
         "{label}: spend differs"
     );
     assert_eq!(report.attempts_spent, budget.spent(), "{label}");
+    assert_eq!(report.acquired_spent, report.attempts_spent, "{label}");
     assert_eq!(
         (report.rejects, report.deadline_events, report.rung()),
         (rollup.rejects, rollup.deadline_events, rollup.rung),
         "{label}: the counters differ from the traced events"
     );
-    report
+    (result, report)
 }
 
 /// On every grid cell at the service's 200,000-step limit, and at 50,000
-/// and 5,000 steps, where the budget runs out mid-search on 5 and 20
-/// cells. At 200,000 steps no improvement rung succeeds, so the first
-/// one repeats exactly the IIs the acquiring rung failed: replay charges
-/// every step the improvement phase spends.
+/// and 5,000 steps, where the budget stops the ladder on 4 and 18 cells.
+/// `degraded` flags exactly the answers whose acquiring rung started with
+/// fewer steps left than the 40,000-attempt per-II cap: none at 200,000
+/// or 50,000 steps, and every answer at 5,000.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "240 anytime calls; CI runs it under the release profile"
 )]
-fn replay_is_exact_on_the_grid_and_charges_the_whole_improvement_phase() {
+fn untraced_and_traced_calls_agree_on_the_grid() {
     let archs = archs();
+    // (limit, answers, degraded answers, steps spent over the 40 cells)
+    let mut totals = Vec::new();
     for limit in [200_000, 50_000, 5_000] {
-        let mut replayed = 0;
+        let (mut answers, mut degraded, mut spent) = (0, 0, 0);
         for kernel in KERNELS {
             for arch in &archs {
-                let report = untraced_matches_traced(arch, kernel, limit);
-                if limit == 200_000 {
-                    assert_eq!(
-                        report.replayed_spent,
-                        report.attempts_spent - report.acquired_spent,
-                        "{kernel} on {}",
-                        arch.name()
-                    );
-                }
-                replayed += report.replayed_spent;
+                let (result, report) = untraced_matches_traced(arch, kernel, limit);
+                answers += u32::from(result.is_ok());
+                degraded += u32::from(report.degraded);
+                spent += report.attempts_spent;
             }
         }
-        if limit == 200_000 {
-            assert_eq!(replayed, 421_487);
-        }
+        totals.push((limit, answers, degraded, spent));
     }
-}
-
-/// Sort on distributed fails IIs 7 and 8 (1,520 and 1,340 steps) and
-/// schedules at 9, so its improvement rung repeats both. At the full
-/// limit both replay; one step short of the full spend, II 7 replays and
-/// the budget refuses II 8's charge, so II 8 runs for real and the budget
-/// stops it.
-#[test]
-fn replay_reruns_an_ii_whose_charge_the_budget_refuses() {
-    let arch = imagine::distributed();
-    let full = untraced_matches_traced(&arch, "Sort", 200_000);
-    let improvement = full.attempts_spent - full.acquired_spent;
-    assert!(improvement > 0, "Sort on distributed fails an II");
-    assert_eq!(full.replayed_spent, improvement);
-    assert!(!full.degraded);
-
-    let short = untraced_matches_traced(&arch, "Sort", full.attempts_spent - 1);
-    assert!(short.degraded);
-    assert_eq!(short.deadline_events, 1);
-    assert!(
-        0 < short.replayed_spent && short.replayed_spent < improvement - 1,
-        "replayed {} of {}",
-        short.replayed_spent,
-        improvement - 1
+    assert_eq!(
+        totals,
+        [
+            (200_000, 40, 0, 528_828),
+            (50_000, 36, 0, 412_217),
+            (5_000, 22, 22, 117_776),
+        ]
     );
 }
 
-/// The decision stream of a single traced run is a prefix of the anytime
-/// ladder's, and the two are equal only on the cells where no II below
-/// the answer failed: elsewhere the first improvement rung retries those
-/// IIs, and a traced call runs them for real.
+/// Sort on distributed fails IIs 7 and 8 and schedules at 9 with the
+/// caller's configuration. A limit of exactly that spend answers the same
+/// schedule, flagged degraded because the cap was cut to it; one step
+/// fewer stops the ladder with a typed deadline.
+#[test]
+fn a_limit_at_the_spend_answers_degraded_and_one_less_stops() {
+    let arch = imagine::distributed();
+    let (full, report) = untraced_matches_traced(&arch, "Sort", 200_000);
+    let full = full.expect("Sort schedules on distributed");
+    assert_eq!((full.ii(), full.stats().ii_tried), (Some(9), 3));
+    assert!(!report.degraded);
+    assert_eq!((report.rung(), report.attempts_spent), (0, 3_166));
+
+    let (exact, at_spend) = untraced_matches_traced(&arch, "Sort", report.attempts_spent);
+    assert_eq!(
+        format!("{exact:?}"),
+        format!("{:?}", Ok::<_, SchedError>(full))
+    );
+    assert!(at_spend.degraded);
+    assert_eq!(at_spend.attempts_spent, report.attempts_spent);
+
+    let (short, below) = untraced_matches_traced(&arch, "Sort", report.attempts_spent - 1);
+    assert!(
+        matches!(short, Err(SchedError::DeadlineExceeded { .. })),
+        "{short:?}"
+    );
+    assert!(!below.degraded && below.budget_exhausted);
+    assert_eq!(below.deadline_events, 1);
+}
+
+/// With the full per-II cap, the ladder's first rung is a single run of
+/// the caller's configuration, so the two decision streams are equal on
+/// every cell.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "80 traced calls; CI runs it under the release profile"
 )]
-fn single_run_decisions_are_a_prefix_of_the_ladder_decisions() {
+fn single_run_decisions_equal_the_ladder_decisions() {
     #[derive(Default)]
     struct Decisions(Vec<TraceEvent>);
     impl TraceSink for Decisions {
@@ -194,14 +196,12 @@ fn single_run_decisions_are_a_prefix_of_the_ladder_decisions() {
             }
         }
     }
-    let mut longer = 0;
     for kernel in KERNELS {
         let w = csched_kernels::by_name(kernel).unwrap();
         for arch in &archs() {
             let mut single = Decisions::default();
-            let schedule =
-                schedule_kernel_traced(arch, &w.kernel, SchedulerConfig::default(), &mut single)
-                    .unwrap();
+            schedule_kernel_traced(arch, &w.kernel, SchedulerConfig::default(), &mut single)
+                .unwrap();
             let mut ladder = Decisions::default();
             let (result, report) = schedule_kernel_anytime_traced(
                 arch,
@@ -216,15 +216,10 @@ fn single_run_decisions_are_a_prefix_of_the_ladder_decisions() {
                 result.is_ok() && !report.degraded && report.rung() == 0,
                 "{label}"
             );
-            assert!(ladder.0.starts_with(&single.0), "{label}");
-            // `ii_tried` is 1 exactly when the first II, the MII, fit.
-            let none_failed = schedule.stats().ii_tried == 1;
-            assert_eq!(ladder.0.len() == single.0.len(), none_failed, "{label}");
+            assert!(ladder.0 == single.0, "{label}");
             if kernel == "FIR-INT" && arch.name() == "imagine-distributed" {
-                assert_eq!((single.0.len(), ladder.0.len()), (29_965, 54_900));
+                assert_eq!(ladder.0.len(), 29_965);
             }
-            longer += usize::from(!none_failed);
         }
     }
-    assert_eq!(longer, 21);
 }

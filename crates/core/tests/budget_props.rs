@@ -1,7 +1,7 @@
 //! Property tests for the placement-attempt budget: across random retry
 //! policies and budget limits, `schedule_kernel_anytime` never spends
 //! more placement attempts than its budget (summed over every rung of
-//! the relaxation ladder and the improvement search), a shared caller
+//! the relaxation ladder), a shared caller
 //! budget bounds the whole call the same way, and an exhausted budget is
 //! always a typed stop, never an internal error.
 
@@ -56,8 +56,8 @@ fn zero_budget_is_a_typed_stop_not_an_internal_error() {
             phase: "placement"
         })
     );
-    assert!(report.ladder.attempts.is_empty());
-    assert!(report.ladder.budget_exhausted);
+    assert!(report.attempts.is_empty());
+    assert!(report.budget_exhausted);
     assert_eq!(report.attempts_spent, 0);
 
     let token = CancelToken::new();
@@ -90,7 +90,7 @@ proptest! {
             report.attempts_spent, budget
         );
         // Per-rung grants are each within the budget too.
-        for a in report.ladder.attempts.iter().chain(&report.improvements) {
+        for a in &report.attempts {
             prop_assert!(a.attempts_granted <= budget);
         }
         // A tripped budget surfaces as the typed deadline error, never a

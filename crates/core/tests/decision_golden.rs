@@ -11,10 +11,9 @@
 //!   `default`, `cycle_order`, `without_comm_cost`,
 //!   `without_closing_first` and `recurrence_order`;
 //! - the 40 cells through `schedule_kernel_anytime` at the service's
-//!   200,000-step limit (the retry ladder and the improvement rungs),
-//!   and at 5,000 and 50,000 steps, limits that run out mid-search on
-//!   20 and 5 of the cells, so the step at which a budget trips is
-//!   pinned too.
+//!   200,000-step limit (the retry ladder), and at 5,000 and 50,000
+//!   steps, limits that stop the ladder on 18 and 4 of the cells, so
+//!   the step at which a budget trips is pinned too.
 //!
 //! The digest is a hand-written FNV-1a over the events' fields (not their
 //! `Debug` text, which is slow, and not `DefaultHasher`, whose output is
@@ -28,8 +27,9 @@
 //! decision_golden -- --include-ignored`.
 
 use csched_core::{
-    schedule_kernel_anytime_traced, schedule_kernel_traced, CommDisposition, CommId, RetryPolicy,
-    SOpId, SchedError, Schedule, SchedulerConfig, StepBudget, TraceEvent, TraceSink,
+    schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_traced,
+    CommDisposition, CommId, RetryPolicy, SOpId, SchedError, Schedule, SchedulerConfig, StepBudget,
+    TraceEvent, TraceSink,
 };
 use csched_machine::{imagine, Architecture};
 
@@ -277,12 +277,8 @@ fn cell_digest(run: Run, arch: &Architecture, kernel: &str) -> (u64, u64) {
                 &budget,
                 &mut sink,
             );
-            let h = &mut sink.h;
-            h.u64(report.acquired_spent);
-            h.u64(report.attempts_spent);
-            h.u64(report.degraded as u64);
-            h.u64(report.best_ii.map_or(u64::MAX, u64::from));
-            h.u64(report.improvements.len() as u64);
+            sink.h.u64(report.attempts_spent);
+            sink.h.u64(report.degraded as u64);
             result
         }
     };
@@ -327,21 +323,21 @@ const GOLDEN: [(&str, Run, u64, u64); 8] = [
     (
         "anytime",
         Run::Anytime(200_000),
-        4632494,
-        0xf97c44b327ebf22a,
+        2568556,
+        0x23e756eb48954992,
     ),
-    // Limits that run out mid-search on 20 and 5 of the 40 cells.
+    // Limits that stop the ladder on 18 and 4 of the 40 cells.
     (
         "anytime_5k",
         Run::Anytime(5_000),
-        583489,
-        0xb8f37a03b1081776,
+        543317,
+        0x017b12cdd6430cdc,
     ),
     (
         "anytime_50k",
         Run::Anytime(50_000),
-        2489175,
-        0xc165d7b5fbc968ba,
+        1982429,
+        0xc8b7656100382b29,
     ),
 ];
 
@@ -378,4 +374,46 @@ fn decision_streams_match_the_pinned_digests() {
         drifted.is_empty(),
         "decision streams drifted for {drifted:?}; per-cell digests:\n{report}"
     );
+}
+
+/// Pinned `(step limit, digest)` of the untraced anytime answers alone:
+/// [`hash_result`] of each of the 40 cells' results in kernel-major
+/// order, with no event and no report field folded in. The decision
+/// digests above also pin how a ladder got to its answer; these pin only
+/// the answer a `SCHED` request gets.
+const RESULT_GOLDEN: [(u64, u64); 3] = [
+    (200_000, 0x7acde5f35c48bc4a),
+    (50_000, 0x9c51a6384b8ca44b),
+    (5_000, 0x2cf11bbec654f069),
+];
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "120 anytime runs; CI runs it under the release profile"
+)]
+fn anytime_answers_match_the_pinned_digests() {
+    let archs = archs();
+    let mut drifted = Vec::new();
+    for &(limit, want) in &RESULT_GOLDEN {
+        let mut h = Fnv1a::new();
+        for kernel in KERNELS {
+            let w = csched_kernels::by_name(kernel).unwrap_or_else(|| panic!("{kernel}"));
+            for arch in &archs {
+                let (result, _) = schedule_kernel_anytime(
+                    arch,
+                    &w.kernel,
+                    SchedulerConfig::default(),
+                    &RetryPolicy::default(),
+                    &StepBudget::new(limit),
+                );
+                hash_result(&mut h, &result);
+            }
+        }
+        println!("({limit}, {:#018x}),", h.0);
+        if h.0 != want {
+            drifted.push(limit);
+        }
+    }
+    assert!(drifted.is_empty(), "anytime answers drifted at {drifted:?}");
 }

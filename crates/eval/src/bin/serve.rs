@@ -1,6 +1,6 @@
 //! Hosts the hardened scheduler service (`csched_eval::serve`) and ships
-//! a small client for exercising it — including the cold-vs-warm
-//! cache-throughput benchmark the CI smoke run gates on.
+//! a small client for exercising it — including the cold-vs-warm cache
+//! check the CI smoke run gates on.
 //!
 //! Server: `serve --addr 127.0.0.1:0 [--cache <path>] [--durable]
 //! [--jobs N] [--queue N] [--step-limit N] [--wall-ms N]` — prints
@@ -10,8 +10,9 @@
 //! `--kernel <name> --arch <org>` (one request; add `--limit`/`--wall-ms`),
 //! `--stats` (the counters JSON line), `--malformed` (a deliberately
 //! broken request, expecting `ERR malformed`), or `--bench-suite`
-//! (schedule the whole Table 1 suite cold, then again warm, print both
-//! rates, and exit 1 if warm/cold < `--min-ratio`, default 10).
+//! (schedule the whole Table 1 suite twice, print both passes' rates,
+//! and exit 1 unless every second-pass reply is a `CACHE hit` of the
+//! cell's first-pass `OK` line).
 //!
 //! Exit codes: 0 ok, 1 a failed request or gate, 2 usage error (unknown
 //! kernel or arch, a bad number, no mode).
@@ -59,9 +60,9 @@ client modes:
   --stats           print the service counters JSON line
   --metrics         print the METRICS JSON line + Prometheus exposition
   --malformed       send a broken request; expect ERR malformed
-  --bench-suite [--min-ratio N]
-                    cold vs warm requests/sec over the kernel suite;
-                    exit 1 if warm/cold < N (default 10)
+  --bench-suite     the kernel suite twice; print both passes'
+                    requests/sec, exit 1 unless every second-pass
+                    reply hits the cache with the first-pass OK line
   --help            this text";
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
@@ -85,7 +86,6 @@ const FLAGS: &[&str] = &[
     "--limit",
     "--malformed",
     "--metrics",
-    "--min-ratio",
     "--no-telemetry",
     "--queue",
     "--read-phase-ms",
@@ -170,8 +170,7 @@ fn run_client(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
     } else if args.has("--malformed") {
         client_raw(addr, b"BOGUS request\n", CLIENT_TIMEOUT)
     } else if args.has("--bench-suite") {
-        let min_ratio = args.num("--min-ratio")?.unwrap_or(10);
-        return Ok(match bench_suite(addr, min_ratio) {
+        return Ok(match bench_suite(addr) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("serve: {e}");
@@ -259,54 +258,63 @@ fn run_client(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
 }
 
 /// Schedules the whole kernel suite against the four Imagine machines
-/// twice — cold (first pass populates the cache) and warm (second pass
-/// must hit) — and gates on the warm/cold throughput ratio.
-fn bench_suite(addr: &str, min_ratio: u64) -> Result<(), String> {
-    let arch_texts: Vec<String> = csched_machine::imagine::all_variants()
-        .iter()
-        .map(machine_text::print)
-        .collect();
-    let requests: Vec<(String, &String)> = csched_kernels::all()
+/// twice and gates on the cache: the first pass fills it, and every
+/// second-pass reply must be `CACHE hit` followed by that cell's
+/// first-pass `OK` line, byte for byte. Both passes' rates and their
+/// ratio are printed but not gated: the ratio moves with scheduler
+/// speed, and perfbench's serve workload gates hit latency.
+fn bench_suite(addr: &str) -> Result<(), String> {
+    let archs = csched_machine::imagine::all_variants();
+    let arch_texts: Vec<String> = archs.iter().map(machine_text::print).collect();
+    let requests: Vec<(String, String, &String)> = csched_kernels::all()
         .iter()
         .flat_map(|w| {
             let kernel_text = ir_text::print(&w.kernel);
-            arch_texts
-                .iter()
-                .map(move |arch_text| (kernel_text.clone(), arch_text))
+            archs.iter().zip(&arch_texts).map(move |(arch, arch_text)| {
+                (
+                    format!("{} on {}", w.kernel.name(), arch.name()),
+                    kernel_text.clone(),
+                    arch_text,
+                )
+            })
         })
         .collect();
 
-    let pass = |label: &str, expect_cache: &str| -> Result<f64, String> {
+    let pass = |label: &str| -> Result<(Vec<String>, f64), String> {
         let start = Instant::now();
-        let mut hits = 0usize;
-        for (kernel_text, arch_text) in &requests {
-            let response = client_request(addr, kernel_text, arch_text, None, None, CLIENT_TIMEOUT)
+        let mut replies = Vec::with_capacity(requests.len());
+        for (_, kernel_text, arch_text) in &requests {
+            let reply = client_request(addr, kernel_text, arch_text, None, None, CLIENT_TIMEOUT)
                 .map_err(|e| format!("suite request: {e}"))?;
-            if !(response.contains("\nOK ") || response.starts_with("OK ")) {
-                return Err(format!("{label} request failed: {response}"));
-            }
-            if response.starts_with(&format!("CACHE {expect_cache}")) {
-                hits += 1;
-            }
+            replies.push(reply);
         }
         let elapsed = start.elapsed().as_secs_f64().max(1e-9);
         let rps = requests.len() as f64 / elapsed;
+        let hits = replies
+            .iter()
+            .filter(|r| r.starts_with("CACHE hit\n"))
+            .count();
         println!(
-            "{label}: {} requests in {elapsed:.3}s = {rps:.1} req/s ({hits}/{} {expect_cache})",
+            "{label}: {} requests in {elapsed:.3}s = {rps:.1} req/s ({hits}/{} hit)",
             requests.len(),
             requests.len(),
         );
-        Ok(rps)
+        Ok((replies, rps))
     };
 
-    let cold = pass("cold", "miss")?;
-    let warm = pass("warm", "hit")?;
-    let ratio = warm / cold.max(1e-9);
-    println!("warm/cold ratio: {ratio:.1}x (gate: >= {min_ratio}x)");
-    if ratio < min_ratio as f64 {
-        return Err(format!(
-            "FAIL: warm cache speedup below the {min_ratio}x gate"
-        ));
+    let (cold, cold_rps) = pass("cold")?;
+    let (warm, warm_rps) = pass("warm")?;
+    println!("warm/cold ratio: {:.1}x", warm_rps / cold_rps.max(1e-9));
+    for ((cell, _, _), (first, second)) in requests.iter().zip(cold.iter().zip(&warm)) {
+        let ok = match first.split_once('\n') {
+            Some((_, ok)) if ok.starts_with("OK ") => ok,
+            _ => return Err(format!("{cell}: first request failed: {first}")),
+        };
+        if *second != format!("CACHE hit\n{ok}") {
+            return Err(format!(
+                "FAIL: {cell}: second reply is not a hit of {ok:?}: {second:?}"
+            ));
+        }
     }
     Ok(())
 }

@@ -24,13 +24,14 @@
 //!   [`CancelToken`], which reads as cancelled once the deadline passes.
 //!   Socket reads and writes carry timeouts, so a stalled client cannot
 //!   pin a worker.
-//! - **Graceful degradation.** Scheduling runs the anytime ladder
-//!   ([`csched_core::schedule_kernel_anytime`]): when a deadline
-//!   expires mid-ladder the response is the best relaxed-II schedule
-//!   completed so far, flagged `degraded=1`, instead of an error. An
-//!   answer the wall-clock deadline cut short depends on timing, so it
-//!   is answered but never cached: the cache holds only answers that are
-//!   a function of the key and the step limit.
+//! - **Bounded work, cacheable answers.** Scheduling runs the anytime
+//!   ladder ([`csched_core::schedule_kernel_anytime`]), which answers
+//!   with its first schedule. A step limit too small for the scheduler's
+//!   full per-II effort cuts that effort, and the answer is flagged
+//!   `degraded=1`; a step limit or wall-clock deadline that runs out
+//!   before any schedule is found answers `ERR deadline`. Every computed
+//!   `OK` is therefore a function of the key and the step limit, and
+//!   every one is cached.
 //! - **Corruption quarantine.** The cache journal checksums every
 //!   entry. A torn final line (crash mid-append) is repaired silently;
 //!   a bit-flipped interior entry is *quarantined* on load — serving
@@ -298,7 +299,8 @@ pub struct CacheEntry {
     pub max_registers: u64,
     /// Placement attempts the cold schedule charged.
     pub attempts: u64,
-    /// Whether the result is degraded (deadline expired mid-ladder).
+    /// Whether the step limit shaped the result: it cut the scheduler's
+    /// per-II effort ([`csched_core::AnytimeReport::degraded`]).
     pub degraded: bool,
     /// The placement-attempt budget the entry was computed under; a
     /// degraded entry is only served warm to requests with an equal or
@@ -816,8 +818,8 @@ pub struct ServeStats {
     pub deadline: AtomicU64,
     /// Requests that failed with a typed scheduling error.
     pub sched_errors: AtomicU64,
-    /// `OK` responses that were degraded (best-so-far under an expired
-    /// deadline).
+    /// Cold `OK` responses that were degraded (the step limit cut the
+    /// scheduler's per-II effort).
     pub degraded: AtomicU64,
     /// Internal failures (cache I/O, invariant breaks).
     pub internal_errors: AtomicU64,
@@ -1466,21 +1468,19 @@ fn read_bodies(
 /// request under its step budget and wall deadline (with `capture`
 /// attached for `TRACE`), validates the schedule independently, and
 /// builds its cache entry. The span's reject, budget-stop and rung
-/// rollup comes from the scheduler's report either way. The flag beside
-/// the entry says the wall deadline cut the anytime ladder short
-/// (`degraded=1` for timing, not the step limit). A failure comes back
-/// as its outcome and `ERR` line.
+/// rollup comes from the scheduler's report either way. A failure comes
+/// back as its outcome and `ERR` line.
 fn schedule_request(
     state: &ServerState,
     req: &Request,
     capture: Option<&mut TraceCapture>,
     span: &mut RequestSpan,
-) -> Result<(CacheEntry, bool), (Outcome, String)> {
+) -> Result<CacheEntry, (Outcome, String)> {
     let t_sched = Instant::now();
     let token = req.wall_ms.map_or_else(CancelToken::new, |ms| {
         CancelToken::with_deadline(t_sched + Duration::from_millis(ms))
     });
-    let budget = StepBudget::new(req.limit).with_cancel(token.clone());
+    let budget = StepBudget::new(req.limit).with_cancel(token);
     let (result, report) = match capture {
         Some(sink) => schedule_kernel_anytime_traced(
             &req.arch,
@@ -1498,7 +1498,6 @@ fn schedule_request(
             &budget,
         ),
     };
-    let wall_cut = report.degraded && token.is_cancelled();
     span.rejects = report.rejects;
     span.deadline_events = report.deadline_events;
     span.rung = report.rung();
@@ -1527,7 +1526,7 @@ fn schedule_request(
                         .binding
                         .kind();
                 }
-                let entry = CacheEntry {
+                Ok(CacheEntry {
                     ii: schedule.ii().unwrap_or(0),
                     copies: schedule.num_copies() as u64,
                     max_registers: regalloc::analyze(&req.arch, &req.kernel, &schedule)
@@ -1535,8 +1534,7 @@ fn schedule_request(
                     attempts: report.attempts_spent,
                     degraded: report.degraded,
                     limit: req.limit,
-                };
-                Ok((entry, wall_cut))
+                })
             }
         },
         Err(e) if e.is_budget_stop() => Err((
@@ -1594,10 +1592,9 @@ fn serve_sched<'a>(
     span.cache = CacheDisposition::Miss;
     span.stages.cache_us = elapsed_us(t_cache);
 
-    // Cold path, sink-free: no event is even constructed, and the
-    // scheduler replays the II attempts its ladder repeats. The span's
+    // Cold path, sink-free: no event is even constructed. The span's
     // reject and rung rollup comes from the scheduler's own counters.
-    let (entry, wall_cut) = match schedule_request(state, &req, None, span) {
+    let entry = match schedule_request(state, &req, None, span) {
         Ok(scheduled) => scheduled,
         Err((outcome, line)) => {
             let _ = respond(stream, &line);
@@ -1606,11 +1603,9 @@ fn serve_sched<'a>(
     };
     // Journal before responding: a response is only ever sent for a
     // durably recorded entry, so a crash immediately after the response
-    // still serves this key warm on restart. An answer the wall deadline
-    // cut short is answered but not cached: it depends on timing, and a
-    // later request without that deadline deserves the full ladder.
+    // still serves this key warm on restart.
     let t_journal = Instant::now();
-    if !wall_cut {
+    {
         let Ok(mut cache) = state.cache.lock() else {
             let _ = respond(stream, "ERR internal cache lock poisoned\n");
             return Outcome::Internal;
@@ -1723,7 +1718,7 @@ fn serve_trace<'a>(
     }
 
     let outcome = match result {
-        Ok((entry, _)) => {
+        Ok(entry) => {
             text.push_str(&ok_line(&entry));
             Outcome::OkCold {
                 degraded: entry.degraded,

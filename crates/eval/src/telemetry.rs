@@ -45,14 +45,15 @@ use crate::jsonl::{elements, field, members, num, num_field, str_field};
 /// How a request ended, from the aggregation's point of view.
 ///
 /// `Degraded` is split out of `Ok` (unlike the `STATS` counters, where
-/// `degraded` subsets `ok`) because a degraded answer's latency profile
-/// is exactly what the histogram split exists to expose: it ran to its
-/// deadline by construction.
+/// `degraded` subsets `ok`) because the step limit shaped a degraded
+/// answer, and how such answers differ from full-effort ones is exactly
+/// what the histogram split exists to expose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// Full-quality `OK` (warm hit or un-degraded cold schedule).
     Ok,
-    /// `OK` whose schedule is best-so-far under an expired deadline.
+    /// `OK` whose schedule the step limit shaped (it cut the scheduler's
+    /// per-II effort).
     Degraded,
     /// Shed by admission control before reaching a worker.
     Overload,
@@ -186,7 +187,8 @@ pub struct RequestSpan {
     pub deadline_events: u64,
     /// Achieved loop II (0 = none/straight-line/failed).
     pub ii: u32,
-    /// `true` when the answer was best-so-far under an expired deadline.
+    /// `true` when the step limit shaped the answer
+    /// ([`AnytimeReport::degraded`](csched_core::AnytimeReport::degraded)).
     pub degraded: bool,
     /// Binding constraint from [`mod@csched_core::explain`]
     /// (`"recurrence"|"resource"|"transport"|"straightline"`), empty
