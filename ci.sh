@@ -189,6 +189,17 @@ case "$FRESH_OK" in
     "OK "*" degraded=0") ;;
     *) echo "deadline-free answer: $FRESH_OK" >&2; exit 1 ;;
 esac
+# A cached answer is served only at the step limit it was computed
+# under: the default limit's FIR-INT × distributed answer is cached now,
+# yet at 50,000 steps, too few for that cell, the reply must still be
+# the cold server's `ERR deadline`.
+LIMIT_REPLY="$(cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel FIR-INT --arch distributed --limit 50000 \
+    || true)"
+case "$LIMIT_REPLY" in
+    "ERR deadline "*) ;;
+    *) echo "--limit 50000 after the default request got: $LIMIT_REPLY" >&2; exit 1 ;;
+esac
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --bench-suite
 # SIGKILL mid-request: fire a request and kill the server under it; the

@@ -9,9 +9,9 @@
 //! live simultaneously.
 //!
 //! The paper defers spilling to "a post pass that inserts additional copy
-//! operations"; we implement the analysis and the spill *plan* (which
-//! values overflow which files, and where they could be staged instead),
-//! which is what an allocator needs to drive that pass.
+//! operations". This module measures each file's demand; design-space
+//! exploration sizes its candidates' files from it, and the paper report
+//! marks the cells whose demand exceeds a file's capacity.
 
 use std::collections::HashMap;
 
@@ -30,9 +30,6 @@ pub struct RfPressure {
     pub required: usize,
     /// Registers the file physically has.
     pub capacity: usize,
-    /// Values staged through the file (producer ids) with their instance
-    /// counts.
-    pub values: Vec<(SOpId, usize)>,
 }
 
 impl RfPressure {
@@ -40,31 +37,6 @@ impl RfPressure {
     pub fn fits(&self) -> bool {
         self.required <= self.capacity
     }
-
-    /// Registers over capacity (0 when it fits).
-    pub fn overflow(&self) -> usize {
-        self.required.saturating_sub(self.capacity)
-    }
-}
-
-/// A proposed spill: move a value's staging out of an overflowing file.
-///
-/// The §7 post-pass would realise this by copying the value out of `from`
-/// just after it is computed and back just before use; `to` is the
-/// cheapest reachable file with spare capacity (`None` when no file has
-/// room — the machine is genuinely out of registers).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpillCandidate {
-    /// The value (by producing operation).
-    pub value: SOpId,
-    /// The overflowing file it currently stages through.
-    pub from: RfId,
-    /// Instances freed by spilling it.
-    pub instances: usize,
-    /// Proposed destination file (reachable by copies, spare capacity).
-    pub to: Option<RfId>,
-    /// Copy operations needed per direction to reach `to`.
-    pub copies_needed: u32,
 }
 
 /// The result of the pressure analysis.
@@ -72,56 +44,12 @@ pub struct SpillCandidate {
 pub struct PressureReport {
     /// Per-file demand, in register-file id order.
     pub per_rf: Vec<RfPressure>,
-    /// Spill plan for overflowing files: cheapest candidates first (values
-    /// with the most instances freed per file).
-    pub spills: Vec<SpillCandidate>,
 }
 
 impl PressureReport {
     /// Whether every register file satisfies its demand.
     pub fn fits(&self) -> bool {
         self.per_rf.iter().all(RfPressure::fits)
-    }
-
-    /// Renders the report as a table (overflowing files first).
-    pub fn render(&self, arch: &Architecture) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "register pressure: {} files, total demand {}, max {}{}",
-            self.per_rf.len(),
-            self.total_required(),
-            self.max_required(),
-            if self.fits() { "" } else { " (OVERFLOW)" }
-        );
-        let mut rows: Vec<&RfPressure> = self.per_rf.iter().filter(|p| p.required > 0).collect();
-        rows.sort_by_key(|p| std::cmp::Reverse(p.overflow().max(p.required)));
-        for p in rows.iter().take(12) {
-            let _ = writeln!(
-                s,
-                "  {:<12} {:>4}/{:<4} {}",
-                arch.rf(p.rf).name(),
-                p.required,
-                p.capacity,
-                if p.fits() { "ok" } else { "overflow" }
-            );
-        }
-        for spill in &self.spills {
-            let _ = writeln!(
-                s,
-                "  spill {} out of {} -> {} ({} copies, frees {} registers)",
-                spill.value,
-                arch.rf(spill.from).name(),
-                spill
-                    .to
-                    .map(|r| arch.rf(r).name().to_string())
-                    .unwrap_or_else(|| "<no room anywhere>".into()),
-                spill.copies_needed,
-                spill.instances
-            );
-        }
-        s
     }
 
     /// Total registers demanded across all files.
@@ -175,91 +103,32 @@ pub fn analyze(arch: &Architecture, kernel: &Kernel, schedule: &Schedule) -> Pre
         }
     }
 
-    let mut per_value_rf: HashMap<RfId, Vec<(SOpId, usize)>> = HashMap::new();
-    for ((value, rf), life) in &lives {
-        let instances = if life.persistent {
-            1
-        } else if life.in_loop {
+    // Rotating instances per file, summed over the values staged there.
+    let mut instances_per_rf: HashMap<RfId, usize> = HashMap::new();
+    for ((_, rf), life) in &lives {
+        let instances = if life.in_loop && !life.persistent {
             let span = (life.last_read - life.write).max(1);
             ((span + ii - 1) / ii) as usize
         } else {
             1
         };
-        per_value_rf
-            .entry(*rf)
-            .or_default()
-            .push((*value, instances));
+        *instances_per_rf.entry(*rf).or_default() += instances;
     }
 
-    let mut per_rf = Vec::with_capacity(arch.num_rfs());
-    let mut spills = Vec::new();
-    // The connectivity analysis is only needed when some file overflows,
-    // and is the same for every overflowing file: compute it lazily, once.
-    let mut conn_lazy: Option<csched_machine::CopyConnectivity> = None;
-    for rf in arch.rf_ids() {
-        let mut values = per_value_rf.get(&rf).cloned().unwrap_or_default();
-        values.sort();
-        let required: usize = if kernel.loop_block().is_some() {
-            values.iter().map(|&(_, n)| n).sum()
-        } else {
-            // Straight-line code: max simultaneous overlap.
-            max_overlap(&lives, rf)
-        };
-        let capacity = arch.rf(rf).capacity();
-        if required > capacity {
-            // Find the cheapest reachable file with spare room for each
-            // candidate (fewest copies first, then most spare capacity).
-            let conn = conn_lazy.get_or_insert_with(|| arch.copy_connectivity());
-            let spare: Vec<(RfId, usize)> = arch
-                .rf_ids()
-                .filter(|&other| other != rf)
-                .map(|other| {
-                    let used = per_value_rf
-                        .get(&other)
-                        .map_or(0, |v| v.iter().map(|&(_, n)| n).sum::<usize>());
-                    (other, arch.rf(other).capacity().saturating_sub(used))
-                })
-                .filter(|&(_, room)| room > 0)
-                .collect();
-            let mut candidates: Vec<SpillCandidate> = values
-                .iter()
-                .map(|&(value, instances)| {
-                    let target = spare
-                        .iter()
-                        .filter_map(|&(other, room)| {
-                            conn.copy_distance(rf, other)
-                                .filter(|_| room >= instances)
-                                .map(|d| (d, std::cmp::Reverse(room), other))
-                        })
-                        .min();
-                    SpillCandidate {
-                        value,
-                        from: rf,
-                        instances,
-                        to: target.map(|(_, _, other)| other),
-                        copies_needed: target.map(|(d, _, _)| d).unwrap_or(0),
-                    }
-                })
-                .collect();
-            candidates.sort_by_key(|c| std::cmp::Reverse(c.instances));
-            let mut need = required - capacity;
-            for c in candidates {
-                if need == 0 {
-                    break;
-                }
-                need = need.saturating_sub(c.instances);
-                spills.push(c);
-            }
-        }
-        per_rf.push(RfPressure {
+    let per_rf = arch
+        .rf_ids()
+        .map(|rf| RfPressure {
             rf,
-            required,
-            capacity,
-            values,
-        });
-    }
-
-    PressureReport { per_rf, spills }
+            required: if kernel.loop_block().is_some() {
+                instances_per_rf.get(&rf).copied().unwrap_or(0)
+            } else {
+                // Straight-line code: max simultaneous overlap.
+                max_overlap(&lives, rf)
+            },
+            capacity: arch.rf(rf).capacity(),
+        })
+        .collect();
+    PressureReport { per_rf }
 }
 
 fn max_overlap(lives: &HashMap<(SOpId, RfId), Life>, rf: RfId) -> usize {
@@ -290,7 +159,7 @@ mod tests {
     use super::*;
     use crate::{schedule_kernel, SchedulerConfig};
     use csched_ir::KernelBuilder;
-    use csched_machine::{imagine, Opcode};
+    use csched_machine::{imagine, ArchBuilder, FuClass, Opcode};
 
     fn streaming_kernel() -> Kernel {
         let mut kb = KernelBuilder::new("stream");
@@ -322,7 +191,6 @@ mod tests {
                 .filter(|p| !p.fits())
                 .collect::<Vec<_>>()
         );
-        assert!(report.spills.is_empty());
     }
 
     #[test]
@@ -337,18 +205,9 @@ mod tests {
         // instances at II <= 3, at least 1 otherwise.
         assert!(report.max_required() >= 2);
     }
-}
-
-#[cfg(test)]
-mod spill_tests {
-    use super::*;
-    use crate::{schedule_kernel, SchedulerConfig};
-    use csched_ir::KernelBuilder;
-    use csched_machine::{ArchBuilder, FuClass, Opcode};
 
     /// A machine whose first ALU's input files hold only two registers, so
-    /// staging several long-lived values there overflows, while a roomy
-    /// neighbour file can absorb spills.
+    /// staging several long-lived values there overflows.
     fn cramped_arch() -> csched_machine::Architecture {
         let mut b = ArchBuilder::new("cramped");
         let caps: Vec<_> = [Opcode::IAdd, Opcode::ISub, Opcode::IMul, Opcode::Copy]
@@ -406,39 +265,12 @@ mod spill_tests {
     }
 
     #[test]
-    fn overflow_produces_spill_plan_with_targets() {
+    fn an_overflowing_machine_does_not_fit() {
         let arch = cramped_arch();
         let kernel = pressured_kernel();
         let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
         let report = analyze(&arch, &kernel, &s);
-        // The report is well-formed either way; if the tiny files
-        // overflowed, every spill must name a reachable destination.
-        for spill in &report.spills {
-            assert!(spill.instances > 0);
-            if let Some(to) = spill.to {
-                assert_ne!(to, spill.from);
-                assert!(
-                    arch.copy_connectivity()
-                        .copy_distance(spill.from, to)
-                        .is_some(),
-                    "spill target must be reachable"
-                );
-            }
-        }
-        let text = report.render(&arch);
-        assert!(text.contains("register pressure"));
-    }
-
-    #[test]
-    fn render_mentions_overflowing_files() {
-        let arch = cramped_arch();
-        let kernel = pressured_kernel();
-        let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
-        let report = analyze(&arch, &kernel, &s);
-        let text = report.render(&arch);
-        if !report.fits() {
-            assert!(text.contains("OVERFLOW"));
-            assert!(text.contains("spill"));
-        }
+        assert!(!report.fits(), "{:?}", report.per_rf);
+        assert!(report.per_rf.iter().any(|p| p.capacity == 2 && !p.fits()));
     }
 }

@@ -34,13 +34,11 @@
 
 use std::process::ExitCode;
 
-use csched_core::exact::{certify_min_ii, ExactVerdict};
 use csched_core::{
-    explain, schedule_kernel, validate, CommDisposition, ScheduleMetrics, SchedulerConfig,
-    StepBudget,
+    explain, schedule_kernel, validate, CommDisposition, Schedule, ScheduleMetrics, SchedulerConfig,
 };
 use csched_eval::cli::{self, Args, CliError};
-use csched_eval::gap::GapConfig;
+use csched_eval::gap::{self, GapConfig};
 use csched_kernels::Workload;
 use csched_machine::Architecture;
 use csched_sim::Timeline;
@@ -134,7 +132,7 @@ fn report(
         format!("invalid schedule: {}", errors.join("; "))
     })?;
     if args.has("--certify") {
-        certify(arch, w, s.ii().unwrap_or(0))?;
+        certify(arch, w, &s)?;
     }
     if args.has("--heatmap") {
         let m = ScheduleMetrics::compute(arch, &w.kernel, &s);
@@ -220,46 +218,27 @@ fn report(
     Ok(())
 }
 
-/// Grades the heuristic II against the exact oracle, with the gap pass's
-/// default II cap and step budget.
-fn certify(arch: &Architecture, w: &Workload, heuristic_ii: u32) -> Result<(), String> {
-    let gap = GapConfig::default();
-    let budget = StepBudget::new(gap.exact_step_limit);
-    let report = certify_min_ii(arch, &w.kernel, gap.max_ii, &budget)
-        .map_err(|e| format!("exact oracle failed: {e}"))?;
-    match report.verdict {
-        ExactVerdict::Certified { ii } if ii == heuristic_ii => {
-            println!("  II={heuristic_ii} (optimal)");
-        }
-        ExactVerdict::Certified { ii } if ii < heuristic_ii => {
+/// Grades the heuristic schedule against the exact oracle by the gap
+/// pass's rule ([`gap::grade`]), with its default II cap and step budget.
+fn certify(arch: &Architecture, w: &Workload, s: &Schedule) -> Result<(), String> {
+    let cfg = GapConfig::default();
+    let record = gap::grade(arch, &w.kernel, Ok(s), &cfg);
+    let ii = record.heuristic_ii.unwrap_or(0);
+    match (record.status.as_str(), record.exact_ii) {
+        ("certified", Some(exact)) if exact == ii => println!("  II={ii} (optimal)"),
+        ("certified", Some(exact)) => println!("  II={ii} (exact={exact}, gap={})", ii - exact),
+        ("gap_unknown", _) => println!(
+            "  II={ii} (exact search exhausted its budget of {} steps; gap unknown)",
+            cfg.exact_step_limit
+        ),
+        ("infeasible", _) => {
             println!(
-                "  II={heuristic_ii} (exact={ii}, gap={})",
-                heuristic_ii - ii
+                "  II={ii} (exact search capped at II={}; gap unknown)",
+                cfg.max_ii
             );
         }
-        ExactVerdict::Certified { ii } => {
-            // The validator accepted a schedule below the "certified
-            // minimum": one of the two checkers is wrong.
-            return Err(format!(
-                "SOUNDNESS DISAGREEMENT: oracle certified II={ii} above the \
-                 validated heuristic II={heuristic_ii}"
-            ));
-        }
-        ExactVerdict::GapUnknown { spent, limit } => {
-            println!(
-                "  II={heuristic_ii} (exact search exhausted its budget: \
-                 {spent}/{limit} steps; gap unknown)"
-            );
-        }
-        ExactVerdict::Infeasible { max_ii } if heuristic_ii <= max_ii => {
-            return Err(format!(
-                "SOUNDNESS DISAGREEMENT: oracle proved II<={max_ii} infeasible, \
-                 yet the validator accepted II={heuristic_ii}"
-            ));
-        }
-        ExactVerdict::Infeasible { max_ii } => {
-            println!("  II={heuristic_ii} (exact search capped at II={max_ii}; gap unknown)");
-        }
+        ("disagreement", _) => return Err(format!("SOUNDNESS DISAGREEMENT: {}", record.detail)),
+        _ => return Err(format!("exact {}", record.detail)),
     }
     Ok(())
 }

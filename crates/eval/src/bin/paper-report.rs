@@ -93,8 +93,7 @@ fn run(args: &Args) -> Result<ExitCode, CliError> {
             result.resumed,
             start.elapsed()
         );
-        let arch_names: Vec<String> = archs.iter().map(|a| a.name().to_string()).collect();
-        let grid = campaign::grid_from_records(&result.records, &arch_names);
+        let grid = campaign::grid_from_records(&result.records, &archs);
         let bad: Vec<String> = result
             .records
             .iter()

@@ -654,12 +654,15 @@ pub fn campaign_json(records: &[CellRecord]) -> String {
     s
 }
 
-/// Rebuilds a figure-ready [`Grid`] from campaign records: rows are the
-/// kernels whose every cell is `Ok` (speedups need the full row), in
-/// record order. Scheduler statistics and metrics are not journaled, so
-/// the rebuilt cells carry defaults for those fields — enough for the
-/// Figure 28/29 speedup renderers, which only read `ii`.
-pub fn grid_from_records(records: &[CellRecord], archs: &[String]) -> Grid {
+/// Rebuilds a figure-ready [`Grid`] from campaign records over `archs`:
+/// rows are the kernels whose every cell is `Ok` (speedups need the full
+/// row), in record order. Scheduler statistics and metrics are not
+/// journaled, so the rebuilt cells carry defaults for those fields —
+/// enough for the Figure 28/29 renderers, which read `ii` and `fits`.
+/// `fits` compares the record's `max_registers` with the machine's
+/// smallest file, which is exact when, as on the Imagine machines, all
+/// of a machine's files hold the same number of registers.
+pub fn grid_from_records(records: &[CellRecord], archs: &[Architecture]) -> Grid {
     let mut rows: Vec<Row> = Vec::new();
     let mut order: Vec<String> = Vec::new();
     let mut by_kernel: HashMap<String, Vec<&CellRecord>> = HashMap::new();
@@ -677,16 +680,19 @@ pub fn grid_from_records(records: &[CellRecord], archs: &[String]) -> Grid {
         for arch in archs {
             match cells
                 .iter()
-                .find(|r| &r.arch == arch && r.status == CellStatus::Ok)
+                .find(|r| r.arch == arch.name() && r.status == CellStatus::Ok)
             {
                 Some(r) => row_cells.push(Cell {
-                    arch: arch.clone(),
+                    arch: arch.name().to_string(),
                     ii: r.ii.max(1),
                     copies: r.copies,
                     stats: Default::default(),
                     validated: true,
                     simulated: None,
                     max_registers: r.max_registers,
+                    fits: arch
+                        .rf_ids()
+                        .all(|rf| r.max_registers <= arch.rf(rf).capacity()),
                     metrics: Default::default(),
                 }),
                 None => break,
@@ -700,7 +706,7 @@ pub fn grid_from_records(records: &[CellRecord], archs: &[String]) -> Grid {
         }
     }
     Grid {
-        archs: archs.to_vec(),
+        archs: archs.iter().map(|a| a.name().to_string()).collect(),
         rows,
     }
 }
@@ -725,6 +731,24 @@ mod tests {
                 "deliberate \"detail\"\nwith escapes".to_string()
             },
         }
+    }
+
+    #[test]
+    fn rebuilt_cells_fit_only_when_their_files_hold_the_demand() {
+        let archs = [imagine::distributed(), imagine::clustered(4)];
+        let records = [
+            CellRecord {
+                max_registers: 17,
+                ..record("FIR", "imagine-distributed", CellStatus::Ok, 25)
+            },
+            CellRecord {
+                max_registers: 64,
+                ..record("FIR", "imagine-clustered-4", CellStatus::Ok, 19)
+            },
+        ];
+        let grid = grid_from_records(&records, &archs);
+        let fits: Vec<bool> = grid.rows[0].cells.iter().map(|c| c.fits).collect();
+        assert_eq!(fits, [false, true]);
     }
 
     #[test]
@@ -951,13 +975,7 @@ mod tests {
         )
         .unwrap();
         assert!(healthy.all_ok(), "{:?}", healthy.records);
-        let grid = grid_from_records(
-            &healthy.records,
-            &archs
-                .iter()
-                .map(|a| a.name().to_string())
-                .collect::<Vec<_>>(),
-        );
+        let grid = grid_from_records(&healthy.records, &archs);
         assert_eq!(grid.rows.len(), 1);
         assert!(grid.rows[0].speedup(1) > 0.0);
     }

@@ -11,6 +11,11 @@
 //! model — and extracts the Pareto frontier, optionally refining it by
 //! mutating frontier designs one axis at a time for a few rounds.
 //!
+//! Register-file capacity is measured, not searched: no schedule depends
+//! on it, so every candidate (the anchors included) is costed with each
+//! file sized at the largest per-file register demand
+//! ([`csched_core::regalloc`]) any of its schedules produces.
+//!
 //! Three properties the tests pin down:
 //!
 //! 1. **Thread-count invariance.** Candidates are evaluated through the
@@ -105,6 +110,9 @@ impl Origin {
 /// when every kernel in the suite scheduled and validated (`Ok` cells).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Score {
+    /// Registers per file the costs were computed at: the largest
+    /// `max_registers` among the candidate's cells. Not an objective.
+    pub registers: usize,
     /// Harmonic mean of the loop IIs across the kernel suite (cycles;
     /// lower is faster).
     pub hmean_ii: f64,
@@ -212,13 +220,15 @@ impl ExploreReport {
                 Some(sc) => {
                     let _ = write!(
                         s,
-                        "\"hmean_ii\":{:.4},\"area\":{:.4},\"power\":{:.4},\"delay\":{:.4},",
-                        sc.hmean_ii, sc.area, sc.power, sc.delay
+                        "\"hmean_ii\":{:.4},\"area\":{:.4},\"power\":{:.4},\"delay\":{:.4},\
+                         \"registers\":{},",
+                        sc.hmean_ii, sc.area, sc.power, sc.delay, sc.registers
                     );
                 }
-                None => {
-                    s.push_str("\"hmean_ii\":null,\"area\":null,\"power\":null,\"delay\":null,")
-                }
+                None => s.push_str(
+                    "\"hmean_ii\":null,\"area\":null,\"power\":null,\"delay\":null,\
+                     \"registers\":null,",
+                ),
             }
             let _ = write!(
                 s,
@@ -293,8 +303,8 @@ impl ExploreReport {
         }
         let _ = writeln!(
             out,
-            "{:<26} {:>9} {:>9} {:>9} {:>9}  origin",
-            "candidate", "hmean II", "area", "power", "delay"
+            "{:<26} {:>9} {:>9} {:>9} {:>9} {:>5}  origin",
+            "candidate", "hmean II", "area", "power", "delay", "regs"
         );
         for &idx in &self.frontier {
             let c = &self.candidates[idx];
@@ -305,12 +315,13 @@ impl ExploreReport {
             };
             let _ = writeln!(
                 out,
-                "{:<26} {:>9.2} {:>9.3} {:>9.3} {:>9.3}  {}",
+                "{:<26} {:>9.2} {:>9.3} {:>9.3} {:>9.3} {:>5}  {}",
                 c.name,
                 sc.hmean_ii,
                 area,
                 power,
                 delay,
+                sc.registers,
                 c.origin.name()
             );
         }
@@ -368,6 +379,8 @@ fn run_candidate(
         .collect()
 }
 
+/// Scores a candidate whose every cell is `Ok`, costing its files at the
+/// largest register demand any of its schedules puts on one file.
 fn score_candidate(arch: &Architecture, records: &[CellRecord]) -> Option<Score> {
     if records.is_empty() || records.iter().any(|r| r.status != CellStatus::Ok) {
         return None;
@@ -377,8 +390,10 @@ fn score_candidate(arch: &Architecture, records: &[CellRecord]) -> Option<Score>
         inv_sum += 1.0 / f64::from(r.ii.max(1));
     }
     let hmean_ii = records.len() as f64 / inv_sum;
-    let report = cost::estimate(arch, &CostParams::default());
+    let registers = records.iter().map(|r| r.max_registers).max().unwrap_or(0);
+    let report = cost::estimate(&arch.with_rf_capacity(registers), &CostParams::default());
     let score = Score {
+        registers,
         hmean_ii,
         area: report.area(),
         power: report.power(),
@@ -615,7 +630,6 @@ mod tests {
             clusters: (0, 1),
             alus: (2, 3),
             buses: (2, 2),
-            rf_capacities: vec![16],
             write_ports: (1, 1),
         }
     }
@@ -666,18 +680,21 @@ mod tests {
     #[test]
     fn dominance_is_strict_and_partial() {
         let a = Score {
+            registers: 16,
             hmean_ii: 2.0,
             area: 1.0,
             power: 1.0,
             delay: 1.0,
         };
         let b = Score {
+            registers: 16,
             hmean_ii: 3.0,
             area: 2.0,
             power: 2.0,
             delay: 2.0,
         };
         let c = Score {
+            registers: 16,
             hmean_ii: 1.0,
             area: 5.0,
             power: 1.0,
@@ -715,7 +732,6 @@ mod tests {
                 clusters: (0, 2),
                 alus: (1, 3),
                 buses: (1, 2),
-                rf_capacities: vec![8, 16],
                 write_ports: (1, 1),
             },
             candidates: 4,

@@ -12,9 +12,10 @@
 //! - `gap_unknown`: the oracle's step budget ran out first (large
 //!   kernels are expected to land here);
 //! - `disagreement`: the oracle certified a *larger* II than a schedule
-//!   the validator accepted, or the heuristic's schedule failed the
-//!   validator — a soundness bug, and the reason the `oracle` binary
-//!   exits nonzero on it.
+//!   the validator accepted, proved infeasible an II range that holds
+//!   such a schedule, or the heuristic's schedule failed the validator —
+//!   a soundness bug, and the reason the `oracle` binary and `one-cell
+//!   --certify` exit nonzero on it.
 //!
 //! Like the table1 campaign, the pass journals each finished cell to a
 //! JSONL file (flushed per line, torn-tail tolerant) so a killed run
@@ -25,7 +26,9 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use csched_core::exact::{certify_min_ii, COPY_SLACK, MAX_COPIES, STRAIGHT_HORIZON, WINDOW_SLACK};
+use csched_core::exact::{
+    certify_min_ii, ExactVerdict, COPY_SLACK, MAX_COPIES, STRAIGHT_HORIZON, WINDOW_SLACK,
+};
 use csched_core::{
     schedule_kernel_budgeted, validate, SchedError, Schedule, SchedulerConfig, StepBudget,
 };
@@ -216,14 +219,32 @@ pub fn gap_cells(cfg: &GapConfig) -> Vec<GapCell> {
 pub fn measure_gap_cell(arch: &Architecture, kernel: &Kernel, cfg: &GapConfig) -> GapRecord {
     let hb = StepBudget::new(cfg.heuristic_step_limit);
     let heuristic = schedule_kernel_budgeted(arch, kernel, SchedulerConfig::default(), &hb);
-    grade(arch, kernel, &heuristic, cfg)
+    grade(arch, kernel, heuristic.as_ref(), cfg)
 }
 
-/// Validates the heuristic's answer and grades it against the oracle.
-fn grade(
+/// Why the oracle's `verdict` contradicts a validated heuristic II, if
+/// it does: a certified minimum above that II, or an infeasibility proof
+/// whose II range holds it. Either way the oracle or the validator is
+/// wrong.
+fn disagreement(verdict: &ExactVerdict, heuristic_ii: Option<u64>) -> Option<String> {
+    let h = heuristic_ii?;
+    match *verdict {
+        ExactVerdict::Certified { ii } if u64::from(ii) > h => Some(format!(
+            "oracle certified II={ii} above the validated heuristic II={h}"
+        )),
+        ExactVerdict::Infeasible { max_ii } if h <= u64::from(max_ii) => Some(format!(
+            "oracle proved II<={max_ii} infeasible, yet the validator accepted II={h}"
+        )),
+        _ => None,
+    }
+}
+
+/// Validates the heuristic's answer and grades it against the oracle,
+/// certifying under `cfg`'s II cap and oracle step budget.
+pub fn grade(
     arch: &Architecture,
     kernel: &Kernel,
-    heuristic: &Result<Schedule, SchedError>,
+    heuristic: Result<&Schedule, &SchedError>,
     cfg: &GapConfig,
 ) -> GapRecord {
     let mut invalid = None;
@@ -258,15 +279,12 @@ fn grade(
         },
         Ok(report) => {
             let exact_ii = report.verdict.certified_ii().map(u64::from);
-            let status = match (exact_ii, heuristic_ii) {
-                // A validated heuristic schedule below the "certified
-                // minimum" refutes the certificate: soundness bug.
-                (Some(x), Some(h)) if x > h => {
-                    detail =
-                        format!("oracle certified II={x} above the validated heuristic II={h}");
+            let status = match disagreement(&report.verdict, heuristic_ii) {
+                Some(why) => {
+                    detail = why;
                     "disagreement".to_string()
                 }
-                _ => report.verdict.name().to_string(),
+                None => report.verdict.name().to_string(),
             };
             GapRecord {
                 kernel: kernel.name().to_string(),
@@ -473,6 +491,37 @@ mod tests {
     }
 
     #[test]
+    fn an_oracle_verdict_that_excludes_a_validated_ii_is_a_disagreement() {
+        let certified = ExactVerdict::Certified { ii: 5 };
+        let infeasible = ExactVerdict::Infeasible { max_ii: 8 };
+        let unknown = ExactVerdict::GapUnknown {
+            spent: 10,
+            limit: 10,
+        };
+        // A certified minimum above the heuristic II.
+        assert_eq!(
+            disagreement(&certified, Some(4)).as_deref(),
+            Some("oracle certified II=5 above the validated heuristic II=4")
+        );
+        // An infeasibility proof whose range holds the heuristic II.
+        assert_eq!(
+            disagreement(&infeasible, Some(8)).as_deref(),
+            Some("oracle proved II<=8 infeasible, yet the validator accepted II=8")
+        );
+        // Verdicts that leave the heuristic II possible.
+        for (verdict, h) in [
+            (certified, Some(5)),
+            (certified, Some(9)),
+            (infeasible, Some(9)),
+            (unknown, Some(1)),
+            (certified, None),
+            (infeasible, None),
+        ] {
+            assert_eq!(disagreement(&verdict, h), None, "{verdict:?} vs {h:?}");
+        }
+    }
+
+    #[test]
     fn an_invalid_heuristic_schedule_is_a_disagreement() {
         let merge = csched_kernels::by_name("Merge").unwrap();
         let arch = imagine::central();
@@ -489,7 +538,7 @@ mod tests {
         let push = schedule.block_len(u.op(producer).block) + 8;
         schedule.corrupt_placement_for_tests(producer, push);
 
-        let record = grade(&arch, &merge.kernel, &Ok(schedule), &tiny_cfg());
+        let record = grade(&arch, &merge.kernel, Ok(&schedule), &tiny_cfg());
         assert_eq!(record.status, "disagreement", "{record:?}");
         assert_eq!(record.heuristic_ii, None);
         assert!(

@@ -31,6 +31,10 @@ pub struct Cell {
     pub simulated: Option<bool>,
     /// Maximum register demand in any single file.
     pub max_registers: usize,
+    /// Whether every register file holds its demand under the schedule
+    /// ([`regalloc::PressureReport::fits`]). The scheduler never reads a
+    /// file's capacity (§7), so a schedule can overflow its files.
+    pub fits: bool,
     /// Full schedule metrics (occupancy, copies per communication,
     /// placement effort) for this kernel × architecture cell.
     pub metrics: ScheduleMetrics,
@@ -223,6 +227,7 @@ pub fn run_grid(
                 validated: true,
                 simulated,
                 max_registers: pressure.max_required(),
+                fits: pressure.fits(),
                 metrics,
             });
         }

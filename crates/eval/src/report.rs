@@ -6,6 +6,8 @@ use crate::costs::{CostRow, Headline, ScalePoint};
 use crate::grid::Grid;
 
 /// Renders a Figure 28-style table: per-kernel speedups by architecture.
+/// A `*` marks a cell whose schedule needs more registers than one of
+/// its files holds.
 pub fn figure28(grid: &Grid) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "Figure 28: Kernel Speedup vs Register File Architecture");
@@ -20,8 +22,9 @@ pub fn figure28(grid: &Grid) -> String {
             let cell = &row.cells[i];
             let _ = write!(
                 s,
-                "{:>14} (II={:>3})",
+                "{:>13}{} (II={:>3})",
                 format!("{:.2}", row.speedup(i)),
+                if cell.fits { ' ' } else { '*' },
                 cell.ii
             );
         }
@@ -33,6 +36,13 @@ pub fn figure28(grid: &Grid) -> String {
         let _ = write!(s, "{:>22}", total);
     }
     let _ = writeln!(s);
+    if grid.rows.iter().flat_map(|r| &r.cells).any(|c| !c.fits) {
+        let _ = writeln!(
+            s,
+            "* the schedule needs more registers than a file holds \
+             (the scheduler leaves allocation to a post-pass, §7)"
+        );
+    }
     s
 }
 
@@ -182,6 +192,7 @@ mod tests {
             validated: true,
             simulated: None,
             max_registers: 4,
+            fits: ii < 20,
             metrics: Default::default(),
         };
         Grid {
@@ -215,7 +226,9 @@ mod tests {
         let g = tiny_grid();
         let f28 = figure28(&g);
         assert!(f28.contains("central"));
-        assert!(f28.contains("0.50"));
+        assert!(f28.contains("0.50* (II= 20)"), "{f28}");
+        assert!(f28.contains("1.00  (II= 10)"), "{f28}");
+        assert!(f28.contains("* the schedule needs more registers"), "{f28}");
         let f29 = figure29(&g);
         assert!(f29.contains("min 0.50"));
     }
@@ -316,6 +329,7 @@ mod csv_tests {
             validated: true,
             simulated: Some(true),
             max_registers: 7,
+            fits: true,
             metrics: Default::default(),
         };
         let grid = Grid {
@@ -352,6 +366,7 @@ mod csv_tests {
                     validated: true,
                     simulated: None,
                     max_registers: 7,
+                    fits: true,
                     metrics: Default::default(),
                 }],
             }],

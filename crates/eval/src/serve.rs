@@ -31,7 +31,7 @@
 //!   `degraded=1`; a step limit or wall-clock deadline that runs out
 //!   before any schedule is found answers `ERR deadline`. Every computed
 //!   `OK` is therefore a function of the key and the step limit, and
-//!   every one is cached.
+//!   every one is cached, to be served only at that same step limit.
 //! - **Corruption quarantine.** The cache journal checksums every
 //!   entry. A torn final line (crash mid-append) is repaired silently;
 //!   a bit-flipped interior entry is *quarantined* on load — serving
@@ -302,9 +302,10 @@ pub struct CacheEntry {
     /// Whether the step limit shaped the result: it cut the scheduler's
     /// per-II effort ([`csched_core::AnytimeReport::degraded`]).
     pub degraded: bool,
-    /// The placement-attempt budget the entry was computed under; a
-    /// degraded entry is only served warm to requests with an equal or
-    /// smaller budget (a larger budget deserves a fresh, better try).
+    /// The placement-attempt budget the entry was computed under. The
+    /// entry answers only requests at this limit: the anytime answer is
+    /// a function of (key, limit) but does not grow with the limit, so
+    /// another limit can answer otherwise, `ERR deadline` included.
     pub limit: u64,
 }
 
@@ -523,18 +524,14 @@ impl ScheduleCache {
         Ok((cache, report))
     }
 
-    /// Looks up a warm entry usable for a request budgeted at `limit`.
-    ///
-    /// Quarantined keys always miss. A degraded entry is served only to
-    /// an equal-or-smaller budget; a request with more budget than the
-    /// degraded entry had deserves a fresh attempt at a better answer.
+    /// Looks up a warm entry for a request budgeted at `limit`: only an
+    /// entry computed at that same limit answers. Quarantined keys always
+    /// miss.
     pub fn lookup(&self, key: u64, limit: u64) -> Option<&CacheEntry> {
         if self.quarantined.contains(&key) {
             return None;
         }
-        self.map
-            .get(&key)
-            .filter(|e| !e.degraded || e.limit >= limit)
+        self.map.get(&key).filter(|e| e.limit == limit)
     }
 
     /// Inserts and journals an entry (journaled *before* it is visible,
@@ -2010,6 +2007,8 @@ pub fn client_request_retry(
 mod tests {
     use super::*;
 
+    const LIMIT: u64 = 200_000;
+
     fn entry(ii: u32) -> CacheEntry {
         CacheEntry {
             ii,
@@ -2017,7 +2016,7 @@ mod tests {
             max_registers: 9,
             attempts: 1234,
             degraded: false,
-            limit: 200_000,
+            limit: LIMIT,
         }
     }
 
@@ -2057,13 +2056,16 @@ mod tests {
         assert_eq!(report.entries, 1);
         assert_eq!(report.quarantined, 1);
         assert_eq!(report.corrupt_lines, 1);
-        assert!(cache.lookup(1, 1).is_none(), "corrupt entry must not serve");
-        assert_eq!(cache.lookup(2, 1), Some(&entry(6)));
+        assert!(
+            cache.lookup(1, LIMIT).is_none(),
+            "corrupt entry must not serve"
+        );
+        assert_eq!(cache.lookup(2, LIMIT), Some(&entry(6)));
 
         // Re-scheduling the key re-journals it and lifts the quarantine…
         cache.insert(1, entry(4)).unwrap();
         assert_eq!(cache.quarantined(), 0);
-        assert_eq!(cache.lookup(1, 1), Some(&entry(4)));
+        assert_eq!(cache.lookup(1, LIMIT), Some(&entry(4)));
         drop(cache);
 
         // …and the *next* load sees the healed entry (last record wins
@@ -2075,7 +2077,7 @@ mod tests {
             report.corrupt_lines, 1,
             "the old corrupt line is still counted"
         );
-        assert_eq!(cache.lookup(1, 1), Some(&entry(4)));
+        assert_eq!(cache.lookup(1, LIMIT), Some(&entry(4)));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2102,28 +2104,8 @@ mod tests {
         assert_eq!(report.quarantined, 0, "a torn tail is not corruption");
         assert_eq!(report.corrupt_lines, 0);
         assert!(report.repaired_bytes > 0);
-        assert_eq!(cache.lookup(1, 1), Some(&entry(4)));
+        assert_eq!(cache.lookup(1, LIMIT), Some(&entry(4)));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn degraded_entries_only_serve_equal_or_smaller_budgets() {
-        let (mut cache, _) = ScheduleCache::open(None, false).unwrap();
-        let degraded = CacheEntry {
-            degraded: true,
-            limit: 1_000,
-            ..entry(8)
-        };
-        cache.insert(5, degraded.clone()).unwrap();
-        assert_eq!(cache.lookup(5, 1_000), Some(&degraded));
-        assert_eq!(cache.lookup(5, 500), Some(&degraded));
-        assert!(
-            cache.lookup(5, 2_000).is_none(),
-            "a bigger budget deserves a fresh, better attempt"
-        );
-        // Full-quality entries serve any budget.
-        cache.insert(6, entry(3)).unwrap();
-        assert!(cache.lookup(6, u64::MAX).is_some());
     }
 
     // --- wire-framing edge cases (read_header_line / read_section) ---
@@ -2251,7 +2233,8 @@ mod tests {
             "dead lines must trigger compaction"
         );
         assert_eq!(cache.len(), 4);
-        let pre: Vec<Option<CacheEntry>> = (0..4).map(|k| cache.lookup(k, 1).cloned()).collect();
+        let pre: Vec<Option<CacheEntry>> =
+            (0..4).map(|k| cache.lookup(k, LIMIT).cloned()).collect();
         drop(cache);
         // The on-disk journal now holds exactly the live entries…
         let text = std::fs::read_to_string(&path).unwrap();
@@ -2262,7 +2245,7 @@ mod tests {
         assert_eq!(report.quarantined, 0);
         assert_eq!(report.corrupt_lines, 0);
         for (k, expect) in pre.iter().enumerate() {
-            assert_eq!(reloaded.lookup(k as u64, 1), expect.as_ref());
+            assert_eq!(reloaded.lookup(k as u64, LIMIT), expect.as_ref());
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -2317,10 +2300,13 @@ mod tests {
         // 9 > 8 triggered an evicting compaction down to 6 (3/4 of 8).
         assert_eq!(cache.len(), 6);
         assert_eq!(cache.evicted_entries(), 3);
-        assert!(cache.lookup(0, 1).is_none(), "oldest keys evicted first");
-        assert!(cache.lookup(1, 1).is_none());
-        assert!(cache.lookup(2, 1).is_none());
-        assert!(cache.lookup(8, 1).is_some(), "newest key survives");
+        assert!(
+            cache.lookup(0, LIMIT).is_none(),
+            "oldest keys evicted first"
+        );
+        assert!(cache.lookup(1, LIMIT).is_none());
+        assert!(cache.lookup(2, LIMIT).is_none());
+        assert!(cache.lookup(8, LIMIT).is_some(), "newest key survives");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2333,7 +2319,7 @@ mod tests {
         // Inserts still succeed and serve…
         cache.insert(2, entry(6)).unwrap();
         cache.insert(3, entry(8)).unwrap();
-        assert_eq!(cache.lookup(2, 1), Some(&entry(6)));
+        assert_eq!(cache.lookup(2, LIMIT), Some(&entry(6)));
         assert_eq!(cache.degraded_writes(), 2);
         assert!(cache.is_degraded());
         drop(cache);
@@ -2341,7 +2327,7 @@ mod tests {
         // disk.
         let (reloaded, report) = ScheduleCache::open(Some(&path), false).unwrap();
         assert_eq!(report.entries, 1);
-        assert_eq!(reloaded.lookup(1, 1), Some(&entry(4)));
+        assert_eq!(reloaded.lookup(1, LIMIT), Some(&entry(4)));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -3,7 +3,9 @@
 //! never panics, never invents entries, and every non-torn line is
 //! accounted for as either loaded or quarantined/corrupt. A second
 //! property checks compaction is behaviour-preserving: the compacted
-//! journal reloads to the exact entry set of the uncompacted cache.
+//! journal reloads to the exact entry set of the uncompacted cache. A
+//! third checks that a lookup answers only at the step limit its entry
+//! was computed under.
 
 use std::path::PathBuf;
 
@@ -117,6 +119,35 @@ proptest! {
             prop_assert_eq!(cache.lookup(key, expect.limit), Some(&expect));
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A lookup never answers from an entry computed at another step
+    /// limit, degraded or not: the anytime answer does not grow with the
+    /// limit. After any insert sequence over a few keys and limits, each
+    /// (key, limit) lookup returns the key's last entry exactly when that
+    /// entry was computed at the asked limit.
+    #[test]
+    fn a_lookup_never_answers_from_another_limit(
+        inserts in prop::collection::vec((0u64..4, 0usize..3, 0u8..2), 1..16),
+    ) {
+        const LIMITS: [u64; 3] = [3_000, 50_000, 200_000];
+        let (mut cache, _) = ScheduleCache::open(None, false).unwrap();
+        let mut last = std::collections::HashMap::new();
+        for (i, &(key, limit, degraded)) in inserts.iter().enumerate() {
+            let e = CacheEntry {
+                degraded: degraded == 1,
+                limit: LIMITS[limit],
+                ..entry(2, i as u64)
+            };
+            cache.insert(key, e.clone()).unwrap();
+            last.insert(key, e);
+        }
+        for key in 0..4 {
+            for limit in LIMITS {
+                let expect = last.get(&key).filter(|e| e.limit == limit);
+                prop_assert_eq!(cache.lookup(key, limit), expect);
+            }
+        }
     }
 
     /// Compaction preserves behaviour: after any insert sequence (with

@@ -9,6 +9,9 @@
 //!    renders the identical report.
 //! 4. **Anchor placement** — the distributed machine shows up on or
 //!    near the Pareto frontier, the paper's headline trade-off.
+//! 5. **Measured capacity** — every scored candidate is costed with its
+//!    files sized at the largest register demand among its schedules, so
+//!    no frontier member overflows the files it is credited with.
 
 use csched_eval::campaign::{CellStatus, Journal};
 use csched_eval::explore::{explore, ExploreConfig, ExploreReport};
@@ -33,7 +36,6 @@ fn small_config() -> ExploreConfig {
             clusters: (0, 2),
             alus: (2, 3),
             buses: (2, 2),
-            rf_capacities: vec![16],
             write_ports: (1, 1),
         },
         candidates: 16,
@@ -67,6 +69,15 @@ fn json_is_byte_identical_across_thread_counts_and_the_frontier_is_sound() {
     }
     check_frontier_non_dominated(&report);
     check_distributed_anchor(&report);
+    check_registers_are_measured(&report);
+}
+
+fn check_registers_are_measured(report: &ExploreReport) {
+    for c in &report.candidates {
+        let Some(score) = c.score else { continue };
+        let demand = c.kernels.iter().map(|r| r.max_registers).max();
+        assert_eq!(Some(score.registers), demand, "{}", c.name);
+    }
 }
 
 fn check_frontier_non_dominated(report: &ExploreReport) {
@@ -193,6 +204,7 @@ fn fifty_candidate_sweep_is_thread_invariant() {
         step_limit: 200_000,
         ..ExploreConfig::default()
     };
-    let golden = run(&config, 1).to_json();
-    assert_eq!(run(&config, 8).to_json(), golden);
+    let report = run(&config, 1);
+    check_registers_are_measured(&report);
+    assert_eq!(run(&config, 8).to_json(), report.to_json());
 }

@@ -243,6 +243,31 @@ fn exhausted_budget_is_a_typed_deadline_error_and_not_cached() {
     server.shutdown();
 }
 
+/// A cached answer is served only at the step limit it was computed
+/// under. Sort × distributed spends 3,166 steps, so a fresh server
+/// answers `limit=3000` with `ERR deadline`; after a default-limit
+/// request has cached the schedule, `limit=3000` still misses the cache
+/// and answers `ERR deadline`, and the default entry keeps serving.
+#[test]
+fn a_cached_answer_is_served_only_at_its_own_step_limit() {
+    let w = csched_kernels::by_name("Sort").unwrap();
+    let kernel = csched_ir::text::print(&w.kernel);
+    let arch = csched_machine::text::print(&csched_machine::imagine::distributed());
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let request = |limit| client_request(&addr, &kernel, &arch, limit, None, TIMEOUT).unwrap();
+    let cold = request(None);
+    assert!(cold.starts_with("CACHE miss\nOK "), "{cold}");
+    let cut = request(Some(3_000));
+    assert!(cut.starts_with("ERR deadline "), "{cut}");
+    let stats = client_stats(&addr, TIMEOUT).unwrap();
+    for needle in ["\"hits\":0", "\"misses\":1", "\"deadline\":1"] {
+        assert!(stats.contains(needle), "missing {needle} in {stats}");
+    }
+    assert_eq!(request(None), cold.replacen("CACHE miss", "CACHE hit", 1));
+    server.shutdown();
+}
+
 /// A `wall_ms=` deadline can only stop the ladder, never shape its
 /// answer: a request answers `ERR deadline` or the deadline-free line,
 /// and every `OK` is cached. A deadline that has passed before the first

@@ -46,7 +46,6 @@
 mod depgraph;
 pub mod interp;
 mod kernel;
-pub mod opt;
 pub mod text;
 mod unroll;
 mod value;

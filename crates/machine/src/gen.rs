@@ -12,11 +12,12 @@
 //! On top of the random families, [`DesignSpace`] and [`DesignPoint`]
 //! parameterise a *systematic* family for design-space exploration: a
 //! cross product of register-file organisation (shared files vs.
-//! per-input files), ALU count, shared-bus count, register-file capacity
-//! and write-port count, every point of which covers the full opcode set
-//! of the Table 1 kernel suite. Points enumerate in a stable order,
-//! sample reproducibly, and mutate into neighbouring points for local
-//! search.
+//! per-input files), ALU count, shared-bus count and write-port count,
+//! every point of which covers the full opcode set of the Table 1 kernel
+//! suite. Register-file capacity is not an axis: no schedule depends on
+//! it, so exploration sizes the files from the schedules' demand instead.
+//! Points enumerate in a stable order, sample reproducibly, and mutate
+//! into neighbouring points for local search.
 //!
 //! Generation is seeded and reproducible; the same seed always yields the
 //! same machine.
@@ -195,12 +196,10 @@ pub fn random_clustered(seed: u64) -> Architecture {
 
 /// A parameterised design space for systematic architecture search.
 ///
-/// Every axis is inclusive; `rf_capacities` is an explicit (ordered) list
-/// because realistic register-file sizes are not contiguous. `clusters ==
-/// 0` denotes the distributed organisation (one small file per functional
-/// unit input); `clusters >= 1` builds that many shared register files
-/// with functional units assigned round-robin. The space is the cross
-/// product of all five axes.
+/// Every axis is inclusive. `clusters == 0` denotes the distributed
+/// organisation (one small file per functional unit input); `clusters >=
+/// 1` builds that many shared register files with functional units
+/// assigned round-robin. The space is the cross product of all four axes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DesignSpace {
     /// Shared register files (0 = per-input distributed organisation).
@@ -209,22 +208,19 @@ pub struct DesignSpace {
     pub alus: (usize, usize),
     /// Shared global writeback buses.
     pub buses: (usize, usize),
-    /// Allowed registers-per-file values, in ascending order.
-    pub rf_capacities: Vec<usize>,
     /// Write ports per register file (each fed by every global bus).
     pub write_ports: (usize, usize),
 }
 
 impl Default for DesignSpace {
-    /// A 270-point space spanning the paper's organisational spectrum:
-    /// distributed (0) through 1–4 shared files, 1–3 ALUs, 1–3 buses,
-    /// three file sizes and 1–2 write ports.
+    /// A 90-point space spanning the paper's organisational spectrum:
+    /// distributed (0) through 1–4 shared files, 1–3 ALUs, 1–3 buses and
+    /// 1–2 write ports.
     fn default() -> Self {
         DesignSpace {
             clusters: (0, 4),
             alus: (1, 3),
             buses: (1, 3),
-            rf_capacities: vec![8, 16, 32],
             write_ports: (1, 2),
         }
     }
@@ -240,7 +236,6 @@ impl DesignSpace {
         axis_len(self.clusters)
             * axis_len(self.alus)
             * axis_len(self.buses)
-            * self.rf_capacities.len()
             * axis_len(self.write_ports)
     }
 
@@ -249,27 +244,23 @@ impl DesignSpace {
         (self.clusters.0..=self.clusters.1).contains(&point.clusters)
             && (self.alus.0..=self.alus.1).contains(&point.alus)
             && (self.buses.0..=self.buses.1).contains(&point.buses)
-            && self.rf_capacities.contains(&point.rf_capacity)
             && (self.write_ports.0..=self.write_ports.1).contains(&point.write_ports)
     }
 
     /// Every point of the space, in a stable lexicographic order
-    /// (clusters, ALUs, buses, capacity, write ports).
+    /// (clusters, ALUs, buses, write ports).
     pub fn enumerate(&self) -> Vec<DesignPoint> {
         let mut points = Vec::with_capacity(self.size());
         for clusters in self.clusters.0..=self.clusters.1 {
             for alus in self.alus.0..=self.alus.1 {
                 for buses in self.buses.0..=self.buses.1 {
-                    for &rf_capacity in &self.rf_capacities {
-                        for write_ports in self.write_ports.0..=self.write_ports.1 {
-                            points.push(DesignPoint {
-                                clusters,
-                                alus,
-                                buses,
-                                rf_capacity,
-                                write_ports,
-                            });
-                        }
+                    for write_ports in self.write_ports.0..=self.write_ports.1 {
+                        points.push(DesignPoint {
+                            clusters,
+                            alus,
+                            buses,
+                            write_ports,
+                        });
                     }
                 }
             }
@@ -279,11 +270,9 @@ impl DesignSpace {
 
     /// Draws one uniform point (each axis drawn independently).
     ///
-    /// Returns `None` when the space is empty (`rf_capacities` empty or an
-    /// inverted range).
+    /// Returns `None` when the space is empty (an inverted range).
     pub fn sample(&self, rng: &mut Rng) -> Option<DesignPoint> {
-        if self.rf_capacities.is_empty()
-            || self.clusters.0 > self.clusters.1
+        if self.clusters.0 > self.clusters.1
             || self.alus.0 > self.alus.1
             || self.buses.0 > self.buses.1
             || self.write_ports.0 > self.write_ports.1
@@ -295,7 +284,6 @@ impl DesignSpace {
             clusters: draw(rng, self.clusters),
             alus: draw(rng, self.alus),
             buses: draw(rng, self.buses),
-            rf_capacity: self.rf_capacities[rng.below(self.rf_capacities.len())],
             write_ports: draw(rng, self.write_ports),
         })
     }
@@ -310,25 +298,30 @@ pub struct DesignPoint {
     pub alus: usize,
     /// Shared global writeback buses.
     pub buses: usize,
-    /// Registers per file.
-    pub rf_capacity: usize,
     /// Write ports per register file.
     pub write_ports: usize,
 }
 
 impl DesignPoint {
+    /// Registers per file in every machine [`DesignPoint::build`] returns.
+    /// No scheduling, validation or simulation stage reads a file's
+    /// capacity; design-space exploration re-sizes the files to the
+    /// demand of the candidate's schedules before costing them
+    /// ([`Architecture::with_rf_capacity`]).
+    pub const RF_CAPACITY: usize = 16;
+
     /// Compact stable label, used as the generated machine's name suffix
-    /// (e.g. `c2-a3-b2-r16-w1`; `c0` is the distributed organisation).
+    /// (e.g. `c2-a3-b2-w1`; `c0` is the distributed organisation).
     pub fn label(&self) -> String {
         format!(
-            "c{}-a{}-b{}-r{}-w{}",
-            self.clusters, self.alus, self.buses, self.rf_capacity, self.write_ports
+            "c{}-a{}-b{}-w{}",
+            self.clusters, self.alus, self.buses, self.write_ports
         )
     }
 
     /// The neighbouring points reachable by moving exactly one axis one
-    /// step (capacity moves along `space.rf_capacities`), clipped to the
-    /// space. Order is stable: axis by axis, down first, then up.
+    /// step, clipped to the space. Order is stable: axis by axis, down
+    /// first, then up.
     pub fn neighbours(&self, space: &DesignSpace) -> Vec<DesignPoint> {
         let mut out = Vec::new();
         let mut push = |p: DesignPoint| {
@@ -346,19 +339,6 @@ impl DesignPoint {
             }
             if let Some(buses) = step(self.buses) {
                 push(DesignPoint { buses, ..*self });
-            }
-            if let Some(idx) = space
-                .rf_capacities
-                .iter()
-                .position(|&c| c == self.rf_capacity)
-                .and_then(|i| i.checked_add_signed(delta))
-            {
-                if let Some(&rf_capacity) = space.rf_capacities.get(idx) {
-                    push(DesignPoint {
-                        rf_capacity,
-                        ..*self
-                    });
-                }
             }
             if let Some(write_ports) = step(self.write_ports) {
                 push(DesignPoint {
@@ -426,7 +406,8 @@ impl DesignPoint {
             // every bus, dedicated read path.
             for &(fu, inputs) in &units {
                 for slot in 0..inputs {
-                    let rf = b.register_file(format!("RF_{}_{slot}", fu.index()), self.rf_capacity);
+                    let rf =
+                        b.register_file(format!("RF_{}_{slot}", fu.index()), Self::RF_CAPACITY);
                     for _ in 0..self.write_ports {
                         let wp = b.write_port(rf);
                         for &bus in &bus_ids {
@@ -440,7 +421,7 @@ impl DesignPoint {
             // Shared files: units round-robin across clusters, reads stay
             // inside the cluster, writes reach any file over the buses.
             let rfs: Vec<_> = (0..self.clusters)
-                .map(|c| b.register_file(format!("RF{c}"), self.rf_capacity))
+                .map(|c| b.register_file(format!("RF{c}"), Self::RF_CAPACITY))
                 .collect();
             for &rf in &rfs {
                 for _ in 0..self.write_ports {
@@ -553,15 +534,15 @@ mod tests {
         let space = DesignSpace::default();
         let points = space.enumerate();
         assert_eq!(points.len(), space.size());
-        assert_eq!(points.len(), 5 * 3 * 3 * 3 * 2);
+        assert_eq!(points.len(), 5 * 3 * 3 * 2);
         // Stable lexicographic order, all points in-space and distinct.
         let mut seen = std::collections::HashSet::new();
         for p in &points {
             assert!(space.contains(p));
             assert!(seen.insert(*p), "duplicate point {p:?}");
         }
-        assert_eq!(points[0].label(), "c0-a1-b1-r8-w1");
-        assert_eq!(points.last().unwrap().label(), "c4-a3-b3-r32-w2");
+        assert_eq!(points[0].label(), "c0-a1-b1-w1");
+        assert_eq!(points.last().unwrap().label(), "c4-a3-b3-w2");
     }
 
     #[test]
@@ -576,7 +557,7 @@ mod tests {
             assert!(space.contains(&pa));
         }
         let empty = DesignSpace {
-            rf_capacities: vec![],
+            buses: (2, 1),
             ..space
         };
         assert!(empty.sample(&mut a).is_none());
@@ -589,19 +570,17 @@ mod tests {
             clusters: 2,
             alus: 2,
             buses: 2,
-            rf_capacity: 16,
             write_ports: 1,
         };
         let ns = p.neighbours(&space);
-        // Interior point except write_ports at the lower edge: 2*4 + 1.
-        assert_eq!(ns.len(), 9);
+        // Interior point except write_ports at the lower edge: 2*3 + 1.
+        assert_eq!(ns.len(), 7);
         for n in &ns {
             assert!(space.contains(n), "{n:?}");
             let moved = [
                 n.clusters != p.clusters,
                 n.alus != p.alus,
                 n.buses != p.buses,
-                n.rf_capacity != p.rf_capacity,
                 n.write_ports != p.write_ports,
             ]
             .iter()
@@ -614,10 +593,9 @@ mod tests {
             clusters: 0,
             alus: 1,
             buses: 1,
-            rf_capacity: 8,
             write_ports: 1,
         };
-        assert_eq!(corner.neighbours(&space).len(), 5);
+        assert_eq!(corner.neighbours(&space).len(), 4);
     }
 
     #[test]
