@@ -24,13 +24,18 @@
 //!   with [`WINDOW_SLACK`] covering back-edge effects;
 //! - copy chains have depth ≤ 1 and at most [`MAX_COPIES`] copies, each
 //!   issuing within [`COPY_SLACK`] cycles of its producer's completion
-//!   (the paper machines never need more on the evaluation kernels; a
-//!   machine that does shows up as a *conservative* `Infeasible`, never
-//!   as a bogus `Certified`).
+//!   (the paper machines never need more on the evaluation kernels; on a
+//!   machine that does, the verdict is *conservative*: an `Infeasible`,
+//!   or a `Certified` II above the true minimum, never an invalid
+//!   witness).
 //!
-//! `Certified` verdicts are unconditional: the witness schedule passed
-//! the independent validator, and every smaller II was exhaustively
-//! refuted within the space above.
+//! A `Certified` witness is unconditional: it passed the independent
+//! validator. Its minimality, like `Infeasible`, holds within the space
+//! above: every smaller II was exhaustively refuted there. So when a
+//! validated schedule sits at an II the verdict excludes, either that
+//! schedule lies outside the normalised space or one of the two checkers
+//! is wrong; the gap pass in `csched-eval` grades both as a
+//! `disagreement`, to be looked at by hand.
 //!
 //! # Budgets
 //!

@@ -19,9 +19,9 @@
 //!
 //! Exit status: 0 on success (including `gap_unknown` cells — an
 //! exhausted search budget is an answer, not an error), 1 when any cell
-//! records a `disagreement` (the oracle certified a minimum II *above* a
-//! validated heuristic schedule — a soundness bug), 2 on usage or
-//! journal errors.
+//! records a `disagreement` (the oracle's verdict excludes the II of a
+//! validated heuristic schedule, or that schedule failed validation;
+//! see `csched_eval::gap`), 2 on usage or journal errors.
 
 // The oracle is the soundness arbiter: it must report typed failures,
 // never panic its way out of a cell.

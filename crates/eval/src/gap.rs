@@ -11,11 +11,15 @@
 //!   — these cells are the mining ground for new retry-ladder rungs;
 //! - `gap_unknown`: the oracle's step budget ran out first (large
 //!   kernels are expected to land here);
-//! - `disagreement`: the oracle certified a *larger* II than a schedule
-//!   the validator accepted, proved infeasible an II range that holds
-//!   such a schedule, or the heuristic's schedule failed the validator —
-//!   a soundness bug, and the reason the `oracle` binary and `one-cell
-//!   --certify` exit nonzero on it.
+//! - `disagreement`: the heuristic's schedule failed the validator (a
+//!   soundness bug), or the oracle's verdict excludes the II of a
+//!   schedule the validator accepted: it certified a *larger* II, or
+//!   proved infeasible an II range that holds it. The oracle's verdicts
+//!   hold within its normalised search space ([`csched_core::exact`]),
+//!   so the latter means that schedule lies outside that space or one
+//!   of the two checkers is wrong. Either way the cell needs a look by
+//!   hand, which is why the `oracle` binary and `one-cell --certify`
+//!   exit nonzero on it.
 //!
 //! Like the table1 campaign, the pass journals each finished cell to a
 //! JSONL file (flushed per line, torn-tail tolerant) so a killed run
@@ -151,9 +155,10 @@ impl GapReport {
             .collect()
     }
 
-    /// Records where the oracle certified a *larger* II than the
-    /// validated heuristic schedule, or where the heuristic schedule
-    /// failed validation — a soundness bug.
+    /// Records where the oracle's verdict excludes the validated
+    /// heuristic II (a larger certified II, or an infeasibility proof
+    /// that covers it), or where the heuristic schedule failed
+    /// validation.
     pub fn disagreements(&self) -> Vec<&GapRecord> {
         self.records
             .iter()
@@ -222,10 +227,10 @@ pub fn measure_gap_cell(arch: &Architecture, kernel: &Kernel, cfg: &GapConfig) -
     grade(arch, kernel, heuristic.as_ref(), cfg)
 }
 
-/// Why the oracle's `verdict` contradicts a validated heuristic II, if
-/// it does: a certified minimum above that II, or an infeasibility proof
-/// whose II range holds it. Either way the oracle or the validator is
-/// wrong.
+/// Why the oracle's `verdict` excludes a validated heuristic II, if it
+/// does: a certified minimum above that II, or an infeasibility proof
+/// whose II range holds it. Either the heuristic schedule lies outside
+/// the oracle's normalised search space or a checker is wrong.
 fn disagreement(verdict: &ExactVerdict, heuristic_ii: Option<u64>) -> Option<String> {
     let h = heuristic_ii?;
     match *verdict {
@@ -233,7 +238,8 @@ fn disagreement(verdict: &ExactVerdict, heuristic_ii: Option<u64>) -> Option<Str
             "oracle certified II={ii} above the validated heuristic II={h}"
         )),
         ExactVerdict::Infeasible { max_ii } if h <= u64::from(max_ii) => Some(format!(
-            "oracle proved II<={max_ii} infeasible, yet the validator accepted II={h}"
+            "oracle proved II<={max_ii} infeasible in its normalised space, \
+             yet the validator accepted II={h}"
         )),
         _ => None,
     }
@@ -506,7 +512,10 @@ mod tests {
         // An infeasibility proof whose range holds the heuristic II.
         assert_eq!(
             disagreement(&infeasible, Some(8)).as_deref(),
-            Some("oracle proved II<=8 infeasible, yet the validator accepted II=8")
+            Some(
+                "oracle proved II<=8 infeasible in its normalised space, \
+                 yet the validator accepted II=8"
+            )
         );
         // Verdicts that leave the heuristic II possible.
         for (verdict, h) in [
