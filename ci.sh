@@ -218,14 +218,37 @@ grep -q ', 0 quarantined, 0 corrupt lines,' "$SERVE_DIR/serve2.log"
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --kernel Merge --arch distributed \
     | grep -q 'CACHE hit'
-# Telemetry smoke: METRICS must lead with the schema-versioned JSON
-# line and every exposition line must match the Prometheus text
-# grammar; TRACE must stream JSONL that terminates with its summary
-# and status lines within the event cap; the dashboard renders a
+# The cache holds one entry per (key, step limit): Merge × distributed
+# at 5,000 steps misses and is cached beside the default-limit entry,
+# which must still hit.
+FIVE_K_REPLY="$(cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel Merge --arch distributed --limit 5000)"
+case "$FIVE_K_REPLY" in
+    "CACHE miss"$'\n'"OK "*) ;;
+    *) echo "--limit 5000 got: $FIVE_K_REPLY" >&2; exit 1 ;;
+esac
+DEFAULT_REPLY="$(cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel Merge --arch distributed)"
+case "$DEFAULT_REPLY" in
+    "CACHE hit"$'\n'"OK "*) ;;
+    *) echo "default limit after --limit 5000 got: $DEFAULT_REPLY" >&2; exit 1 ;;
+esac
+# Telemetry smoke: STATS and METRICS read one ledger, so after the
+# restarted server's one malformed request both count it; METRICS must
+# lead with the schema-versioned JSON line and every exposition line
+# must match the Prometheus text grammar; TRACE must stream JSONL that
+# terminates with its summary and status lines within the event cap,
+# and a zero cap still reports what it dropped; the dashboard renders a
 # frame from the same endpoints.
+cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --malformed > /dev/null
+cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --stats > "$SERVE_DIR/stats.txt"
+grep -q '"malformed":1,' "$SERVE_DIR/stats.txt"
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --metrics > "$SERVE_DIR/metrics.txt"
 head -1 "$SERVE_DIR/metrics.txt" | grep -q '^{"schema":1,'
+head -1 "$SERVE_DIR/metrics.txt" | grep -q '"malformed":1,'
 grep -q '^csched_requests_total{outcome="ok"} ' "$SERVE_DIR/metrics.txt"
 ! tail -n +2 "$SERVE_DIR/metrics.txt" \
     | grep -qvE '^(# (HELP|TYPE) csched_[a-z_]+ .+|csched_[a-z_]+(\{[^}]*\})? [0-9]+|)$'
@@ -235,6 +258,10 @@ cargo run -q --release -p csched-eval --bin serve -- \
 [ "$(grep -c '^{"req":' "$SERVE_DIR/trace.txt")" -le 64 ]
 grep -q '^TRACE end events=' "$SERVE_DIR/trace.txt"
 tail -1 "$SERVE_DIR/trace.txt" | grep -q '^OK ii='
+cargo run -q --release -p csched-eval --bin serve -- \
+    --client "$SERVE_ADDR" --kernel Merge --arch distributed \
+    --trace --events 0 > "$SERVE_DIR/trace0.txt"
+grep -q '^TRACE end events=0 .* truncated=1$' "$SERVE_DIR/trace0.txt"
 # The client's step limit rides on TRACE too: one step cannot schedule a
 # loop (the client exits 1 on the ERR line).
 { cargo run -q --release -p csched-eval --bin serve -- \

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use csched_eval::cli::{self, Args, CliError};
 use csched_eval::jsonl::num_field;
 use csched_eval::serve::{client_metrics, client_stats};
-use csched_eval::telemetry::{MetricsSnapshot, SpanSummary};
+use csched_eval::telemetry::{MetricsSnapshot, Outcome, SpanSummary};
 
 const HELP: &str = "usage: dash --addr <host:port> [flags]
   --interval-ms N   poll period (default 1000)
@@ -43,18 +43,6 @@ const HELP: &str = "usage: dash --addr <host:port> [flags]
   --help            this text";
 
 const TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The outcome labels, in display order (matches telemetry's rendering
-/// order, so rows line up with the METRICS JSON).
-const OUTCOMES: [&str; 7] = [
-    "ok",
-    "degraded",
-    "overload",
-    "deadline",
-    "sched",
-    "malformed",
-    "internal",
-];
 
 struct Plan {
     addr: String,
@@ -174,7 +162,7 @@ fn render(frame: &Frame, prev: Option<&(Frame, Instant)>, slow_rows: usize) -> S
         },
     ));
     out.push_str("  outcome     total    rate/s   latency\n");
-    for label in OUTCOMES {
+    for label in Outcome::ALL.map(Outcome::as_str) {
         let total = outcome_count(&frame.metrics, label);
         let rate = match prev {
             Some((p, at)) => {

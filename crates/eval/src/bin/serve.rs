@@ -47,7 +47,6 @@ server flags:
   --compact-entries N
                     cache entry cap (oldest evicted beyond it)
   --read-phase-ms N budget to read one whole request (slowloris guard)
-  --no-telemetry    disable per-request spans and histograms
 client modes:
   --kernel <name> --arch <org> [--limit N] [--wall-ms N]
                     one SCHED request (org: central | clustered2 |
@@ -86,7 +85,6 @@ const FLAGS: &[&str] = &[
     "--limit",
     "--malformed",
     "--metrics",
-    "--no-telemetry",
     "--queue",
     "--read-phase-ms",
     "--retries",
@@ -129,7 +127,6 @@ fn run_server(addr: &str, args: &Args) -> Result<ExitCode, CliError> {
         read_phase_ms: args
             .num("--read-phase-ms")?
             .unwrap_or(defaults.read_phase_ms),
-        telemetry: !args.has("--no-telemetry"),
         ..defaults
     };
     let compaction = &mut config.compaction;

@@ -29,11 +29,12 @@
 //!   ([`csched_core::exact`]) side by side across the paper grid (plus a
 //!   seeded explore subsample), journals each cell, and reports the
 //!   optimality gap per cell (the `oracle` binary drives it);
-//! - [`telemetry`] gives the service per-request structured spans,
-//!   deterministic log-bucketed latency/attempts histograms, and the
-//!   renderings behind the `METRICS` (JSON + Prometheus exposition) and
-//!   `TRACE` (wire-streamed JSONL decision events) verbs; the `dash`
-//!   binary polls them into a live terminal dashboard;
+//! - [`telemetry`] is the service's one ledger: per-request structured
+//!   spans, deterministic log-bucketed latency/attempts histograms, and
+//!   the renderings behind the `STATS` and `METRICS` (JSON + Prometheus
+//!   exposition) verbs, plus the bounded capture `TRACE` streams as
+//!   JSONL decision events; the `dash` binary polls them into a live
+//!   terminal dashboard;
 //! - [`cli`] is the command line every binary shares (flags, kernel and
 //!   architecture names, exit codes), and [`jsonl`] is the one reader
 //!   for the JSON lines the crate writes and reads back (journals,
@@ -76,8 +77,7 @@ pub use pool::{run_indexed, Rejected, Service};
 pub use serve::{
     cache_key, client_metrics, client_raw, client_request, client_request_retry, client_stats,
     client_trace, kernel_hash, response_complete, response_retryable, CacheEntry, CacheLoadReport,
-    CompactionPolicy, RetryConfig, RetryReport, ScheduleCache, ServeConfig, ServeError, ServeStats,
-    Server,
+    CompactionPolicy, RetryConfig, RetryReport, ScheduleCache, ServeConfig, ServeError, Server,
 };
 pub use telemetry::{
     validate_prometheus, CacheDisposition, Histogram, MetricsSnapshot, Outcome, RequestSpan,

@@ -31,7 +31,8 @@
 //!   `degraded=1`; a step limit or wall-clock deadline that runs out
 //!   before any schedule is found answers `ERR deadline`. Every computed
 //!   `OK` is therefore a function of the key and the step limit, and
-//!   every one is cached, to be served only at that same step limit.
+//!   every one is cached under its (key, step limit) pair, to be served
+//!   only at that same step limit.
 //! - **Corruption quarantine.** The cache journal checksums every
 //!   entry. A torn final line (crash mid-append) is repaired silently;
 //!   a bit-flipped interior entry is *quarantined* on load — serving
@@ -111,18 +112,19 @@
 //!   clamped to [`TRACE_EVENT_CAP`]) bounds what a worker
 //!   will ever write, so a slow trace reader cannot pin a worker any
 //!   longer than an ordinary slow client;
-//! - every `SCHED`/`TRACE` request is recorded as a
-//!   [`RequestSpan`] with per-stage
-//!   timings — including shed connections (recorded by the acceptor),
+//! - every request other than `STATS` and `METRICS` is recorded once,
+//!   as a [`RequestSpan`] with per-stage timings, in the service's one
+//!   ledger, [`Telemetry`]: shed connections (recorded by the acceptor),
+//!   requests that name no verb (an empty connection, an unknown verb, a
+//!   failed header read; recorded as `malformed` with an empty verb),
 //!   wall-clock deadline expiries, and requests served during the ENOSPC
-//!   degraded latch — unless [`ServeConfig::telemetry`] is off, in
-//!   which case the schedule path runs sink-free and records nothing.
+//!   degraded latch included. `STATS` and `METRICS` both render from it.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -136,8 +138,7 @@ use crate::campaign::{cell_key, config_fingerprint, fnv1a, CampaignError, Journa
 use crate::jsonl::num_field;
 use crate::pool::{Rejected, Service};
 use crate::telemetry::{
-    elapsed_us, CacheDisposition, Outcome as SpanOutcome, RequestSpan, Telemetry, TraceCapture,
-    METRICS_SCHEMA,
+    elapsed_us, CacheDisposition, Outcome, RequestSpan, Telemetry, TraceCapture,
 };
 
 /// Typed failures of the serve layer (distinct from
@@ -222,11 +223,6 @@ pub struct ServeConfig {
     pub durable: bool,
     /// Journal compaction thresholds (see [`CompactionPolicy`]).
     pub compaction: CompactionPolicy,
-    /// Record per-request telemetry spans and histograms. When off, the
-    /// schedule path runs with no trace sink attached and records
-    /// nothing — `METRICS`/`TRACE` still answer, over empty
-    /// aggregates.
-    pub telemetry: bool,
 }
 
 /// Hard cap on client-requested budgets (`limit=` is clamped here).
@@ -251,7 +247,6 @@ impl Default for ServeConfig {
             cache_path: None,
             durable: false,
             compaction: CompactionPolicy::default(),
-            telemetry: true,
         }
     }
 }
@@ -271,10 +266,10 @@ pub struct CompactionPolicy {
     /// Compact when the journal exceeds this many bytes *and* holds at
     /// least one dead line (a rewrite that cannot shrink is pointless).
     pub max_journal_bytes: u64,
-    /// Hard cap on live cache entries. When an insert pushes the map
-    /// past this, compaction also *evicts* the oldest-inserted entries
-    /// down to 3/4 of the cap (the slack stops a full cache from
-    /// rewriting the journal on every insert).
+    /// Hard cap on live cache entries, each one (key, step limit) pair.
+    /// When an insert pushes the map past this, compaction also *evicts*
+    /// the oldest-inserted entries down to 3/4 of the cap (the slack
+    /// stops a full cache from rewriting the journal on every insert).
     pub max_entries: usize,
 }
 
@@ -305,7 +300,8 @@ pub struct CacheEntry {
     /// The placement-attempt budget the entry was computed under. The
     /// entry answers only requests at this limit: the anytime answer is
     /// a function of (key, limit) but does not grow with the limit, so
-    /// another limit can answer otherwise, `ERR deadline` included.
+    /// another limit can answer otherwise, `ERR deadline` included. The
+    /// cache holds one entry per (key, limit).
     pub limit: u64,
 }
 
@@ -372,7 +368,8 @@ pub fn cache_key(kernel_hash: u64, arch_fingerprint: u64, config_fp: &str) -> u6
 /// What [`ScheduleCache::open`] found on disk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheLoadReport {
-    /// Entries loaded clean (checksum verified).
+    /// Entries loaded clean (checksum verified), one per (key, step
+    /// limit): the last record of each pair wins.
     pub entries: usize,
     /// Keys quarantined: their newest journal line was corrupt.
     pub quarantined: usize,
@@ -383,21 +380,22 @@ pub struct CacheLoadReport {
     pub repaired_bytes: u64,
 }
 
-/// The content-addressed schedule cache: an in-memory map backed by a
-/// checksummed, append-only journal (reusing the campaign
-/// [`Journal`]'s open/repair/flush machinery), compacted last-record-wins
-/// when the journal outgrows its [`CompactionPolicy`], and latched into a
-/// degraded serve-from-memory mode when the disk fills (the first full
-/// disk stops all journaling instead of hammering the device on every
-/// request).
+/// The content-addressed schedule cache: an in-memory map with one entry
+/// per (key, step limit), backed by a checksummed, append-only journal
+/// (reusing the campaign [`Journal`]'s open/repair/flush machinery),
+/// compacted last-record-wins when the journal outgrows its
+/// [`CompactionPolicy`], and latched into a degraded serve-from-memory
+/// mode when the disk fills (the first full disk stops all journaling
+/// instead of hammering the device on every request).
 #[derive(Debug)]
 pub struct ScheduleCache {
-    map: HashMap<u64, CacheEntry>,
+    /// (key, step limit) → (insertion sequence, entry). The sequence is
+    /// the eviction order, oldest first.
+    map: HashMap<(u64, u64), (u64, CacheEntry)>,
     /// Keys whose newest journal line failed its checksum: known to
-    /// exist but untrusted, so they miss until re-scheduled.
+    /// exist but untrusted, so none of their entries is kept until the
+    /// key is re-scheduled.
     quarantined: HashSet<u64>,
-    /// Insertion sequence per key — the eviction order (oldest first).
-    touch: HashMap<u64, u64>,
     next_seq: u64,
     journal: Option<Journal>,
     policy: CompactionPolicy,
@@ -444,7 +442,6 @@ impl ScheduleCache {
         let mut cache = ScheduleCache {
             map: HashMap::new(),
             quarantined: HashSet::new(),
-            touch: HashMap::new(),
             next_seq: 0,
             journal: None,
             policy,
@@ -479,15 +476,9 @@ impl ScheduleCache {
                 let line = line.strip_suffix('\r').unwrap_or(line);
                 cache.journal_lines += 1;
                 match CacheEntry::parse_line(line) {
-                    Some((key, entry)) => {
-                        // Last record wins: a re-journaled entry lifts an
-                        // earlier quarantine of the same key.
-                        cache.map.insert(key, entry);
-                        cache.quarantined.remove(&key);
-                        let seq = cache.next_seq;
-                        cache.next_seq += 1;
-                        cache.touch.insert(key, seq);
-                    }
+                    // Last record wins: a re-journaled entry lifts an
+                    // earlier quarantine of the same key.
+                    Some((key, entry)) => cache.remember(key, entry),
                     None if idx == lines.len() - 1 && !ends_with_newline => {
                         // Torn tail: the crash arrived mid-append; the
                         // journal open below truncates it away.
@@ -496,10 +487,11 @@ impl ScheduleCache {
                     None => {
                         cache.corrupt_lines += 1;
                         // Quarantine the key if it is still legible, so
-                        // the bit-flipped payload is never served.
+                        // the bit-flipped payload is never served. Its
+                        // limit is not to be trusted, so every limit's
+                        // entry goes.
                         if let Some(key) = num_field(line, "key") {
-                            cache.map.remove(&key);
-                            cache.touch.remove(&key);
+                            cache.map.retain(|&(k, _), _| k != key);
                             cache.quarantined.insert(key);
                         }
                     }
@@ -526,16 +518,36 @@ impl ScheduleCache {
 
     /// Looks up a warm entry for a request budgeted at `limit`: only an
     /// entry computed at that same limit answers. Quarantined keys always
-    /// miss.
+    /// miss, since they hold no entry.
     pub fn lookup(&self, key: u64, limit: u64) -> Option<&CacheEntry> {
-        if self.quarantined.contains(&key) {
-            return None;
-        }
-        self.map.get(&key).filter(|e| e.limit == limit)
+        self.map.get(&(key, limit)).map(|(_, entry)| entry)
+    }
+
+    /// Puts `entry` in the map as the newest, replacing the entry of the
+    /// same (key, limit), and lifts the key's quarantine.
+    fn remember(&mut self, key: u64, entry: CacheEntry) {
+        self.quarantined.remove(&key);
+        self.map.insert((key, entry.limit), (self.next_seq, entry));
+        self.next_seq += 1;
+    }
+
+    /// The live entries with their keys, oldest-inserted first.
+    fn oldest_first(&self) -> Vec<(u64, &CacheEntry)> {
+        let mut order: Vec<(u64, u64, &CacheEntry)> = self
+            .map
+            .iter()
+            .map(|(&(key, _), (seq, entry))| (*seq, key, entry))
+            .collect();
+        order.sort_unstable_by_key(|&(seq, ..)| seq);
+        order
+            .into_iter()
+            .map(|(_, key, entry)| (key, entry))
+            .collect()
     }
 
     /// Inserts and journals an entry (journaled *before* it is visible,
-    /// so a response is only ever sent for a durably recorded entry).
+    /// so a response is only ever sent for a durably recorded entry). It
+    /// replaces only the entry of the same key at the same step limit.
     /// Re-inserting a quarantined key lifts the quarantine. May trigger
     /// a [compaction](CompactionPolicy) afterwards.
     ///
@@ -573,11 +585,7 @@ impl ScheduleCache {
                 }
             }
         }
-        self.quarantined.remove(&key);
-        self.map.insert(key, entry);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.touch.insert(key, seq);
+        self.remember(key, entry);
         self.maybe_compact()
     }
 
@@ -625,16 +633,14 @@ impl ScheduleCache {
         // Evict oldest-inserted entries down to 3/4 of the cap.
         if self.map.len() > self.policy.max_entries {
             let target = (self.policy.max_entries - self.policy.max_entries / 4).max(1);
-            let mut order: Vec<(u64, u64)> = self
-                .map
-                .keys()
-                .map(|&k| (self.touch.get(&k).copied().unwrap_or(0), k))
+            let doomed: Vec<(u64, u64)> = self
+                .oldest_first()
+                .into_iter()
+                .take(self.map.len().saturating_sub(target))
+                .map(|(key, entry)| (key, entry.limit))
                 .collect();
-            order.sort_unstable();
-            let doomed = self.map.len().saturating_sub(target);
-            for &(_, key) in order.iter().take(doomed) {
-                self.map.remove(&key);
-                self.touch.remove(&key);
+            for slot in doomed {
+                self.map.remove(&slot);
                 self.evicted_entries += 1;
             }
         }
@@ -704,16 +710,8 @@ impl ScheduleCache {
         {
             let file = std::fs::File::create(&tmp).map_err(io("create temp"))?;
             let mut writer = std::io::BufWriter::new(file);
-            let mut order: Vec<(u64, u64)> = self
-                .map
-                .keys()
-                .map(|&k| (self.touch.get(&k).copied().unwrap_or(0), k))
-                .collect();
-            order.sort_unstable();
-            for &(_, key) in &order {
-                if let Some(entry) = self.map.get(&key) {
-                    writeln!(writer, "{}", entry.to_line(key)).map_err(io("write temp"))?;
-                }
+            for (key, entry) in self.oldest_first() {
+                writeln!(writer, "{}", entry.to_line(key)).map_err(io("write temp"))?;
             }
             writer.flush().map_err(io("flush temp"))?;
             // Sync before the rename regardless of durable mode: the
@@ -724,7 +722,7 @@ impl ScheduleCache {
         std::fs::rename(&tmp, path).map_err(io("rename"))
     }
 
-    /// Cached entries currently servable.
+    /// Cached entries currently servable, one per (key, step limit).
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -745,30 +743,27 @@ impl ScheduleCache {
         self.compactions
     }
 
-    /// Entries evicted (oldest-inserted first) by over-cap compactions.
-    pub fn evicted_entries(&self) -> u64 {
-        self.evicted_entries
-    }
-
-    /// Current journal size in bytes (0 for an in-memory cache).
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal_bytes
-    }
-
-    /// Current journal line count, dead lines included.
-    pub fn journal_lines(&self) -> u64 {
-        self.journal_lines
-    }
-
-    /// Inserts that could not be journaled because the cache is latched
-    /// in degraded (full-disk) mode.
-    pub fn degraded_writes(&self) -> u64 {
-        self.degraded_writes
-    }
-
-    /// Whether the ENOSPC latch has tripped (serving from memory only).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
+    /// The cache's `"cache"` section of the `STATS` line: entries,
+    /// quarantine and corruption counts, compactions and evictions, the
+    /// journal's size (0 for an in-memory cache, dead lines included),
+    /// inserts the full-disk latch kept off the journal, and the latch.
+    pub(crate) fn stats_json(&self) -> String {
+        format!(
+            "{{\"entries\":{},\"quarantined\":{},\"corrupt_lines\":{},\
+             \"repaired_bytes\":{},\"compactions\":{},\"evicted_entries\":{},\
+             \"journal_bytes\":{},\"journal_lines\":{},\"degraded_writes\":{},\
+             \"write_degraded\":{}}}",
+            self.map.len(),
+            self.quarantined.len(),
+            self.corrupt_lines,
+            self.repaired_bytes,
+            self.compactions,
+            self.evicted_entries,
+            self.journal_bytes,
+            self.journal_lines,
+            self.degraded_writes,
+            u8::from(self.degraded),
+        )
     }
 
     /// Test hook: trips the full-disk latch as if an append had just
@@ -795,101 +790,17 @@ fn is_disk_full(e: &CampaignError) -> bool {
     }
 }
 
-/// Monotonic service counters, exported by `STATS`.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Connections accepted (including shed ones).
-    pub requests: AtomicU64,
-    /// Requests answered `OK`.
-    pub ok: AtomicU64,
-    /// Warm cache hits.
-    pub hits: AtomicU64,
-    /// Cold misses that went to the scheduler.
-    pub misses: AtomicU64,
-    /// Connections shed by admission control.
-    pub shed: AtomicU64,
-    /// Requests rejected as malformed (parse error, framing error,
-    /// oversized body, read timeout).
-    pub malformed: AtomicU64,
-    /// Requests whose deadline expired with nothing to return.
-    pub deadline: AtomicU64,
-    /// Requests that failed with a typed scheduling error.
-    pub sched_errors: AtomicU64,
-    /// Cold `OK` responses that were degraded (the step limit cut the
-    /// scheduler's per-II effort).
-    pub degraded: AtomicU64,
-    /// Internal failures (cache I/O, invariant breaks).
-    pub internal_errors: AtomicU64,
-    /// Connections closed because their socket read/write timeouts could
-    /// not be armed — serving without a deadline would hand a hostile
-    /// client an unbounded worker, so the connection is dropped and the
-    /// failure counted instead of silently ignored.
-    pub timeout_config_failures: AtomicU64,
-}
-
 struct ServerState {
     config: ServeConfig,
     config_fp: String,
-    stats: ServeStats,
     cache: Mutex<ScheduleCache>,
     telemetry: Telemetry,
-    started: Instant,
-}
-
-impl ServerState {
-    /// One JSON line of counters and cache state. `schema` versions the
-    /// field set so dashboards and CI diffs detect format drift instead
-    /// of guessing; `uptime_ms` is monotonic since bind (the one
-    /// non-deterministic field, placed right after the schema so the
-    /// deterministic remainder still diffs cleanly).
-    fn stats_json(&self) -> String {
-        let s = &self.stats;
-        let cache_json = match self.cache.lock() {
-            Ok(cache) => format!(
-                "{{\"entries\":{},\"quarantined\":{},\"corrupt_lines\":{},\
-                 \"repaired_bytes\":{},\"compactions\":{},\"evicted_entries\":{},\
-                 \"journal_bytes\":{},\"journal_lines\":{},\"degraded_writes\":{},\
-                 \"write_degraded\":{}}}",
-                cache.len(),
-                cache.quarantined(),
-                cache.corrupt_lines,
-                cache.repaired_bytes,
-                cache.compactions(),
-                cache.evicted_entries(),
-                cache.journal_bytes(),
-                cache.journal_lines(),
-                cache.degraded_writes(),
-                u8::from(cache.is_degraded()),
-            ),
-            Err(_) => "{}".to_string(),
-        };
-        format!(
-            "{{\"schema\":{METRICS_SCHEMA},\"uptime_ms\":{},\
-             \"serve\":{{\"requests\":{},\"ok\":{},\"hits\":{},\"misses\":{},\"shed\":{},\
-             \"malformed\":{},\"deadline\":{},\"sched_errors\":{},\"degraded\":{},\
-             \"internal_errors\":{},\"timeout_config_failures\":{},\
-             \"cache\":{cache_json}}}}}",
-            u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX),
-            s.requests.load(Ordering::Relaxed),
-            s.ok.load(Ordering::Relaxed),
-            s.hits.load(Ordering::Relaxed),
-            s.misses.load(Ordering::Relaxed),
-            s.shed.load(Ordering::Relaxed),
-            s.malformed.load(Ordering::Relaxed),
-            s.deadline.load(Ordering::Relaxed),
-            s.sched_errors.load(Ordering::Relaxed),
-            s.degraded.load(Ordering::Relaxed),
-            s.internal_errors.load(Ordering::Relaxed),
-            s.timeout_config_failures.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// A running server: accepted connections flow through admission control
 /// onto the worker pool until [`shutdown`](Server::shutdown).
 pub struct Server {
     addr: SocketAddr,
-    state: Arc<ServerState>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -930,18 +841,13 @@ impl Server {
             config.compaction,
         )
         .map_err(ServeError::Cache)?;
-        let config_fp = config_fingerprint(&SchedulerConfig::default(), 0);
-        let telemetry = Telemetry::new(SPAN_RING);
-        let state = Arc::new(ServerState {
+        let accept_state = Arc::new(ServerState {
             config,
-            config_fp,
-            stats: ServeStats::default(),
+            config_fp: config_fingerprint(&SchedulerConfig::default(), 0),
             cache: Mutex::new(cache),
-            telemetry,
-            started: Instant::now(),
+            telemetry: Telemetry::new(SPAN_RING),
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_state = Arc::clone(&state);
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
             let worker_state = Arc::clone(&accept_state);
@@ -958,15 +864,13 @@ impl Server {
                 if accept_stop.load(Ordering::Acquire) {
                     break; // the shutdown self-connection
                 }
-                accept_state.stats.requests.fetch_add(1, Ordering::Relaxed);
+                let telemetry = &accept_state.telemetry;
+                telemetry.connection_accepted();
                 if configure_stream(&stream, accept_state.config.io_timeout).is_err() {
                     // A connection without I/O deadlines is a connection
                     // that can pin a worker forever: close it and count
                     // the failure rather than serving unprotected.
-                    accept_state
-                        .stats
-                        .timeout_config_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                    telemetry.timeout_config_failed();
                     drop(stream);
                     continue;
                 }
@@ -977,16 +881,12 @@ impl Server {
                     // unread would RST the response away); each is
                     // bounded by the socket timeouts, and the acceptor
                     // itself never blocks on a shed client.
-                    accept_state.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    if accept_state.config.telemetry {
-                        // A shed connection never reaches a worker, so
-                        // the acceptor records its span: zero stages,
-                        // outcome overload.
-                        let id = accept_state.telemetry.next_request_id();
-                        let mut span = RequestSpan::new(id, "SCHED");
-                        span.outcome = SpanOutcome::Overload;
-                        accept_state.telemetry.record(span);
-                    }
+                    // A shed connection never reaches a worker, so the
+                    // acceptor records its span: zero stages, outcome
+                    // overload.
+                    let mut span = RequestSpan::new(telemetry.next_request_id(), "SCHED");
+                    span.outcome = Outcome::Overload;
+                    telemetry.record(span);
                     std::thread::spawn(move || {
                         let mut stream = stream;
                         let _ = stream.write_all(b"ERR overload admission queue full\n");
@@ -1005,7 +905,6 @@ impl Server {
         Ok((
             Server {
                 addr,
-                state,
                 stop,
                 accept_thread: Some(accept_thread),
             },
@@ -1016,11 +915,6 @@ impl Server {
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The stats JSON line, as `STATS` would return it.
-    pub fn stats_json(&self) -> String {
-        self.state.stats_json()
     }
 
     /// Stops accepting, drains admitted requests, and joins every
@@ -1165,20 +1059,6 @@ fn read_header_line(
     Ok(Some(String::from_utf8_lossy(&line).into_owned()))
 }
 
-/// How one request ended, for the stats counters.
-enum Outcome {
-    OkWarm,
-    OkCold {
-        degraded: bool,
-    },
-    /// A `STATS` request: counted as a request, not a schedule.
-    Stats,
-    Malformed,
-    Deadline,
-    Sched,
-    Internal,
-}
-
 /// Flattens a detail message onto one response line.
 fn one_line(detail: &str) -> String {
     detail.replace(['\n', '\r'], "; ")
@@ -1203,38 +1083,9 @@ fn ok_line(entry: &CacheEntry) -> String {
     )
 }
 
+/// Serves one connection. `STATS` and `METRICS` answer from the ledger;
+/// every other request ends as one span recorded in it.
 fn handle_connection(state: &ServerState, stream: &TcpStream) {
-    let outcome = serve_one(state, stream);
-    let s = &state.stats;
-    match outcome {
-        Outcome::OkWarm => {
-            s.ok.fetch_add(1, Ordering::Relaxed);
-            s.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Outcome::OkCold { degraded } => {
-            s.ok.fetch_add(1, Ordering::Relaxed);
-            s.misses.fetch_add(1, Ordering::Relaxed);
-            if degraded {
-                s.degraded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Outcome::Stats => {}
-        Outcome::Malformed => {
-            s.malformed.fetch_add(1, Ordering::Relaxed);
-        }
-        Outcome::Deadline => {
-            s.deadline.fetch_add(1, Ordering::Relaxed);
-        }
-        Outcome::Sched => {
-            s.sched_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        Outcome::Internal => {
-            s.internal_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn serve_one(state: &ServerState, stream: &TcpStream) -> Outcome {
     let req_start = Instant::now();
     let mut reader = BufReader::new(stream);
     let phase = ReadPhase::bounded(
@@ -1242,23 +1093,21 @@ fn serve_one(state: &ServerState, stream: &TcpStream) -> Outcome {
         Duration::from_millis(state.config.read_phase_ms),
         state.config.io_timeout,
     );
-    let header = match read_header_line(&mut reader, 256, &phase) {
-        Ok(Some(h)) => h,
-        Ok(None) => {
-            let _ = respond(stream, "ERR malformed empty request\n");
-            return Outcome::Malformed;
-        }
-        Err(e) => {
-            let _ = respond(stream, &format!("ERR malformed request read failed: {e}\n"));
-            return Outcome::Malformed;
-        }
-    };
+    let header = read_header_line(&mut reader, 256, &phase);
     let header_us = elapsed_us(req_start);
-    let mut words = header.split_whitespace();
-    match words.next() {
+    let mut words = match &header {
+        Ok(Some(line)) => line.split_whitespace(),
+        _ => "".split_whitespace(),
+    };
+    let verb = words.next();
+    match verb {
         Some("STATS") => {
-            let _ = respond(stream, &format!("{}\n", state.stats_json()));
-            Outcome::Stats
+            let cache = state
+                .cache
+                .lock()
+                .map_or_else(|_| "{}".to_string(), |cache| cache.stats_json());
+            let _ = respond(stream, &format!("{}\n", state.telemetry.stats_json(&cache)));
+            return;
         }
         Some("METRICS") => {
             let _ = respond(
@@ -1269,64 +1118,33 @@ fn serve_one(state: &ServerState, stream: &TcpStream) -> Outcome {
                     state.telemetry.prometheus()
                 ),
             );
-            Outcome::Stats
+            return;
         }
+        _ => {}
+    }
+    let mut span = RequestSpan::new(state.telemetry.next_request_id(), "");
+    span.stages.read_us = header_us;
+    span.outcome = match verb {
         Some("SCHED") => {
-            let mut span = new_span(state, "SCHED", header_us);
-            let outcome = serve_sched(state, &mut reader, stream, words, &phase, &mut span);
-            finish_span(state, span, req_start, &outcome);
-            outcome
+            span.verb = "SCHED";
+            serve_sched(state, &mut reader, stream, words, &phase, &mut span)
         }
         Some("TRACE") => {
-            let mut span = new_span(state, "TRACE", header_us);
+            span.verb = "TRACE";
             span.cache = CacheDisposition::Bypass;
-            let outcome = serve_trace(state, &mut reader, stream, words, &phase, &mut span);
-            finish_span(state, span, req_start, &outcome);
-            outcome
+            serve_trace(state, &mut reader, stream, words, &phase, &mut span)
         }
-        Some(other) => {
-            let _ = respond(
-                stream,
-                &format!("ERR malformed unknown command {}\n", one_line(other)),
-            );
+        other => {
+            let detail = match (&header, other) {
+                (Err(e), _) => format!("request read failed: {e}"),
+                (_, Some(other)) => format!("unknown command {}", one_line(other)),
+                (_, None) => "empty request".to_string(),
+            };
+            let _ = respond(stream, &format!("ERR malformed {detail}\n"));
             Outcome::Malformed
         }
-        None => {
-            let _ = respond(stream, "ERR malformed empty request\n");
-            Outcome::Malformed
-        }
-    }
-}
-
-/// A span for one schedule-class request. When telemetry is off the id
-/// stays 0 and the span is never recorded (see [`finish_span`]), so the
-/// only cost on the disabled path is a stack value.
-fn new_span(state: &ServerState, verb: &'static str, header_us: u64) -> RequestSpan {
-    let id = if state.config.telemetry {
-        state.telemetry.next_request_id()
-    } else {
-        0
     };
-    let mut span = RequestSpan::new(id, verb);
-    span.stages.read_us = header_us;
-    span
-}
-
-/// Stamps the span's total wall time and outcome and records it.
-fn finish_span(state: &ServerState, mut span: RequestSpan, req_start: Instant, outcome: &Outcome) {
-    if !state.config.telemetry {
-        return;
-    }
     span.total_us = elapsed_us(req_start);
-    span.outcome = match outcome {
-        Outcome::OkWarm | Outcome::OkCold { degraded: false } => SpanOutcome::Ok,
-        Outcome::OkCold { degraded: true } => SpanOutcome::Degraded,
-        Outcome::Stats => return,
-        Outcome::Malformed => SpanOutcome::Malformed,
-        Outcome::Deadline => SpanOutcome::Deadline,
-        Outcome::Sched => SpanOutcome::Sched,
-        Outcome::Internal => SpanOutcome::Internal,
-    };
     state.telemetry.record(span);
 }
 
@@ -1468,7 +1286,6 @@ fn read_bodies(
 /// rollup comes from the scheduler's report either way. A failure comes
 /// back as its outcome and `ERR` line.
 fn schedule_request(
-    state: &ServerState,
     req: &Request,
     capture: Option<&mut TraceCapture>,
     span: &mut RequestSpan,
@@ -1515,14 +1332,12 @@ fn schedule_request(
             }
             Ok(()) => {
                 span.ii = schedule.ii().unwrap_or(0);
-                if state.config.telemetry {
-                    // Binding-constraint attribution for the dashboard's
-                    // slow-request ring: one cheap analysis pass over
-                    // the finished schedule.
-                    span.binding = explain::explain(&req.arch, &req.kernel, &schedule)
-                        .binding
-                        .kind();
-                }
+                // Binding-constraint attribution for the dashboard's
+                // slow-request ring: one cheap analysis pass over the
+                // finished schedule.
+                span.binding = explain::explain(&req.arch, &req.kernel, &schedule)
+                    .binding
+                    .kind();
                 Ok(CacheEntry {
                     ii: schedule.ii().unwrap_or(0),
                     copies: schedule.num_copies() as u64,
@@ -1583,7 +1398,7 @@ fn serve_sched<'a>(
             let t_respond = Instant::now();
             let _ = respond(stream, &format!("CACHE hit\n{line}"));
             span.stages.respond_us = elapsed_us(t_respond);
-            return Outcome::OkWarm;
+            return Outcome::Ok;
         }
     }
     span.cache = CacheDisposition::Miss;
@@ -1591,7 +1406,7 @@ fn serve_sched<'a>(
 
     // Cold path, sink-free: no event is even constructed. The span's
     // reject and rung rollup comes from the scheduler's own counters.
-    let entry = match schedule_request(state, &req, None, span) {
+    let entry = match schedule_request(&req, None, span) {
         Ok(scheduled) => scheduled,
         Err((outcome, line)) => {
             let _ = respond(stream, &line);
@@ -1620,8 +1435,16 @@ fn serve_sched<'a>(
     let t_respond = Instant::now();
     let _ = respond(stream, &format!("CACHE miss\n{}", ok_line(&entry)));
     span.stages.respond_us = elapsed_us(t_respond);
-    Outcome::OkCold {
-        degraded: entry.degraded,
+    cold_outcome(&entry)
+}
+
+/// The outcome of a freshly scheduled `OK`: degraded when the step limit
+/// cut the scheduler's per-II effort. A warm hit is always `Ok`.
+fn cold_outcome(entry: &CacheEntry) -> Outcome {
+    if entry.degraded {
+        Outcome::Degraded
+    } else {
+        Outcome::Ok
     }
 }
 
@@ -1691,7 +1514,7 @@ fn serve_trace<'a>(
     // Cache deliberately bypassed: a trace of a warm hit would be
     // empty, and the point of TRACE is the event stream.
     let mut capture = TraceCapture::capture(event_cap, full);
-    let result = schedule_request(state, &req, Some(&mut capture), span);
+    let result = schedule_request(&req, Some(&mut capture), span);
 
     // The event stream and summary precede the final status line, so a
     // client can parse the response as: JSONL until a non-`{` line,
@@ -1708,18 +1531,14 @@ fn serve_trace<'a>(
         capture.total(),
         u8::from(capture.truncated()),
     ));
-    if state.config.telemetry {
-        state
-            .telemetry
-            .add_trace_events(capture.events().len() as u64);
-    }
+    state
+        .telemetry
+        .add_trace_events(capture.events().len() as u64);
 
     let outcome = match result {
         Ok(entry) => {
             text.push_str(&ok_line(&entry));
-            Outcome::OkCold {
-                degraded: entry.degraded,
-            }
+            cold_outcome(&entry)
         }
         Err((outcome, line)) => {
             text.push_str(&line);
@@ -2299,7 +2118,7 @@ mod tests {
         }
         // 9 > 8 triggered an evicting compaction down to 6 (3/4 of 8).
         assert_eq!(cache.len(), 6);
-        assert_eq!(cache.evicted_entries(), 3);
+        assert_eq!(cache.evicted_entries, 3);
         assert!(
             cache.lookup(0, LIMIT).is_none(),
             "oldest keys evicted first"
@@ -2320,8 +2139,8 @@ mod tests {
         cache.insert(2, entry(6)).unwrap();
         cache.insert(3, entry(8)).unwrap();
         assert_eq!(cache.lookup(2, LIMIT), Some(&entry(6)));
-        assert_eq!(cache.degraded_writes(), 2);
-        assert!(cache.is_degraded());
+        assert_eq!(cache.degraded_writes, 2);
+        assert!(cache.degraded);
         drop(cache);
         // …but never touched the journal: only the pre-latch entry is on
         // disk.

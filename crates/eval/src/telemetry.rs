@@ -1,6 +1,6 @@
 //! Per-request service observability: structured spans, deterministic
-//! log-bucketed histograms, and the wire renderers behind the `METRICS`
-//! verb.
+//! log-bucketed histograms, and the wire renderers behind the `STATS`
+//! and `METRICS` verbs.
 //!
 //! The paper's claim — communication-scheduling decisions dominate the
 //! achieved II — is only auditable in a running service if every request
@@ -19,18 +19,21 @@
 //! - [`Histogram`]: HDR-style log-bucketed counters over pure integers,
 //!   so identical recorded values render byte-identical JSON on every
 //!   run and platform;
-//! - [`Telemetry`]: the per-outcome aggregation
-//!   (`ok|degraded|overload|deadline|sched|malformed|internal`) with
-//!   [`metrics_json`](Telemetry::metrics_json) and a Prometheus-style
-//!   [`prometheus`](Telemetry::prometheus) text exposition, plus
-//!   [`validate_prometheus`] so CI can check the exposition's line
-//!   grammar without a Prometheus install.
+//! - [`Telemetry`]: the service's one ledger. It counts each finished
+//!   request once, by outcome
+//!   (`ok|degraded|overload|deadline|sched|malformed|internal`), and
+//!   renders both the `STATS` counters and the
+//!   [`metrics_json`](Telemetry::metrics_json) line with its
+//!   Prometheus-style [`prometheus`](Telemetry::prometheus) text
+//!   exposition, plus [`validate_prometheus`] so CI can check the
+//!   exposition's line grammar without a Prometheus install.
 //!
 //! Everything here is integer arithmetic and preallocated storage: the
 //! hot path ([`Telemetry::record`]) is a mutex, a ring push, and a few
 //! array increments.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -163,7 +166,9 @@ pub struct RequestSpan {
     /// Monotonic per-server request id (also injected into `TRACE`
     /// event lines as the `"req"` key).
     pub id: u64,
-    /// Wire verb (`"SCHED"`, `"TRACE"`).
+    /// Wire verb (`"SCHED"`, `"TRACE"`), empty for a request that names
+    /// neither (an empty connection, an unknown verb, a failed header
+    /// read).
     pub verb: &'static str,
     /// Kernel name, empty until parsed.
     pub kernel: String,
@@ -272,7 +277,7 @@ pub fn elapsed_us(start: Instant) -> u64 {
 /// head of the stream is where the schedule's decision structure lives
 /// (the tail of a capped stream is mid-search noise). `total()` and
 /// [`truncated`](TraceCapture::truncated) quantify what the cap
-/// dropped; a zero cap retains and counts nothing.
+/// dropped; a zero cap retains nothing and still counts every event.
 #[derive(Debug)]
 pub struct TraceCapture {
     cap: usize,
@@ -312,9 +317,6 @@ impl TraceCapture {
 
 impl TraceSink for TraceCapture {
     fn event(&mut self, event: TraceEvent) {
-        if self.cap == 0 {
-            return;
-        }
         if let Some(f) = self.filter {
             if !f(&event) {
                 return;
@@ -479,19 +481,28 @@ struct TelemetryInner {
     latency: Vec<Histogram>,
     attempts: Vec<Histogram>,
     counts: [u64; Outcome::ALL.len()],
+    /// `OK` requests answered from the cache.
+    hits: u64,
     rejects: [u64; 5],
     deadline_events: u64,
     trace_requests: u64,
     trace_events_streamed: u64,
 }
 
-/// The service-wide telemetry store: a span ring plus per-outcome
-/// latency/attempts histograms, behind one mutex.
+/// The service's one ledger: every finished request is counted here
+/// once, by [`record`](Telemetry::record), into per-outcome counts,
+/// latency/attempts histograms and a span ring behind one mutex. `STATS`
+/// and `METRICS` both render from it. The acceptor's two counts
+/// (connections accepted, connections whose socket timeouts could not
+/// be armed) are atomics, so accepting takes no lock.
 ///
 /// The schema version below covers the `METRICS` JSON *and* the
 /// Prometheus exposition; bump it when either changes shape.
 pub struct Telemetry {
     inner: Mutex<TelemetryInner>,
+    started: Instant,
+    connections: AtomicU64,
+    timeout_config_failures: AtomicU64,
 }
 
 /// Version of the `METRICS` JSON schema (also exported by `STATS`).
@@ -509,12 +520,27 @@ impl Telemetry {
                 latency: (0..Outcome::ALL.len()).map(|_| Histogram::new()).collect(),
                 attempts: (0..Outcome::ALL.len()).map(|_| Histogram::new()).collect(),
                 counts: [0; Outcome::ALL.len()],
+                hits: 0,
                 rejects: [0; 5],
                 deadline_events: 0,
                 trace_requests: 0,
                 trace_events_streamed: 0,
             }),
+            started: Instant::now(),
+            connections: AtomicU64::new(0),
+            timeout_config_failures: AtomicU64::new(0),
         }
+    }
+
+    /// Counts one accepted connection, shed or not.
+    pub(crate) fn connection_accepted(&self) {
+        self.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one connection closed because its socket timeouts could
+    /// not be armed.
+    pub(crate) fn timeout_config_failed(&self) {
+        self.timeout_config_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Allocates the next request id (monotonic from 1).
@@ -537,6 +563,11 @@ impl Telemetry {
         };
         let slot = span.outcome.index();
         inner.counts[slot] += 1;
+        if span.cache == CacheDisposition::Hit
+            && matches!(span.outcome, Outcome::Ok | Outcome::Degraded)
+        {
+            inner.hits += 1;
+        }
         inner.latency[slot].record(span.total_us);
         inner.attempts[slot].record(span.attempts);
         for (total, n) in inner.rejects.iter_mut().zip(span.rejects) {
@@ -567,6 +598,40 @@ impl Telemetry {
             Ok(inner) => inner.ring.iter().cloned().collect(),
             Err(_) => Vec::new(),
         }
+    }
+
+    /// The `STATS` line: the schema, the uptime since this store was
+    /// made, and the `serve` counters, with the cache's own section
+    /// (`cache`, already rendered) nested last. Every counter but the
+    /// acceptor's two derives from the per-outcome counts: `ok` is ok +
+    /// degraded, `shed` is overload, and of the `OK` requests `hits` came
+    /// from the cache and `misses` did not (a `TRACE` is a miss).
+    /// `uptime_ms` is the one non-deterministic field, placed right after
+    /// the schema so the deterministic remainder still diffs cleanly.
+    pub(crate) fn stats_json(&self, cache: &str) -> String {
+        let Ok(inner) = self.inner.lock() else {
+            return format!("{{\"schema\":{METRICS_SCHEMA}}}");
+        };
+        let count = |outcome: Outcome| inner.counts[outcome.index()];
+        let ok = count(Outcome::Ok) + count(Outcome::Degraded);
+        format!(
+            "{{\"schema\":{METRICS_SCHEMA},\"uptime_ms\":{},\
+             \"serve\":{{\"requests\":{},\"ok\":{ok},\"hits\":{},\"misses\":{},\"shed\":{},\
+             \"malformed\":{},\"deadline\":{},\"sched_errors\":{},\"degraded\":{},\
+             \"internal_errors\":{},\"timeout_config_failures\":{},\
+             \"cache\":{cache}}}}}",
+            u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX),
+            self.connections.load(Ordering::Relaxed),
+            inner.hits,
+            ok - inner.hits,
+            count(Outcome::Overload),
+            count(Outcome::Malformed),
+            count(Outcome::Deadline),
+            count(Outcome::Sched),
+            count(Outcome::Degraded),
+            count(Outcome::Internal),
+            self.timeout_config_failures.load(Ordering::Relaxed),
+        )
     }
 
     /// One deterministic JSON line: schema, per-outcome counts, the
@@ -933,26 +998,29 @@ mod tests {
 
     #[test]
     fn trace_capture_filters_and_caps() {
-        let mut cap = TraceCapture::capture(2, false);
-        for i in 0..4u32 {
-            cap.event(TraceEvent::IiStart { ii: i });
-            cap.event(TraceEvent::PlaceReject {
-                op: i,
-                fu: 0,
-                cycle: 0,
-                reason: RejectReason::Timing,
+        for limit in [2, 0] {
+            let mut cap = TraceCapture::capture(limit, false);
+            for i in 0..4u32 {
+                cap.event(TraceEvent::IiStart { ii: i });
+                cap.event(TraceEvent::PlaceReject {
+                    op: i,
+                    fu: 0,
+                    cycle: 0,
+                    reason: RejectReason::Timing,
+                });
+            }
+            cap.event(TraceEvent::RungAdvanced {
+                attempt: 2,
+                relaxation: "x".into(),
+                max_ii: 8,
             });
+            // The capture keeps the first `limit` decision events (rejects
+            // and rung markers are filtered out) and counts all 4, a zero
+            // cap included.
+            assert_eq!(cap.events().len(), limit);
+            assert_eq!(cap.total(), 4);
+            assert!(cap.truncated());
         }
-        cap.event(TraceEvent::RungAdvanced {
-            attempt: 2,
-            relaxation: "x".into(),
-            max_ii: 8,
-        });
-        // The capture keeps the first 2 decision events (rejects and
-        // rung markers are filtered out) and counts all 4.
-        assert_eq!(cap.events().len(), 2);
-        assert_eq!(cap.total(), 4);
-        assert!(cap.truncated());
     }
 
     #[test]
