@@ -34,8 +34,10 @@ cargo test -q --workspace
 # Debug-profile engine cross-checks: under debug assertions the engine
 # reruns every §4.3 closing it replays and compares the two, and checks
 # every memoised write-stub ranking against a fresh one (DESIGN.md §14).
-# FIR-INT on distributed is the grid's slowest cell and Sort on clustered4
-# the one that replays the most closings; together about 11 s.
+# FIR-INT on distributed binds half its multiplies' values to input slot
+# 1 (DESIGN.md §5), so its routes run through both inputs' files; Sort on
+# clustered4 is the grid's slowest cell and replays the most closings.
+# Together about 3 s.
 step "debug cross-check smoke (FIR-INT distributed, Sort clustered4)"
 cargo run -q -p csched-eval --bin one-cell -- FIR-INT distributed > /dev/null
 cargo run -q -p csched-eval --bin one-cell -- Sort clustered4 > /dev/null
@@ -67,7 +69,7 @@ cargo test -q --release -p csched-eval --test grid_golden -- --include-ignored
 # Decision-stream golden: an FNV-1a digest of every trace event and the
 # final schedule of the 40 grid cells under five configurations and the
 # anytime ladder (at 200,000 steps, and at 5,000 and 50,000, which stop
-# the ladder on 18 and 4 cells) must match the pinned digests, so a
+# the ladder on 18 and 2 cells) must match the pinned digests, so a
 # pure speed-up that changes any search decision (even at an earlier II)
 # fails here. A second digest pins the untraced anytime answers alone.
 # Ignored under the debug profile; about half a minute on release.
@@ -190,15 +192,15 @@ case "$FRESH_OK" in
     *) echo "deadline-free answer: $FRESH_OK" >&2; exit 1 ;;
 esac
 # A cached answer is served only at the step limit it was computed
-# under: the default limit's FIR-INT × distributed answer is cached now,
-# yet at 50,000 steps, too few for that cell, the reply must still be
-# the cold server's `ERR deadline`.
+# under: the default limit's FIR-INT × distributed answer is cached now
+# (about 15,500 steps), yet at 5,000 steps, too few for that cell, the
+# reply must still be the cold server's `ERR deadline`.
 LIMIT_REPLY="$(cargo run -q --release -p csched-eval --bin serve -- \
-    --client "$SERVE_ADDR" --kernel FIR-INT --arch distributed --limit 50000 \
+    --client "$SERVE_ADDR" --kernel FIR-INT --arch distributed --limit 5000 \
     || true)"
 case "$LIMIT_REPLY" in
     "ERR deadline "*) ;;
-    *) echo "--limit 50000 after the default request got: $LIMIT_REPLY" >&2; exit 1 ;;
+    *) echo "--limit 5000 after the default request got: $LIMIT_REPLY" >&2; exit 1 ;;
 esac
 cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --bench-suite

@@ -122,7 +122,7 @@ pub(crate) fn min_latency(arch: &Architecture, opcode: Opcode) -> u32 {
 /// field depends on). The exact oracle ([`crate::exact`]) starts from
 /// the same checks, dependence graph, memory-order edges and MII.
 pub(crate) struct Prepared {
-    cache: Arc<ConnCache>,
+    pub(crate) cache: Arc<ConnCache>,
     pub(crate) graph: DepGraph,
     pub(crate) order_edges: Vec<OrderEdge>,
     asap: Vec<i64>,

@@ -492,7 +492,7 @@ impl<'a> Engine<'a> {
         ii: u32,
         cache: Arc<ConnCache>,
     ) -> Self {
-        let universe = Universe::build(kernel);
+        let universe = Universe::build(kernel, &cache);
         let tables = ResourceTable::per_block(arch, kernel, ii);
         let num_ops = universe.num_ops();
         let num_operands: usize = universe.ops.iter().map(|o| o.num_operands).sum();

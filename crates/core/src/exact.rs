@@ -27,7 +27,11 @@
 //!   (the paper machines never need more on the evaluation kernels; on a
 //!   machine that does, the verdict is *conservative*: an `Infeasible`,
 //!   or a `Certified` II above the true minimum, never an invalid
-//!   witness).
+//!   witness);
+//! - every operand reads through the input slot the scheduler binds it
+//!   to ([`Universe::build`] builds both universes), so a verdict holds
+//!   under the scheduler's binding, not over every binding a commutative
+//!   operation allows.
 //!
 //! A `Certified` witness is unconditional: it passed the independent
 //! validator. Its minimality, like `Infeasible`, holds within the space
@@ -349,7 +353,7 @@ impl<'a> Searcher<'a> {
         budget: &'a StepBudget,
         ii: u32,
     ) -> Self {
-        let universe = Universe::build(kernel);
+        let universe = Universe::build(kernel, &prep.cache);
         let num_ops = universe.num_ops();
         let num_comms = universe.num_comms();
         let tables = ResourceTable::per_block(arch, kernel, ii);

@@ -157,6 +157,23 @@ impl Schedule {
         }
     }
 
+    /// Swaps the input slots bound to `op`'s first two operands without
+    /// touching its communications or routes — **test support only**:
+    /// when the opcode is not commutative, validation must report the
+    /// binding as illegal.
+    ///
+    /// Returns `false` (schedule untouched) if `op` has fewer than two
+    /// operands.
+    #[doc(hidden)]
+    pub fn swap_binding_for_tests(&mut self, op: SOpId) -> bool {
+        let sop = &mut self.universe.ops[op.index()];
+        if sop.num_operands < 2 {
+            return false;
+        }
+        sop.slots.swap(0, 1);
+        true
+    }
+
     /// Forces two directly-routed communications with distinct producers
     /// onto the *same* write stub (same bus, port, and file) on the same
     /// resource-table cycle — **test support only**: validation must

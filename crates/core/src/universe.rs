@@ -8,11 +8,25 @@
 //! communications a loop-carried variable induces (one from the preamble
 //! init producer, one from the previous iteration's update producer) —
 //! both of which must share the consumer operand's read stub.
+//!
+//! Each kernel operand is bound to one input slot of its operation's
+//! unit, and a communication reads through its operand's *bound* slot.
+//! The binding is the kernel's own order except where
+//! [`Universe::build`] moves a commutative operation's lone single-use
+//! value to its less-loaded slot (DESIGN.md §5).
 
 use core::fmt;
 
 use csched_ir::{resolve_producers, BlockId, Kernel, OpId, Operand};
-use csched_machine::Opcode;
+use csched_machine::{FuId, Opcode};
+
+use crate::conn::ConnCache;
+
+/// Most operands any opcode takes (`select`, `store`, `spwrite`).
+const MAX_OPERANDS: usize = 3;
+
+/// The identity binding: operand `i` reads through input slot `i`.
+const IDENTITY: [u8; MAX_OPERANDS] = [0, 1, 2];
 
 /// Identifies an operation in the scheduling universe (kernel operations
 /// first, then inserted copies, in insertion order).
@@ -85,6 +99,17 @@ pub struct SOp {
     pub num_operands: usize,
     /// Whether the operation produces a result.
     pub has_result: bool,
+    /// The input slot each operand is bound to: operand `i`, in kernel
+    /// order, is read through slot `slots[i]`. The identity except for a
+    /// commutative operation [`Universe::build`] rebinds.
+    pub(crate) slots: [u8; MAX_OPERANDS],
+}
+
+impl SOp {
+    /// The input slot kernel operand `operand` is bound to.
+    pub fn slot_of(&self, operand: usize) -> usize {
+        usize::from(self.slots[operand])
+    }
 }
 
 /// One communication: the use of one producer's result as one operand of
@@ -95,7 +120,8 @@ pub struct Comm {
     pub producer: SOpId,
     /// The consuming operation.
     pub consumer: SOpId,
-    /// The consumer's operand slot.
+    /// The consumer's input slot: the slot its kernel operand is bound to
+    /// ([`SOp::slot_of`]).
     pub slot: usize,
     /// Iteration distance: the consumer of iteration `i` reads the
     /// producer's result from iteration `i - distance` (0 within an
@@ -121,10 +147,13 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Builds the universe for `kernel`: one [`SOp`] per kernel operation
-    /// and one [`Comm`] per (producer, consumer-operand) pair, resolving
-    /// loop variables to their init and carried producers.
-    pub fn build(kernel: &Kernel) -> Self {
+    /// Builds the universe for `kernel` on the machine `cache` describes:
+    /// one [`SOp`] per kernel operation, its operands bound to input slots
+    /// (module docs), and one [`Comm`] per (producer,
+    /// consumer-operand) pair, resolving loop variables to their init and
+    /// carried producers.
+    pub fn build(kernel: &Kernel, cache: &ConnCache) -> Self {
+        let slots = bind_operands(kernel, cache);
         let mut ops = Vec::with_capacity(kernel.num_ops());
         for op_id in kernel.op_ids() {
             let op = kernel.op(op_id);
@@ -134,6 +163,7 @@ impl Universe {
                 kernel_op: Some(op_id),
                 num_operands: op.operands().len(),
                 has_result: op.result().is_some(),
+                slots: slots[op_id.index()],
             });
         }
         let mut u = Universe {
@@ -148,7 +178,8 @@ impl Universe {
 
         for op_id in kernel.op_ids() {
             let op = kernel.op(op_id);
-            for (slot, operand) in op.operands().iter().enumerate() {
+            let bound = slots[op_id.index()];
+            for (i, operand) in op.operands().iter().enumerate() {
                 let Operand::Value(v) = *operand else {
                     continue;
                 };
@@ -156,7 +187,7 @@ impl Universe {
                     u.add_comm(Comm {
                         producer: SOpId::from_raw(producer.index()),
                         consumer: SOpId::from_raw(op_id.index()),
-                        slot,
+                        slot: usize::from(bound[i]),
                         distance,
                     });
                 }
@@ -197,6 +228,7 @@ impl Universe {
             kernel_op: None,
             num_operands: 1,
             has_result: true,
+            slots: IDENTITY,
         });
         self.operand_base.push(self.operand_comms.len());
         self.operand_comms.push(Vec::new());
@@ -308,11 +340,89 @@ impl Universe {
     }
 }
 
+/// The operand binding of every kernel operation, indexed by [`OpId`].
+///
+/// One pass in program order keeps, for each set of capable units
+/// ([`ConnCache::fus_for`]), a count of the value operands bound so far
+/// to each input slot. A commutative operation whose two operands are one
+/// immediate and one value used exactly once in the kernel (a store or a
+/// loop-variable init or update counts as a use) binds that value to the
+/// slot with the lower count, slot 0 on a tie. Every other operation
+/// binds as written. Each bound value operand then adds one to its slot's
+/// count.
+///
+/// On a machine whose units read each input from its own file, the slot
+/// decides which file, and so which write port, the value must reach;
+/// where both slots read one file the choice moves no value to another
+/// file. Only a single-use value moves: it costs one write wherever it
+/// lands, while splitting a shared value's readers across both slots
+/// writes it into more files (DESIGN.md §5).
+fn bind_operands(kernel: &Kernel, cache: &ConnCache) -> Vec<[u8; MAX_OPERANDS]> {
+    let mut uses = vec![0u32; kernel.num_values()];
+    let operands = kernel
+        .op_ids()
+        .flat_map(|op| kernel.op(op).operands().iter().copied());
+    let loop_vars = kernel
+        .blocks()
+        .iter()
+        .flat_map(|b| b.loop_vars())
+        .flat_map(|lv| [lv.init(), lv.update()]);
+    for v in operands.chain(loop_vars).filter_map(Operand::as_value) {
+        uses[v.index()] += 1;
+    }
+
+    let mut slots = vec![IDENTITY; kernel.num_ops()];
+    let mut per_set: Vec<(&[FuId], [u32; MAX_OPERANDS])> = Vec::new();
+    for block in kernel.block_ids() {
+        for &op_id in kernel.block(block).ops() {
+            let op = kernel.op(op_id);
+            let fus = cache.fus_for(op.opcode());
+            let at = match per_set.iter().position(|(set, _)| *set == fus) {
+                Some(at) => at,
+                None => {
+                    per_set.push((fus, [0; MAX_OPERANDS]));
+                    per_set.len() - 1
+                }
+            };
+            let count = &mut per_set[at].1;
+            let bound = &mut slots[op_id.index()];
+            let lone_value = match *op.operands() {
+                [Operand::Value(v), Operand::Imm(_)] if uses[v.index()] == 1 => Some(0),
+                [Operand::Imm(_), Operand::Value(v)] if uses[v.index()] == 1 => Some(1),
+                _ => None,
+            };
+            if let Some(operand) = lone_value.filter(|_| op.opcode().is_commutative()) {
+                let slot = u8::from(count[1] < count[0]);
+                bound[operand] = slot;
+                bound[1 - operand] = 1 - slot;
+            }
+            for (i, operand) in op.operands().iter().enumerate() {
+                if operand.as_value().is_some() {
+                    count[usize::from(bound[i])] += 1;
+                }
+            }
+        }
+    }
+    slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csched_ir::KernelBuilder;
-    use csched_machine::Opcode;
+    use csched_ir::{KernelBuilder, ValueDef, ValueId};
+    use csched_machine::{imagine, Opcode};
+
+    fn build(k: &Kernel) -> Universe {
+        Universe::build(k, &ConnCache::new(&imagine::distributed()))
+    }
+
+    /// The universe operation that defines `v`.
+    fn def(k: &Kernel, v: ValueId) -> SOpId {
+        match k.value_def(v) {
+            ValueDef::Op(op) => SOpId::from_raw(op.index()),
+            ValueDef::LoopVar(..) => panic!("{v:?} is a loop variable"),
+        }
+    }
 
     fn sample() -> Kernel {
         let mut kb = KernelBuilder::new("sample");
@@ -332,7 +442,7 @@ mod tests {
     #[test]
     fn comm_extraction() {
         let k = sample();
-        let u = Universe::build(&k);
+        let u = build(&k);
         assert_eq!(u.num_ops(), 5);
         // i used by: load addr, store addr, increment -> each has 2 comms
         // (init producer `base` + carried producer `i1`): 6
@@ -349,7 +459,7 @@ mod tests {
     #[test]
     fn same_value_used_twice_gets_two_comms() {
         let k = sample();
-        let u = Universe::build(&k);
+        let u = build(&k);
         let y = SOpId::from_raw(2);
         assert_eq!(u.comms_to_operand(y, 0).len(), 1);
         assert_eq!(u.comms_to_operand(y, 1).len(), 1);
@@ -361,9 +471,67 @@ mod tests {
     }
 
     #[test]
+    fn fir_int_binds_half_its_multiply_values_to_each_slot() {
+        let k = csched_kernels::by_name("FIR-INT").expect("FIR-INT").kernel;
+        let u = build(&k);
+        let mut per_slot = [0; 2];
+        for op in u.op_ids().filter(|&op| u.op(op).opcode == Opcode::IMul) {
+            let slot = u.op(op).slot_of(0);
+            per_slot[slot] += 1;
+            assert_eq!(u.comms_to_operand(op, slot).len(), 1, "{op}");
+            assert!(u.comms_to_operand(op, 1 - slot).is_empty(), "{op}");
+        }
+        assert_eq!(per_slot, [28, 28]);
+    }
+
+    #[test]
+    fn only_a_commutative_ops_lone_single_use_value_is_rebound() {
+        let mut kb = KernelBuilder::new("bind");
+        let data = kb.region("data", true);
+        let lp = kb.loop_block("body");
+        let i = kb.loop_var(lp, 0i64.into());
+        let load = |kb: &mut KernelBuilder, at: i64| kb.load(lp, data, i.into(), at.into());
+        let (x, y, z, w) = (
+            load(&mut kb, 0),
+            load(&mut kb, 1),
+            load(&mut kb, 2),
+            load(&mut kb, 3),
+        );
+        // The first single-use value takes slot 0 on a tie, the second the
+        // multipliers' emptier slot 1.
+        let a = kb.push(lp, Opcode::IMul, [x.into(), 3i64.into()]);
+        let b = kb.push(lp, Opcode::IMul, [y.into(), 5i64.into()]);
+        // `z` has two uses, so both its multiplies read it as written.
+        let c = kb.push(lp, Opcode::IMul, [z.into(), 7i64.into()]);
+        let d = kb.push(lp, Opcode::IMul, [z.into(), 9i64.into()]);
+        // Not commutative, and two values: as written.
+        let e = kb.push(lp, Opcode::ISub, [5i64.into(), w.into()]);
+        let f = kb.push(lp, Opcode::IAdd, [a.into(), b.into()]);
+        let g = kb.push(lp, Opcode::IAdd, [c.into(), d.into()]);
+        let h = kb.push(lp, Opcode::IAdd, [f.into(), g.into()]);
+        let out = kb.push(lp, Opcode::IAdd, [h.into(), e.into()]);
+        kb.store(lp, data, i.into(), 8i64.into(), out.into());
+        let i1 = kb.push(lp, Opcode::IAdd, [i.into(), 1i64.into()]);
+        kb.set_update(i, i1.into());
+        let k = kb.build().expect("well-formed");
+        let u = build(&k);
+
+        let slots = |v| u.op(def(&k, v)).slots;
+        assert_eq!(slots(a), IDENTITY);
+        assert_eq!(slots(b), [1, 0, 2]);
+        let from_y = u.comms_to_operand(def(&k, b), 1);
+        assert_eq!(from_y.len(), 1);
+        assert_eq!(u.comm(from_y[0]).producer, def(&k, y));
+        assert!(u.comms_to_operand(def(&k, b), 0).is_empty());
+        for v in [c, d, e, f, g, h, out, i1] {
+            assert_eq!(slots(v), IDENTITY, "{v:?}");
+        }
+    }
+
+    #[test]
     fn copy_add_remove_round_trip() {
         let k = sample();
-        let mut u = Universe::build(&k);
+        let mut u = build(&k);
         let before_ops = u.num_ops();
         let before_comms = u.num_comms();
         let copy = u.add_copy(BlockId::from_raw(1));

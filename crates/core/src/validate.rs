@@ -1,16 +1,17 @@
 //! Independent schedule validation.
 //!
-//! Re-derives every constraint a correct schedule must satisfy — unit
-//! capability, dependence timing, route well-formedness, operand stub
-//! consistency, and cycle-level resource exclusivity — directly from the
-//! finished [`Schedule`], the [`Architecture`] and the [`Kernel`]. The
-//! scheduler never consults this module, so bookkeeping bugs in the engine
-//! cannot hide here; the property tests lean on it heavily.
+//! Re-derives every constraint a correct schedule must satisfy — a legal
+//! operand binding, unit capability, dependence timing, route
+//! well-formedness, operand stub consistency, and cycle-level resource
+//! exclusivity — directly from the finished [`Schedule`], the
+//! [`Architecture`] and the [`Kernel`]. The scheduler never consults this
+//! module, so bookkeeping bugs in the engine cannot hide here; the
+//! property tests lean on it heavily.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use csched_ir::{DepGraph, DepKind, Kernel};
+use csched_ir::{resolve_producers, DepGraph, DepKind, Kernel, Operand};
 use csched_machine::{Architecture, WriteStub};
 
 use crate::schedule::Schedule;
@@ -21,6 +22,20 @@ use crate::universe::{CommId, SOpId};
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum ValidationError {
+    /// A kernel operation's operand binding is not a permutation of its
+    /// operands, or permutes the operands of a non-commutative opcode.
+    IllegalBinding {
+        /// The operation.
+        op: SOpId,
+    },
+    /// The communications into an input slot do not come from the kernel
+    /// operand bound to that slot.
+    MisboundOperand {
+        /// The consuming operation.
+        op: SOpId,
+        /// The input slot.
+        slot: usize,
+    },
     /// An operation is placed on a unit that cannot execute it.
     IncapableUnit {
         /// The operation.
@@ -70,6 +85,12 @@ pub enum ValidationError {
 impl fmt::Display for ValidationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ValidationError::IllegalBinding { op } => {
+                write!(f, "{op}: illegal operand binding")
+            }
+            ValidationError::MisboundOperand { op, slot } => {
+                write!(f, "{op} slot {slot}: communications from the wrong operand")
+            }
             ValidationError::IncapableUnit { op } => write!(f, "{op}: unit cannot execute it"),
             ValidationError::WrongLatency { op } => write!(f, "{op}: latency mismatch"),
             ValidationError::TimingViolated { from, to, distance } => {
@@ -108,6 +129,8 @@ pub fn validate(
     let mut errors = Vec::new();
     let u = schedule.universe();
     let ii = schedule.ii().unwrap_or(1) as i64;
+
+    check_binding(kernel, schedule, &mut errors);
 
     // --- capability and latency ---
     for op in u.op_ids() {
@@ -264,6 +287,51 @@ pub fn validate(
     }
 }
 
+/// Checks every kernel operation's operand binding without recomputing
+/// the rule that chose it: the binding must permute the operands, may
+/// differ from the kernel's order only for a commutative opcode, and each
+/// input slot's communications from kernel producers must be exactly the
+/// producers of the operand bound to that slot.
+fn check_binding(kernel: &Kernel, schedule: &Schedule, errors: &mut Vec<ValidationError>) {
+    let u = schedule.universe();
+    for op in u.op_ids().take(u.num_kernel_ops()) {
+        let sop = u.op(op);
+        let Some(k) = sop.kernel_op else {
+            continue;
+        };
+        let n = sop.num_operands;
+        let slots = &sop.slots[..n];
+        let permutes = (0..n).all(|slot| slots.iter().any(|&s| usize::from(s) == slot));
+        let identity = slots.iter().enumerate().all(|(i, &s)| usize::from(s) == i);
+        if !permutes || (!identity && !sop.opcode.is_commutative()) {
+            errors.push(ValidationError::IllegalBinding { op });
+            continue;
+        }
+        for (&operand, &slot) in kernel.op(k).operands().iter().zip(slots) {
+            let slot = usize::from(slot);
+            let mut want: Vec<(usize, u32)> = match operand {
+                Operand::Value(v) => resolve_producers(kernel, v)
+                    .into_iter()
+                    .map(|(p, d)| (p.index(), d))
+                    .collect(),
+                Operand::Imm(_) => Vec::new(),
+            };
+            let mut got: Vec<(usize, u32)> = u
+                .comms_to_operand(op, slot)
+                .iter()
+                .map(|&c| u.comm(c))
+                .filter(|c| c.producer.index() < u.num_kernel_ops())
+                .map(|c| (c.producer.index(), c.distance))
+                .collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            if want != got {
+                errors.push(ValidationError::MisboundOperand { op, slot });
+            }
+        }
+    }
+}
+
 /// Replays `schedule`'s resource claims into fresh per-block tables:
 /// the issue slots of every operation, one write-stub claim per distinct
 /// `(producer, stub)` and one read-stub claim per consumer operand. Each
@@ -366,6 +434,26 @@ mod tests {
         // Shift an op off its legal cycle: breaks timing or resources.
         s.placements[0].cycle += 1;
         assert!(validate(&arch, &kernel, &s).is_err());
+    }
+
+    #[test]
+    fn communications_that_do_not_follow_the_binding_are_caught() {
+        let kernel = loopy_kernel();
+        let arch = imagine::distributed();
+        let mut s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
+        // `i + 1` is commutative, so binding `i` to slot 1 is legal, but
+        // its communications still arrive in slot 0.
+        let inc = SOpId::from_raw(3);
+        assert_eq!(s.universe().op(inc).opcode, Opcode::IAdd);
+        assert!(s.swap_binding_for_tests(inc));
+        let errors = validate(&arch, &kernel, &s).unwrap_err();
+        assert!(
+            errors.contains(&ValidationError::MisboundOperand { op: inc, slot: 1 }),
+            "{errors:?}"
+        );
+        assert!(!errors
+            .iter()
+            .any(|e| matches!(e, ValidationError::IllegalBinding { .. })));
     }
 
     #[test]

@@ -141,9 +141,9 @@ fn untraced_and_traced_calls_agree_on_the_grid() {
     assert_eq!(
         totals,
         [
-            (200_000, 40, 0, 528_828),
-            (50_000, 36, 0, 412_217),
-            (5_000, 22, 22, 117_776),
+            (200_000, 40, 0, 390_210),
+            (50_000, 38, 0, 342_879),
+            (5_000, 22, 22, 117_736),
         ]
     );
 }
@@ -218,7 +218,7 @@ fn single_run_decisions_equal_the_ladder_decisions() {
             );
             assert!(ladder.0 == single.0, "{label}");
             if kernel == "FIR-INT" && arch.name() == "imagine-distributed" {
-                assert_eq!(ladder.0.len(), 29_965);
+                assert_eq!(ladder.0.len(), 2_031);
             }
         }
     }

@@ -12,7 +12,7 @@
 //!   `without_closing_first` and `recurrence_order`;
 //! - the 40 cells through `schedule_kernel_anytime` at the service's
 //!   200,000-step limit (the retry ladder), and at 5,000 and 50,000
-//!   steps, limits that stop the ladder on 18 and 4 of the cells, so
+//!   steps, limits that stop the ladder on 18 and 2 of the cells, so
 //!   the step at which a budget trips is pinned too.
 //!
 //! The digest is a hand-written FNV-1a over the events' fields (not their
@@ -292,52 +292,52 @@ const GOLDEN: [(&str, Run, u64, u64); 8] = [
     (
         "default",
         Run::Single(SchedulerConfig::default),
-        2568516,
-        0x5d11cffceb8f3378,
+        1745372,
+        0xe50e68ef535890d8,
     ),
     (
         "cycle_order",
         Run::Single(SchedulerConfig::cycle_order),
-        86719004,
-        0x8953abcdf46c8771,
+        85267201,
+        0xb70829351fc4d882,
     ),
     (
         "without_comm_cost",
         Run::Single(SchedulerConfig::without_comm_cost),
-        2531461,
-        0x5c6130631004e9d7,
+        1708317,
+        0x15c6152f630164c7,
     ),
     (
         "without_closing_first",
         Run::Single(SchedulerConfig::without_closing_first),
-        14984526,
-        0xa8d70912af21675e,
+        9084819,
+        0xa54917c6fb9647fe,
     ),
     (
         "recurrence_order",
         Run::Single(SchedulerConfig::recurrence_order),
-        2217862,
-        0xfc6d8048dd537b10,
+        1726438,
+        0x801bd5a0a3125c77,
     ),
     // The service's default per-request step limit.
     (
         "anytime",
         Run::Anytime(200_000),
-        2568556,
-        0x23e756eb48954992,
+        1745412,
+        0x88b6e37dd9861a81,
     ),
-    // Limits that stop the ladder on 18 and 4 of the 40 cells.
+    // Limits that stop the ladder on 18 and 2 of the 40 cells.
     (
         "anytime_5k",
         Run::Anytime(5_000),
-        543317,
-        0x017b12cdd6430cdc,
+        522121,
+        0xcdcb11edbd541b91,
     ),
     (
         "anytime_50k",
         Run::Anytime(50_000),
-        1982429,
-        0xc8b7656100382b29,
+        1530324,
+        0xd03ca36370c2ac9c,
     ),
 ];
 
@@ -382,9 +382,9 @@ fn decision_streams_match_the_pinned_digests() {
 /// digests above also pin how a ladder got to its answer; these pin only
 /// the answer a `SCHED` request gets.
 const RESULT_GOLDEN: [(u64, u64); 3] = [
-    (200_000, 0x7acde5f35c48bc4a),
-    (50_000, 0x9c51a6384b8ca44b),
-    (5_000, 0x2cf11bbec654f069),
+    (200_000, 0x2b6d6a89c97232ad),
+    (50_000, 0x97bd6c8b74ce7c14),
+    (5_000, 0xab744eef48843259),
 ];
 
 #[test]

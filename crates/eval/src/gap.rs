@@ -16,8 +16,9 @@
 //!   schedule the validator accepted: it certified a *larger* II, or
 //!   proved infeasible an II range that holds it. The oracle's verdicts
 //!   hold within its normalised search space ([`csched_core::exact`]),
-//!   so the latter means that schedule lies outside that space or one
-//!   of the two checkers is wrong. Either way the cell needs a look by
+//!   under the operand binding the scheduler uses too, so the latter
+//!   means that schedule lies outside that space or one of the two
+//!   checkers is wrong. Either way the cell needs a look by
 //!   hand, which is why the `oracle` binary and `one-cell --certify`
 //!   exit nonzero on it.
 //!

@@ -184,7 +184,8 @@ struct StagedWrite {
 struct OpPlan {
     opcode: Opcode,
     cycle: i64,
-    operands: Vec<OperandSource>,
+    /// Each operand in kernel order, with the input slot it is bound to.
+    operands: Vec<(usize, OperandSource)>,
     writes: Vec<StagedWrite>,
     region_kind: RegionKind,
 }
@@ -251,7 +252,7 @@ pub fn execute_timed(
     let mut rfs: HashMap<(RfId, SOpId, u64), Word> = HashMap::new();
     // Seed pre-loaded constants for carried reads at early iterations.
     for plan in plans.values() {
-        for source in &plan.operands {
+        for (_, source) in &plan.operands {
             if let OperandSource::Read {
                 stub,
                 carried: Some((producer, distance)),
@@ -357,9 +358,10 @@ fn exec_op(
     // Flat machine cycles of this dynamic instance: reads happen on the
     // issue cycle, write stubs fire on the completion cycle.
     let issue_cycle = time_offset + plan.cycle;
-    // Gather operand values.
+    // Gather operand values in kernel order, each through its bound slot,
+    // so a rebound commutative operation evaluates exactly as written.
     let mut args = Vec::with_capacity(plan.operands.len());
-    for (slot, source) in plan.operands.iter().enumerate() {
+    for &(slot, ref source) in &plan.operands {
         let word = match source {
             OperandSource::Imm(w) => *w,
             OperandSource::Read {
@@ -537,13 +539,14 @@ fn build_plans(kernel: &Kernel, schedule: &Schedule) -> HashMap<SOpId, OpPlan> {
         let sop = u.op(op);
         let p = schedule.placement(op);
         let mut operands = Vec::with_capacity(sop.num_operands);
-        for slot in 0..sop.num_operands {
+        for operand in 0..sop.num_operands {
+            let slot = sop.slot_of(operand);
             let source = match operand_routes.get(&(op, slot)) {
                 None => {
                     // No communications: must be an immediate (kernel op).
                     let imm = sop
                         .kernel_op
-                        .and_then(|k| match kernel.op(k).operands()[slot] {
+                        .and_then(|k| match kernel.op(k).operands()[operand] {
                             Operand::Imm(i) => Some(i.to_word()),
                             Operand::Value(_) => None,
                         });
@@ -571,7 +574,7 @@ fn build_plans(kernel: &Kernel, schedule: &Schedule) -> HashMap<SOpId, OpPlan> {
                     // frame: the loop variable's immediate init.
                     let seed = if init.is_none() {
                         sop.kernel_op
-                            .and_then(|k| match kernel.op(k).operands()[slot] {
+                            .and_then(|k| match kernel.op(k).operands()[operand] {
                                 Operand::Value(v) => match kernel.value_def(v) {
                                     ValueDef::LoopVar(b, idx) => {
                                         match kernel.block(b).loop_vars()[idx].init() {
@@ -595,7 +598,7 @@ fn build_plans(kernel: &Kernel, schedule: &Schedule) -> HashMap<SOpId, OpPlan> {
                     }
                 }
             };
-            operands.push(source);
+            operands.push((slot, source));
         }
         let region_kind = match sop.opcode {
             Opcode::Load | Opcode::Store => RegionKind::Main,

@@ -55,6 +55,33 @@ fn spot_check_distributed_machine() {
     }
 }
 
+/// Each FIR multiply is `mul x, c` with a loaded `x` used once. On the
+/// distributed machine every unit input reads its own file, so binding
+/// half the multiplies' values to slot 1 spreads the 56 loaded values
+/// over both input files of the three multipliers instead of piling them
+/// into the slot-0 files' write ports.
+#[test]
+fn fir_on_distributed_binds_its_multiplies_to_both_slots() {
+    let arch = imagine::distributed();
+    for name in ["FIR-FP", "FIR-INT"] {
+        let w = csched::kernels::by_name(name).expect("known kernel");
+        let schedule = schedule_kernel(&arch, &w.kernel, SchedulerConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let ii = schedule.ii().expect("FIR has a loop");
+        assert!(ii <= 23, "{name}: II {ii}");
+        assert!(
+            schedule.num_copies() <= 2,
+            "{name}: {} copies",
+            schedule.num_copies()
+        );
+        validate::validate(&arch, &w.kernel, &schedule).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let mut mem = w.memory();
+        csched::sim::execute(&w.kernel, &schedule, &mut mem, w.trip)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        w.verify(&mem).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
 #[test]
 fn spot_check_clustered_machine() {
     let arch = imagine::clustered(4);

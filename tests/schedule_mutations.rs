@@ -1,8 +1,9 @@
 //! Mutation property tests for the independent validator: starting from a
 //! schedule the scheduler produced (and the validator accepted), each
 //! mutation corrupts one aspect — an operation's issue cycle, a route's
-//! meeting register file, or the write stub carrying a communication —
-//! and the validator must reject the corrupted schedule with the matching
+//! meeting register file, the write stub carrying a communication, or a
+//! non-commutative operation's operand binding — and the validator must
+//! reject the corrupted schedule with the matching
 //! violation kind. This checks the validator actually *re-derives* the
 //! constraints rather than trusting the scheduler's bookkeeping.
 
@@ -10,7 +11,7 @@ mod common;
 
 use common::{random_kernel_with_ops, TOY_OPS};
 use csched::core::validate::{validate, ValidationError};
-use csched::core::{schedule_kernel, CommId, Schedule, SchedulerConfig};
+use csched::core::{schedule_kernel, CommId, SOpId, Schedule, SchedulerConfig};
 use csched::ir::Kernel;
 use csched::machine::{toy, Architecture, RfId};
 use proptest::prelude::*;
@@ -34,6 +35,16 @@ fn same_block_comm(schedule: &Schedule) -> Option<CommId> {
             && u.op(c.producer).kernel_op.is_some()
             && u.op(c.consumer).kernel_op.is_some()
             && u.op(c.producer).block == u.op(c.consumer).block
+    })
+}
+
+/// The first kernel operation with two or more operands whose opcode is
+/// not commutative, so no binding but the kernel's own order is legal.
+fn non_commutative_op(schedule: &Schedule) -> Option<SOpId> {
+    let u = schedule.universe();
+    u.op_ids().take(u.num_kernel_ops()).find(|&op| {
+        let sop = u.op(op);
+        sop.num_operands >= 2 && !sop.opcode.is_commutative()
     })
 }
 
@@ -106,6 +117,31 @@ proptest! {
         );
     }
 
+    /// Swapping the input slots of a non-commutative operation's operands
+    /// must surface as an illegal binding.
+    #[test]
+    fn rebound_non_commutative_op_is_rejected_as_illegal_binding(
+        seed in 1u64..u64::MAX,
+        ops in 3usize..10,
+    ) {
+        let arch = toy::motivating_example();
+        let (kernel, mut schedule) = valid_schedule(&arch, seed, ops);
+        let Some(victim) = non_commutative_op(&schedule) else {
+            return Ok(());
+        };
+        prop_assert!(schedule.swap_binding_for_tests(victim));
+        let errors = validate(&arch, &kernel, &schedule)
+            .expect_err("a rebound non-commutative op must invalidate the schedule");
+        prop_assert!(
+            errors.iter().any(|e| matches!(
+                e,
+                ValidationError::IllegalBinding { op } if *op == victim
+            )),
+            "seed {}: expected IllegalBinding on {}, got {:?}",
+            seed, victim, errors
+        );
+    }
+
     /// Forcing two communications from different producers onto the same
     /// write stub (same bus, port, and cycle) must surface as a resource
     /// conflict when the validator replays the schedule's claims.
@@ -141,6 +177,7 @@ proptest! {
 fn mutations_are_reachable() {
     let arch = toy::motivating_example();
     let (mut moved, mut clobbered, mut double_booked) = (0usize, 0usize, 0usize);
+    let mut rebindable = 0usize;
     for seed in 1..40u64 {
         let (kernel, schedule) = valid_schedule(&arch, seed, 6);
         if same_block_comm(&schedule).is_some() {
@@ -154,6 +191,9 @@ fn mutations_are_reachable() {
         {
             clobbered += 1;
         }
+        if non_commutative_op(&schedule).is_some() {
+            rebindable += 1;
+        }
         let mut s = schedule.clone();
         if s.double_book_bus_for_tests(&kernel).is_some() {
             double_booked += 1;
@@ -166,6 +206,10 @@ fn mutations_are_reachable() {
     assert!(
         clobbered > 20,
         "direct routes found in only {clobbered}/39 schedules"
+    );
+    assert!(
+        rebindable > 20,
+        "non-commutative ops found in only {rebindable}/39 schedules"
     );
     assert!(
         double_booked > 5,
