@@ -1390,15 +1390,17 @@ fn serve_sched<'a>(
         };
         if let Some(entry) = cache.lookup(key, req.limit) {
             let line = ok_line(entry);
+            let outcome = ok_outcome(entry);
             span.cache = CacheDisposition::Hit;
             span.stages.cache_us = elapsed_us(t_cache);
             span.attempts = entry.attempts;
             span.ii = entry.ii;
+            span.degraded = entry.degraded;
             drop(cache);
             let t_respond = Instant::now();
             let _ = respond(stream, &format!("CACHE hit\n{line}"));
             span.stages.respond_us = elapsed_us(t_respond);
-            return Outcome::Ok;
+            return outcome;
         }
     }
     span.cache = CacheDisposition::Miss;
@@ -1435,12 +1437,12 @@ fn serve_sched<'a>(
     let t_respond = Instant::now();
     let _ = respond(stream, &format!("CACHE miss\n{}", ok_line(&entry)));
     span.stages.respond_us = elapsed_us(t_respond);
-    cold_outcome(&entry)
+    ok_outcome(&entry)
 }
 
-/// The outcome of a freshly scheduled `OK`: degraded when the step limit
-/// cut the scheduler's per-II effort. A warm hit is always `Ok`.
-fn cold_outcome(entry: &CacheEntry) -> Outcome {
+/// The outcome of an `OK` answer, warm or cold: degraded when the step
+/// limit cut the scheduler's per-II effort while computing it.
+fn ok_outcome(entry: &CacheEntry) -> Outcome {
     if entry.degraded {
         Outcome::Degraded
     } else {
@@ -1538,7 +1540,7 @@ fn serve_trace<'a>(
     let outcome = match result {
         Ok(entry) => {
             text.push_str(&ok_line(&entry));
-            cold_outcome(&entry)
+            ok_outcome(&entry)
         }
         Err((outcome, line)) => {
             text.push_str(&line);

@@ -53,10 +53,10 @@ use crate::jsonl::{elements, field, members, num, num_field, str_field};
 /// what the histogram split exists to expose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
-    /// Full-quality `OK` (warm hit or un-degraded cold schedule).
+    /// Full-quality `OK`, warm or cold.
     Ok,
     /// `OK` whose schedule the step limit shaped (it cut the scheduler's
-    /// per-II effort).
+    /// per-II effort), whether computed now or served from the cache.
     Degraded,
     /// Shed by admission control before reaching a worker.
     Overload,

@@ -10,6 +10,8 @@
 //!   total wall time, for every span the server retains;
 //! - a fixed mixed request stream pins the `STATS` counters and the
 //!   `METRICS` per-outcome counts;
+//! - a degraded answer counts as degraded when served from the cache,
+//!   as when computed;
 //! - `STATS` carries the schema version and a monotonic uptime;
 //! - deadline-outcome requests land in the histograms and span ring.
 
@@ -295,6 +297,31 @@ fn a_fixed_stream_pins_the_stats_and_metrics_counts() {
         ),
         "{json_line}"
     );
+    server.shutdown();
+}
+
+/// Merge × distributed at 5,000 steps is a degraded answer: the limit
+/// cuts the scheduler's per-II effort. The cache serves it at that limit
+/// as it was computed, so the miss and the hit both count as degraded.
+#[test]
+fn a_degraded_answer_counts_as_degraded_warm_and_cold() {
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let (kernel, arch) = merge_request();
+    for want in ["CACHE miss\nOK ", "CACHE hit\nOK "] {
+        let reply = client_request(&addr, &kernel, &arch, Some(5_000), None, TIMEOUT).unwrap();
+        assert!(reply.starts_with(want), "{reply}");
+        assert!(reply.ends_with(" degraded=1\n"), "{reply}");
+    }
+    let stats = client_stats(&addr, TIMEOUT).unwrap();
+    let serve = field(&stats, "serve").unwrap();
+    for (name, want) in [("ok", 2), ("hits", 1), ("misses", 1), ("degraded", 2)] {
+        assert_eq!(num_field(serve, name), Some(want), "{name}: {stats}");
+    }
+    let metrics = client_metrics(&addr, TIMEOUT).unwrap();
+    let requests = field(metrics.lines().next().unwrap(), "requests").unwrap();
+    assert_eq!(num_field(requests, "ok"), Some(0), "{metrics}");
+    assert_eq!(num_field(requests, "degraded"), Some(2), "{metrics}");
     server.shutdown();
 }
 
