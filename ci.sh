@@ -37,10 +37,13 @@ cargo test -q --workspace
 # FIR-INT on distributed binds half its multiplies' values to input slot
 # 1 (DESIGN.md §5), so its routes run through both inputs' files; Sort on
 # clustered4 is the grid's slowest cell and replays the most closings.
-# Together about 3 s.
+# Both run with `--explain`, which traces the search: an untraced run
+# records no events, so only a traced one lets the replay check compare
+# the events a replayed closing re-emits, its `CopyFailed` events among
+# them. Together about 3 s.
 step "debug cross-check smoke (FIR-INT distributed, Sort clustered4)"
-cargo run -q -p csched-eval --bin one-cell -- FIR-INT distributed > /dev/null
-cargo run -q -p csched-eval --bin one-cell -- Sort clustered4 > /dev/null
+cargo run -q -p csched-eval --bin one-cell -- FIR-INT distributed --explain > /dev/null
+cargo run -q -p csched-eval --bin one-cell -- Sort clustered4 --explain > /dev/null
 
 # Seeded multi-fault chaos smoke: a tiny deterministic campaign (a few
 # hundred milliseconds on the release build from step 1) that degrades
@@ -107,6 +110,14 @@ cargo test -q --release -p csched-eval --test explore_determinism -- --include-i
 step "explain smoke (FFT on distributed)"
 cargo run -q --release -p csched-eval --bin one-cell -- FFT distributed --explain-json \
     | grep -q '"binding"'
+
+# Search-failure smoke: `--explain` lists the IIs the search gave up on,
+# read from the trace's `IiFailed` events. Sort on clustered4 fails IIs
+# 7-11 and 13 before it schedules at 15. grep reads the whole output (no
+# -q), so one-cell never writes into a closed pipe.
+step "failed-II smoke (Sort on clustered4)"
+cargo run -q --release -p csched-eval --bin one-cell -- Sort clustered4 --explain \
+    | grep '^  II [0-9]* failed at op[0-9]* ' > /dev/null
 
 # Exact-oracle gap smoke: certify three small paper-grid cells under a
 # tight per-cell step budget and check the gap-report JSON schema. The

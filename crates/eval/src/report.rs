@@ -289,11 +289,15 @@ pub fn metrics_json(grid: &Grid, extra: &[csched_core::ScheduleMetrics]) -> Stri
 /// preserving the line, column and offending snippet as separate fields
 /// instead of flattening them into a display string.
 pub fn parse_error_json(file: &str, err: &csched_ir::text::ParseError) -> String {
-    use csched_core::trace::{json_escape, TraceEvent};
+    use csched_core::trace::json_escape;
     format!(
-        "{{\"file\":\"{}\",\"error\":{}}}",
+        "{{\"file\":\"{}\",\"error\":{{\"event\":\"parse_failed\",\"line\":{},\"column\":{},\
+         \"snippet\":\"{}\",\"message\":\"{}\"}}}}",
         json_escape(file),
-        TraceEvent::parse_failed(err).to_json()
+        err.line,
+        err.column,
+        json_escape(&err.snippet),
+        json_escape(&err.message)
     )
 }
 

@@ -9,7 +9,10 @@
 
 mod common;
 
-use csched::core::{regalloc, schedule_kernel, validate, SchedulerConfig};
+use csched::core::{
+    regalloc, schedule_kernel, schedule_kernel_traced, validate, SchedulerConfig, TraceEvent,
+    TraceSink,
+};
 use csched::machine::imagine;
 
 #[test]
@@ -79,6 +82,72 @@ fn fir_on_distributed_binds_its_multiplies_to_both_slots() {
         csched::sim::execute(&w.kernel, &schedule, &mut mem, w.trip)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         w.verify(&mem).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// The failed IIs and copy searches of one traced schedule.
+#[derive(Default)]
+struct SearchFailures {
+    iis: Vec<(u32, u32, u64)>,
+    copies: Vec<(i64, i64, u32)>,
+}
+
+impl TraceSink for SearchFailures {
+    fn event(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::IiFailed { ii, op, attempts } => self.iis.push((ii, op, attempts)),
+            TraceEvent::CopyFailed { lo, hi, tries, .. } => self.copies.push((lo, hi, tries)),
+            _ => {}
+        }
+    }
+}
+
+/// The II search of FIR-INT on distributed, read from the trace: every
+/// attempt at IIs 19–22 fails at op168, the loop variable's `i + 1`
+/// update, which operation order places last. ROADMAP item 1 (lever B)
+/// is expected to re-pin these four events. FFT on distributed fails no
+/// II but does fail a copy search, so the copy checks see an event.
+#[test]
+fn failed_iis_and_copy_searches_are_traced() {
+    let arch = imagine::distributed();
+    for (name, want) in [
+        (
+            "FIR-INT",
+            &[
+                (19, 168, 3100),
+                (20, 168, 3108),
+                (21, 168, 3109),
+                (22, 168, 3147),
+            ][..],
+        ),
+        ("FFT", &[]),
+    ] {
+        let w = csched::kernels::by_name(name).expect("known kernel");
+        let mut sink = SearchFailures::default();
+        let traced =
+            schedule_kernel_traced(&arch, &w.kernel, SchedulerConfig::default(), &mut sink)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(sink.iis, want, "{name}");
+        assert_eq!(sink.copies.is_empty(), name == "FIR-INT", "{name}");
+        for &(lo, hi, tries) in &sink.copies {
+            assert!(lo <= hi && tries >= 1, "{name}: {lo}..={hi}, {tries} tries");
+        }
+        let plain = schedule_kernel(&arch, &w.kernel, SchedulerConfig::default()).unwrap();
+        assert_eq!(traced.ii(), plain.ii(), "{name}");
+        assert_eq!(traced.stats(), plain.stats(), "{name}");
+        let u = plain.universe();
+        let sizes = |u: &csched::core::Universe| (u.num_ops(), u.num_comms());
+        assert_eq!(sizes(traced.universe()), sizes(u), "{name}");
+        for op in u.op_ids() {
+            assert_eq!(traced.placement(op), plain.placement(op), "{name}: {op:?}");
+        }
+        for cid in u.comm_ids() {
+            assert_eq!(
+                traced.disposition(cid),
+                plain.disposition(cid),
+                "{name}: {cid:?}"
+            );
+        }
     }
 }
 
