@@ -320,13 +320,6 @@ impl Journal {
         self.repaired
     }
 
-    /// [`open`](Self::open) with durable sync enabled from the start.
-    pub fn open_durable(path: &Path) -> Result<Journal, CampaignError> {
-        let mut journal = Self::open(path)?;
-        journal.set_durable(true);
-        Ok(journal)
-    }
-
     /// Switches durable sync on or off.
     ///
     /// With durable sync **off** (the default), [`append`](Self::append)
@@ -844,7 +837,8 @@ mod tests {
         {
             // Start durable, then toggle off mid-journal: both appends
             // must land, bytes identical to the flush-only journal.
-            let mut j = Journal::open_durable(&path).unwrap();
+            let mut j = Journal::open(&path).unwrap();
+            j.set_durable(true);
             assert!(j.is_durable());
             j.append(1, &a).unwrap();
             j.set_durable(false);

@@ -498,11 +498,7 @@ impl ScheduleCache {
                 }
             }
         }
-        let mut journal = if durable {
-            Journal::open_durable(path)?
-        } else {
-            Journal::open(path)?
-        };
+        let mut journal = Journal::open(path)?;
         journal.set_durable(durable);
         cache.repaired_bytes = journal.repaired_bytes();
         cache.journal_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -647,7 +643,7 @@ impl ScheduleCache {
 
         let mut failure = None;
         let mut rewrote = false;
-        match self.write_compacted(&path, durable) {
+        match self.write_compacted(&path) {
             Ok(()) => {
                 // The corrupt lines are gone from disk, so their keys no
                 // longer need an in-memory quarantine: a missing key
@@ -666,13 +662,9 @@ impl ScheduleCache {
         // Always reopen the journal (the compacted file on success, the
         // untouched original otherwise) so the cache keeps journaling
         // even when this pass failed.
-        let reopened = if durable {
-            Journal::open_durable(&path)
-        } else {
-            Journal::open(&path)
-        };
-        match reopened {
-            Ok(j) => {
+        match Journal::open(&path) {
+            Ok(mut j) => {
+                j.set_durable(durable);
                 self.journal_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                 if rewrote {
                     self.journal_lines = self.map.len() as u64;
@@ -696,7 +688,7 @@ impl ScheduleCache {
 
     /// Streams the live entries (in insertion order) into a temp file and
     /// atomically renames it over `path`.
-    fn write_compacted(&self, path: &Path, durable: bool) -> Result<(), CampaignError> {
+    fn write_compacted(&self, path: &Path) -> Result<(), CampaignError> {
         use std::io::Write as _;
         let io = |operation: &'static str| {
             let path = path.to_path_buf();
@@ -717,7 +709,6 @@ impl ScheduleCache {
             // Sync before the rename regardless of durable mode: the
             // rename must never become visible ahead of the data.
             writer.get_ref().sync_data().map_err(io("sync temp"))?;
-            let _ = durable; // durability of appends is re-armed on reopen
         }
         std::fs::rename(&tmp, path).map_err(io("rename"))
     }
@@ -918,20 +909,16 @@ impl Server {
     }
 
     /// Stops accepting, drains admitted requests, and joins every
-    /// thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the acceptor with a self-connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
+    /// thread: what dropping the server does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
+        // Unblock the acceptor with a self-connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
