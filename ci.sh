@@ -160,20 +160,29 @@ cargo run -q --release -p csched-eval --bin serve -- \
     --client "$SERVE_ADDR" --malformed > /dev/null
 # A machine text declaring `latency 0` is a typed one-line error, not a
 # worker killed by a panic and an empty reply. Sent over bash's /dev/tcp
-# as raw SCHED framing.
+# as raw SCHED framing, twice: a text that fails to parse is never
+# memoised, so the second reply must be the same error line.
 BAD_KERNEL=$'kernel "k" {\n  block b {\n    x = iadd 1, 2\n  }\n}\n'
 BAD_ARCH=$'machine "m" {\n  rf R capacity 8 rports 2 wports 1\n  bus B\n'
 BAD_ARCH+=$'  fu A class alu inputs 2 {\n    op iadd latency 0\n  }\n'
 BAD_ARCH+=$'  drive A -> B\n  tap B -> R[0]\n  feed R[0] -> A.0\n  feed R[1] -> A.1\n}\n'
-exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
-printf 'SCHED\nKERNEL %d\n%sARCH %d\n%sEND\n' "${#BAD_KERNEL}" "$BAD_KERNEL" \
-    "${#BAD_ARCH}" "$BAD_ARCH" >&3
-BAD_REPLY="$(head -1 <&3)"
-exec 3<&-
+bad_sched() { # prints the first reply line to the latency-0 request
+    exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
+    printf 'SCHED\nKERNEL %d\n%sARCH %d\n%sEND\n' "${#BAD_KERNEL}" "$BAD_KERNEL" \
+        "${#BAD_ARCH}" "$BAD_ARCH" >&3
+    head -1 <&3
+    exec 3<&-
+}
+BAD_REPLY="$(bad_sched)"
+BAD_AGAIN="$(bad_sched)"
 case "$BAD_REPLY" in
     "ERR malformed machine:"*) ;;
     *) echo "latency 0 got: $BAD_REPLY" >&2; exit 1 ;;
 esac
+if [ "$BAD_AGAIN" != "$BAD_REPLY" ]; then
+    echo "latency 0 sent again got: $BAD_AGAIN" >&2
+    exit 1
+fi
 # A wall-clock deadline can only stop the anytime ladder, never shape its
 # answer: the reply is `ERR deadline`, which caches nothing, or the
 # deadline-free answer, which is cached. A TRACE (it bypasses the cache)

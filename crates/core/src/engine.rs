@@ -2338,15 +2338,10 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let (copies, prod_done) = match self.placements[c.producer.index()] {
-                    Some(p) => {
-                        let best = self
-                            .arch
-                            .read_stubs(fu, c.slot)
-                            .iter()
-                            .filter_map(|rs| self.cache.fu_to_rf(p.fu, rs.rf.index()))
-                            .min();
-                        (best, p.completion())
-                    }
+                    Some(p) => (
+                        self.cache.min_route_copies(p.fu, fu, c.slot),
+                        p.completion(),
+                    ),
                     None => {
                         let kop = self.universe.op(c.producer).kernel_op;
                         let est = kop.map(|k| self.asap[k.index()]).unwrap_or(0);

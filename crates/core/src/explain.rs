@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use csched_ir::{DepEdge, DepGraph, Kernel, OpId};
 use csched_machine::{Architecture, FuId, ReadPortId, WritePortId};
 
-use crate::driver::{issue_bound, issue_load, min_latency};
+use crate::driver::{issue_bound, issue_load, min_latency, res_mii};
 use crate::metrics::{BlockOccupancy, ScheduleMetrics};
 use crate::schedule::Schedule;
 use crate::trace::json_escape;
@@ -157,18 +157,18 @@ pub fn explain(arch: &Architecture, kernel: &Kernel, schedule: &Schedule) -> Exp
         .or_else(|| metrics.blocks.first());
     let ranking = profiled.map(ranking_of).unwrap_or_default();
 
-    let binding = if kernel.loop_block().is_none() {
-        Binding::Straightline
-    } else {
-        let ii = metrics.ii.unwrap_or(1);
-        if ii > metrics.rec_mii.max(metrics.res_mii) {
+    let mii = metrics.rec_mii.max(metrics.res_mii);
+    let binding = match binding_rule(metrics.ii, mii, metrics.res_mii) {
+        "straightline" => Binding::Straightline,
+        "transport" => {
             let top = top_transport(&ranking);
             Binding::Transport {
                 resource: top.map(|r| r.name.clone()).unwrap_or_default(),
                 kind: top.map(|r| r.kind).unwrap_or("bus"),
                 occupancy: top.map(|r| r.occupancy).unwrap_or(0.0),
             }
-        } else if metrics.res_mii >= metrics.rec_mii {
+        }
+        "resource" => {
             let (fu, load) = saturating_fu(arch, kernel);
             Binding::Resource {
                 resource: fu
@@ -176,26 +176,25 @@ pub fn explain(arch: &Architecture, kernel: &Kernel, schedule: &Schedule) -> Exp
                     .unwrap_or_default(),
                 load,
             }
-        } else {
-            match critical_cycle(arch, kernel) {
-                Some((ops, latency, distance)) => Binding::Recurrence {
-                    path: ops
-                        .iter()
-                        .map(|&o| format!("{o}:{:?}", kernel.op(o).opcode()))
-                        .collect(),
-                    latency,
-                    distance,
-                },
-                // RecMII > ResMII implies RecMII ≥ 2, so a positive cycle
-                // exists at II − 1 and extraction cannot fail; keep a
-                // degenerate arm rather than unwrap.
-                None => Binding::Recurrence {
-                    path: Vec::new(),
-                    latency: metrics.rec_mii,
-                    distance: 1,
-                },
-            }
         }
+        _ => match critical_cycle(arch, kernel) {
+            Some((ops, latency, distance)) => Binding::Recurrence {
+                path: ops
+                    .iter()
+                    .map(|&o| format!("{o}:{:?}", kernel.op(o).opcode()))
+                    .collect(),
+                latency,
+                distance,
+            },
+            // RecMII > ResMII implies RecMII ≥ 2, so a positive cycle
+            // exists at II − 1 and extraction cannot fail; keep a
+            // degenerate arm rather than unwrap.
+            None => Binding::Recurrence {
+                path: Vec::new(),
+                latency: metrics.rec_mii,
+                distance: 1,
+            },
+        },
     };
 
     let counterfactuals = if kernel.loop_block().is_some() {
@@ -213,6 +212,30 @@ pub fn explain(arch: &Architecture, kernel: &Kernel, schedule: &Schedule) -> Exp
         binding,
         ranking,
         counterfactuals,
+    }
+}
+
+/// The [`Binding::kind`] tag of `schedule`, without the rest of an
+/// explanation: what [`explain`] would name, at the cost of one
+/// [`res_mii`] call. It reads the MII as II + 1 − `ii_tried` (see
+/// [`SchedStats::ii_tried`](crate::SchedStats::ii_tried)); since the MII
+/// is max(RecMII, ResMII), the rule then needs only the ResMII.
+pub fn binding_kind(arch: &Architecture, kernel: &Kernel, schedule: &Schedule) -> &'static str {
+    let ii = schedule.ii();
+    let mii = ii.map_or(1, |ii| (ii + 1).saturating_sub(schedule.stats().ii_tried));
+    binding_rule(ii, mii, res_mii(arch, kernel))
+}
+
+/// The binding rule, given the achieved II, the MII (max(RecMII,
+/// ResMII)) and the ResMII: no II is `"straightline"`, an II above the
+/// MII is `"transport"`, an MII the ResMII reaches is `"resource"`, and
+/// any other is `"recurrence"`.
+fn binding_rule(ii: Option<u32>, mii: u32, res_mii: u32) -> &'static str {
+    match ii {
+        None => "straightline",
+        Some(ii) if ii > mii => "transport",
+        Some(_) if res_mii == mii => "resource",
+        Some(_) => "recurrence",
     }
 }
 
@@ -697,6 +720,7 @@ mod tests {
         let s = schedule_kernel(&arch, &kernel, SchedulerConfig::default()).unwrap();
         let ex = explain(&arch, &kernel, &s);
         assert_eq!(ex.binding, Binding::Straightline);
+        assert_eq!(binding_kind(&arch, &kernel, &s), "straightline");
         assert_eq!(ex.ii, None);
         assert!(ex.counterfactuals.is_empty());
         assert!(ex.to_json().contains("\"kind\":\"straightline\""));

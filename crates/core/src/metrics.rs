@@ -95,7 +95,10 @@ pub struct ScheduleMetrics {
     /// Attempts divided by the number of scheduled operations (kernel
     /// operations plus copies).
     pub attempts_per_op: f64,
-    /// Number of candidate IIs tried (1 = scheduled at the first II).
+    /// II − max(RecMII, ResMII) + 1, from
+    /// [`SchedStats::ii_tried`](crate::SchedStats::ii_tried) (1 =
+    /// scheduled at the MII). Not the number of IIs tried, since the
+    /// driver's II step skips IIs after repeated failures.
     pub ii_tried: u32,
     /// Whether the §4.5 slack-widening backtracking round was needed.
     pub backtracked: bool,

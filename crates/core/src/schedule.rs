@@ -61,7 +61,11 @@ pub struct SchedStats {
     pub rejections: u64,
     /// Copy operations inserted (surviving in the final schedule).
     pub copies_inserted: u64,
-    /// Initiation intervals tried before success.
+    /// How far above the MII the achieved II lies, counted from 1:
+    /// II − MII + 1 (1 at the MII, and for a loop-free kernel). Not the
+    /// number of IIs tried: the driver's II step grows after repeated
+    /// failures, so Sort on clustered4 reads 9 after trying 7 IIs (7–11,
+    /// 13 and 15).
     pub ii_tried: u32,
     /// Failed cross-block copy insertions (the precondition of the §4.5
     /// special case).

@@ -8,7 +8,10 @@
 //! cache** keyed by (canonical kernel text hash ×
 //! [`Architecture::fingerprint`](csched_machine::Architecture::fingerprint)
 //! × scheduler-configuration fingerprint), persisted in a checksummed
-//! journal, so a warm request skips scheduling entirely.
+//! journal, so a warm request skips scheduling entirely. It also skips
+//! parsing when its payload bytes were seen before: a bounded parse
+//! memo per payload kind maps each exact text to its parse and to the
+//! hash that parse adds to the key.
 //!
 //! Every edge is hardened:
 //!
@@ -120,7 +123,7 @@
 //!   wall-clock deadline expiries, and requests served during the ENOSPC
 //!   degraded latch included. `STATS` and `METRICS` both render from it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -133,6 +136,7 @@ use csched_core::{
     CancelToken, RetryPolicy, SchedulerConfig, StepBudget,
 };
 use csched_ir::Kernel;
+use csched_machine::Architecture;
 
 use crate::campaign::{cell_key, config_fingerprint, fnv1a, CampaignError, Journal};
 use crate::jsonl::num_field;
@@ -781,11 +785,103 @@ fn is_disk_full(e: &CampaignError) -> bool {
     }
 }
 
+/// Most parses one [`ParseMemo`] keeps.
+const MEMO_ENTRIES: usize = 128;
+/// Most text bytes one [`ParseMemo`] keeps.
+const MEMO_BYTES: usize = 1 << 21;
+/// Texts longer than this are parsed on every request and never kept, so
+/// a few large payloads cannot fill the memo.
+const MEMO_TEXT_MAX: usize = MEMO_BYTES / 8;
+
+/// A payload's parse, shared, with the hash it adds to the cache key.
+type Parsed<T> = (Arc<T>, u64);
+
+/// Parses of one kind of wire payload, keyed by the payload's exact text,
+/// each with the hash it adds to the cache key. A request whose bytes
+/// were seen before reuses them instead of parsing, re-printing and
+/// fingerprinting again. The cache key stays canonical: a text seen for
+/// the first time is parsed and hashed as before, so a reformatted kernel
+/// or a renamed machine still finds its cache entry. Only successful
+/// parses are kept, so a malformed text is parsed, and rejected, every
+/// time. At most [`MEMO_ENTRIES`] entries and [`MEMO_BYTES`] of text are
+/// kept, oldest dropped first.
+struct ParseMemo<T> {
+    entries: HashMap<Arc<str>, Parsed<T>>,
+    /// The keys, oldest first.
+    order: VecDeque<Arc<str>>,
+    /// Text bytes held by the keys.
+    bytes: usize,
+}
+
+impl<T> ParseMemo<T> {
+    fn new() -> Self {
+        ParseMemo {
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+        }
+    }
+
+    fn lookup(&self, text: &str) -> Option<Parsed<T>> {
+        self.entries
+            .get(text)
+            .map(|(parsed, hash)| (Arc::clone(parsed), *hash))
+    }
+
+    /// Keeps `parsed` and `hash` as the parse of `text`, dropping the
+    /// oldest entries to make room, unless `text` is longer than
+    /// [`MEMO_TEXT_MAX`]. An entry already kept for `text` wins, so every
+    /// request for one text shares one parse.
+    fn remember(&mut self, text: &str, parsed: T, hash: u64) -> Parsed<T> {
+        if let Some(kept) = self.lookup(text) {
+            return kept;
+        }
+        let parsed = Arc::new(parsed);
+        if text.len() <= MEMO_TEXT_MAX {
+            while self.entries.len() >= MEMO_ENTRIES || self.bytes + text.len() > MEMO_BYTES {
+                let Some(oldest) = self.order.pop_front() else {
+                    break;
+                };
+                self.bytes -= oldest.len();
+                self.entries.remove(&oldest);
+            }
+            let key: Arc<str> = Arc::from(text);
+            self.bytes += key.len();
+            self.order.push_back(Arc::clone(&key));
+            self.entries.insert(key, (Arc::clone(&parsed), hash));
+        }
+        (parsed, hash)
+    }
+
+    /// The parse of `text` and its hash: the kept pair when `text` was
+    /// seen before, else `parse(text)`, kept if it succeeds. The lock is
+    /// not held while parsing. A poisoned memo is passed by, since it
+    /// only ever saves work.
+    fn get_or_parse<E>(
+        memo: &Mutex<Self>,
+        text: &str,
+        parse: impl FnOnce(&str) -> Result<(T, u64), E>,
+    ) -> Result<Parsed<T>, E> {
+        if let Some(kept) = memo.lock().ok().and_then(|m| m.lookup(text)) {
+            return Ok(kept);
+        }
+        let (parsed, hash) = parse(text)?;
+        Ok(match memo.lock() {
+            Ok(mut m) => m.remember(text, parsed, hash),
+            Err(_) => (Arc::new(parsed), hash),
+        })
+    }
+}
+
 struct ServerState {
     config: ServeConfig,
     config_fp: String,
     cache: Mutex<ScheduleCache>,
     telemetry: Telemetry,
+    /// Kernel texts seen before, with each kernel's [`kernel_hash`].
+    kernels: Mutex<ParseMemo<Kernel>>,
+    /// Machine texts seen before, with each machine's fingerprint.
+    machines: Mutex<ParseMemo<Architecture>>,
 }
 
 /// A running server: accepted connections flow through admission control
@@ -837,6 +933,8 @@ impl Server {
             config_fp: config_fingerprint(&SchedulerConfig::default(), 0),
             cache: Mutex::new(cache),
             telemetry: Telemetry::new(SPAN_RING),
+            kernels: Mutex::new(ParseMemo::new()),
+            machines: Mutex::new(ParseMemo::new()),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
@@ -1182,8 +1280,12 @@ fn read_section(
 
 /// A fully read and parsed `SCHED`/`TRACE` request.
 struct Request {
-    kernel: Kernel,
-    arch: csched_machine::Architecture,
+    kernel: Arc<Kernel>,
+    /// [`kernel_hash`] of `kernel`.
+    kernel_hash: u64,
+    arch: Arc<Architecture>,
+    /// [`Architecture::fingerprint`] of `arch`.
+    arch_fingerprint: u64,
     /// Placement-attempt budget, clamped to the server's cap.
     limit: u64,
     /// Wall-clock deadline: the server's, tightened (never widened) by
@@ -1238,15 +1340,18 @@ fn read_request<'a>(
     // the (possibly much later) response write.
     let _ = stream.set_read_timeout(Some(state.config.io_timeout));
 
-    // Parse both wire payloads with spanned errors.
+    // Parse both wire payloads with spanned errors, or reuse the parses
+    // of texts seen before.
     let t_parse = Instant::now();
-    let parsed = parse_payloads(stream, &kernel_text, &arch_text);
+    let parsed = parse_payloads(state, stream, &kernel_text, &arch_text);
     span.stages.parse_us = elapsed_us(t_parse);
-    let (kernel, arch) = parsed?;
+    let ((kernel, kernel_hash), (arch, arch_fingerprint)) = parsed?;
     span.kernel = kernel.name().to_string();
     Some(Request {
         kernel,
+        kernel_hash,
         arch,
+        arch_fingerprint,
         limit,
         wall_ms,
     })
@@ -1320,11 +1425,9 @@ fn schedule_request(
             Ok(()) => {
                 span.ii = schedule.ii().unwrap_or(0);
                 // Binding-constraint attribution for the dashboard's
-                // slow-request ring: one cheap analysis pass over the
-                // finished schedule.
-                span.binding = explain::explain(&req.arch, &req.kernel, &schedule)
-                    .binding
-                    .kind();
+                // slow-request ring: the tag alone, not a whole
+                // explanation.
+                span.binding = explain::binding_kind(&req.arch, &req.kernel, &schedule);
                 Ok(CacheEntry {
                     ii: schedule.ii().unwrap_or(0),
                     copies: schedule.num_copies() as u64,
@@ -1362,11 +1465,7 @@ fn serve_sched<'a>(
     }) else {
         return Outcome::Malformed;
     };
-    let key = cache_key(
-        kernel_hash(&req.kernel),
-        req.arch.fingerprint(),
-        &state.config_fp,
-    );
+    let key = cache_key(req.kernel_hash, req.arch_fingerprint, &state.config_fp);
 
     // Warm path: serve straight from the cache.
     let t_cache = Instant::now();
@@ -1437,14 +1536,22 @@ fn ok_outcome(entry: &CacheEntry) -> Outcome {
     }
 }
 
-/// Parses the two wire payloads, answering `ERR malformed` itself on
-/// failure.
+/// Parses the two wire payloads, kernel first, each with the hash it adds
+/// to the cache key, through the server's parse memos. Answers
+/// `ERR malformed` itself on failure.
 fn parse_payloads(
+    state: &ServerState,
     stream: &TcpStream,
     kernel_text: &str,
     arch_text: &str,
-) -> Option<(Kernel, csched_machine::Architecture)> {
-    let kernel = match csched_ir::text::parse(kernel_text) {
+) -> Option<(Parsed<Kernel>, Parsed<Architecture>)> {
+    let kernel = ParseMemo::get_or_parse(&state.kernels, kernel_text, |text| {
+        csched_ir::text::parse(text).map(|k| {
+            let hash = kernel_hash(&k);
+            (k, hash)
+        })
+    });
+    let kernel = match kernel {
         Ok(k) => k,
         Err(e) => {
             let _ = respond(
@@ -1454,7 +1561,13 @@ fn parse_payloads(
             return None;
         }
     };
-    let arch = match csched_machine::text::parse(arch_text) {
+    let arch = ParseMemo::get_or_parse(&state.machines, arch_text, |text| {
+        csched_machine::text::parse(text).map(|a| {
+            let fingerprint = a.fingerprint();
+            (a, fingerprint)
+        })
+    });
+    let arch = match arch {
         Ok(a) => a,
         Err(e) => {
             let _ = respond(
@@ -2202,6 +2315,73 @@ mod tests {
             schedule(2),
             "different seeds, different jitter"
         );
+    }
+
+    // --- parse memo ---
+
+    fn parse_kernel(text: &str) -> Result<(Kernel, u64), String> {
+        let kernel = csched_ir::text::parse(text).map_err(|e| e.to_string())?;
+        let hash = kernel_hash(&kernel);
+        Ok((kernel, hash))
+    }
+
+    #[test]
+    fn parse_memo_shares_one_parse_per_text_and_keeps_no_failure() {
+        let memo = Mutex::new(ParseMemo::new());
+        let text = csched_ir::text::print(&csched_kernels::by_name("Merge").unwrap().kernel);
+        let (first, hash) = ParseMemo::get_or_parse(&memo, &text, parse_kernel).unwrap();
+        let (again, again_hash) = ParseMemo::get_or_parse(&memo, &text, |_| {
+            Err("a kept text is not parsed again".to_string())
+        })
+        .unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((hash, again_hash), (kernel_hash(&first), hash));
+
+        let bad = text.replacen(" = ", " == ", 1);
+        let err = ParseMemo::get_or_parse(&memo, &bad, parse_kernel).unwrap_err();
+        assert!(err.contains("expected init"), "{err}");
+        let memo = memo.lock().unwrap();
+        assert!(memo.lookup(&bad).is_none(), "a failed parse is never kept");
+        assert_eq!(memo.entries.len(), 1);
+    }
+
+    fn assert_within_bounds<T>(memo: &ParseMemo<T>) {
+        assert!(memo.entries.len() <= MEMO_ENTRIES);
+        assert_eq!(memo.order.len(), memo.entries.len());
+        assert_eq!(
+            memo.bytes,
+            memo.order.iter().map(|text| text.len()).sum::<usize>()
+        );
+        assert!(memo.bytes <= MEMO_BYTES);
+    }
+
+    #[test]
+    fn parse_memo_stays_within_its_bounds() {
+        let mut memo = ParseMemo::new();
+        for i in 0..2 * MEMO_ENTRIES {
+            memo.remember(&format!("text {i}"), i, i as u64);
+            assert_within_bounds(&memo);
+        }
+        assert_eq!(memo.entries.len(), MEMO_ENTRIES);
+        assert!(memo.lookup("text 0").is_none(), "oldest dropped first");
+        let newest = 2 * MEMO_ENTRIES - 1;
+        let kept = memo.lookup(&format!("text {newest}"));
+        assert_eq!(kept.map(|(_, hash)| hash), Some(newest as u64));
+
+        let filler = "x".repeat(MEMO_TEXT_MAX - 8);
+        for i in 0..2 * MEMO_BYTES / MEMO_TEXT_MAX {
+            let text = format!("{i:08}{filler}");
+            memo.remember(&text, i, 0);
+            assert_within_bounds(&memo);
+            assert!(memo.lookup(&text).is_some());
+        }
+        assert_eq!(memo.bytes, MEMO_BYTES);
+
+        let oversized = "y".repeat(MEMO_TEXT_MAX + 1);
+        let (parsed, hash) = memo.remember(&oversized, 7, 7);
+        assert_eq!((*parsed, hash), (7, 7));
+        assert!(memo.lookup(&oversized).is_none(), "too long to keep");
+        assert_within_bounds(&memo);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! kernel × Imagine organisation cell, `csched_core::explain`'s RecMII
 //! and ResMII must equal independent recomputations (the dependence
 //! graph's recurrence bound and the public `res_mii` spread-load bound),
-//! and the named binding must be consistent with how the achieved II
-//! relates to those bounds.
+//! the named binding must be consistent with how the achieved II
+//! relates to those bounds, and `explain::binding_kind` must name it too.
 //!
 //! The full 10×4 grid schedules 40 cells, which is minutes under the
 //! debug profile, so plain `cargo test` runs a 2×2 subgrid and the full
@@ -11,7 +11,7 @@
 //! `cargo test --release -p csched-eval --test explain_grid --
 //! --include-ignored`.
 
-use csched_core::{explain, res_mii, schedule_kernel, Binding, SchedulerConfig};
+use csched_core::{explain, res_mii, schedule_kernel, Binding, ScheduleMetrics, SchedulerConfig};
 use csched_ir::DepGraph;
 use csched_machine::{imagine, Architecture, Opcode};
 
@@ -51,6 +51,22 @@ fn check_cell(arch: &Architecture, w: &csched_kernels::Workload) {
     assert_eq!(ex.rec_mii, independent_rec, "{cell}: RecMII");
     assert_eq!(ex.res_mii, independent_res, "{cell}: ResMII");
     assert_eq!(ex.ii, s.ii(), "{cell}: achieved II");
+
+    // The serve path's tag, read from the schedule's II and `ii_tried`,
+    // names the same binding; it rests on ii_tried == II − MII + 1.
+    assert_eq!(
+        explain::binding_kind(arch, &w.kernel, &s),
+        ex.binding.kind(),
+        "{cell}: binding tag"
+    );
+    let metrics = ScheduleMetrics::compute(arch, &w.kernel, &s);
+    if let Some(ii) = metrics.ii {
+        assert_eq!(
+            metrics.ii_tried,
+            ii - metrics.rec_mii.max(metrics.res_mii) + 1,
+            "{cell}: ii_tried"
+        );
+    }
 
     // The named binding is consistent with how the II relates to the
     // bounds.

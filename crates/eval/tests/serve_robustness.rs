@@ -414,6 +414,80 @@ fn zero_latency_machine_is_malformed_and_the_worker_survives() {
     server.shutdown();
 }
 
+/// The server reuses the parse of payload bytes it has seen, yet the
+/// cache key stays canonical: a kernel text padded with comments and
+/// blank lines, and a machine text whose units are renamed, are new
+/// bytes that hit the first request's entry with its `OK` line.
+#[test]
+fn reformatted_kernel_and_renamed_machine_hit_the_first_entry() {
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let request = |kernel: &str, arch: &str| {
+        client_request(&addr, kernel, arch, None, None, TIMEOUT).unwrap()
+    };
+    let (kernel, arch) = merge_request();
+    let cold = request(&kernel, &arch);
+    assert!(cold.starts_with("CACHE miss\nOK "), "{cold}");
+    let hit = cold.replacen("CACHE miss", "CACHE hit", 1);
+
+    let padded: String = std::iter::once("; padded\n\n".to_string())
+        .chain(kernel.lines().map(|l| format!("{l}  ; same kernel\n\n")))
+        .collect();
+    let renamed = arch.replace("ADD", "Adder");
+    assert_ne!(renamed, arch);
+    assert_eq!(request(&padded, &arch), hit, "padded kernel");
+    assert_eq!(request(&kernel, &renamed), hit, "renamed units");
+    assert_eq!(request(&padded, &renamed), hit, "both");
+    server.shutdown();
+}
+
+/// A payload that fails to parse is never kept: after a good request, a
+/// malformed kernel sent with that request's machine text, and a
+/// malformed machine sent with its kernel text, answer the same
+/// `ERR malformed` line as on a fresh server, every time, and with both
+/// malformed the kernel's error answers.
+#[test]
+fn malformed_payloads_answer_as_on_a_fresh_server_after_a_good_request() {
+    let (kernel, arch) = merge_request();
+    let bad_kernel = kernel.replacen(" = ", " == ", 1);
+    let bad_arch = arch.replacen("latency 1", "latency 0", 1);
+    let on_fresh_server = |kernel: &str, arch: &str| {
+        let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.addr().to_string();
+        let reply = client_request(&addr, kernel, arch, None, None, TIMEOUT).unwrap();
+        server.shutdown();
+        reply
+    };
+    let kernel_err = on_fresh_server(&bad_kernel, &arch);
+    let machine_err = on_fresh_server(&kernel, &bad_arch);
+    assert!(
+        kernel_err.starts_with("ERR malformed kernel: "),
+        "{kernel_err}"
+    );
+    assert!(
+        machine_err.starts_with("ERR malformed machine: "),
+        "{machine_err}"
+    );
+
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let request = |kernel: &str, arch: &str| {
+        client_request(&addr, kernel, arch, None, None, TIMEOUT).unwrap()
+    };
+    let ok = request(&kernel, &arch);
+    assert!(ok.starts_with("CACHE miss\nOK "), "{ok}");
+    for _ in 0..2 {
+        assert_eq!(request(&bad_kernel, &arch), kernel_err);
+        assert_eq!(request(&kernel, &bad_arch), machine_err);
+        assert_eq!(request(&bad_kernel, &bad_arch), kernel_err);
+    }
+    assert_eq!(
+        request(&kernel, &arch),
+        ok.replacen("CACHE miss", "CACHE hit", 1)
+    );
+    server.shutdown();
+}
+
 /// The stats line always carries the full counter and cache sections.
 #[test]
 fn stats_reports_counters_and_cache_state() {
