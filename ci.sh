@@ -83,9 +83,11 @@ cargo test -q --release -p csched-core --test decision_golden -- --include-ignor
 # steps an untraced anytime call must answer, report, spend and count
 # rejects exactly as a traced call does, with the pinned spend and
 # degraded counts; at 200,000 steps the ladder's decision stream must
-# equal a single run's. Ignored under the debug profile; seconds on
-# release.
-step "anytime ladder equivalence on the full grid (release)"
+# equal a single run's. The rung tests pin an input that only rung 3, 4
+# or 5 answers on the toy machine, each schedule validated. The grid
+# tests and the rung 5 case (a 2,100-add recurrence) are ignored under
+# the debug profile; the whole file takes seconds on release.
+step "anytime ladder equivalence on the full grid and rungs 3-5 (release)"
 cargo test -q --release -p csched-core --test anytime_ladder -- --include-ignored
 
 # Design-space exploration smoke: a small sampled sweep on 2 worker
@@ -315,6 +317,8 @@ cargo run -q --release -p csched-eval --bin soak -- \
     --server-bin target/release/serve
 rm -f "$SOAK_CACHE"
 
+# Doctests, the README's Rust examples included (the root package's
+# `ReadmeDoctests`).
 step "cargo test --doc --workspace"
 cargo test -q --doc --workspace
 

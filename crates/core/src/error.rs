@@ -15,9 +15,9 @@
 //!   commonly fail this way once a fault breaks the Appendix A guarantee.
 //! - **Budget exhaustion** ([`SchedError::BlockFailed`],
 //!   [`SchedError::IiExhausted`]): the search ran out of delay slack or
-//!   initiation intervals. These are *retryable* — the
-//!   [`RetryPolicy`](crate::RetryPolicy) ladder relaxes the budgets and
-//!   tries again.
+//!   initiation intervals. These are *retryable* — the ladder of
+//!   [`schedule_kernel_anytime`](crate::schedule_kernel_anytime) relaxes
+//!   the budgets and tries again.
 //! - **Internal invariant breaks** ([`SchedError::Internal`]): a bug in
 //!   the scheduler itself, reported as an error instead of a panic so a
 //!   long campaign (fault injection, design-space sweeps) survives it.

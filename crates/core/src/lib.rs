@@ -86,7 +86,7 @@ pub use exact::{certify_min_ii, ExactReport, ExactVerdict};
 pub use explain::{explain, Binding, Counterfactual, Explanation, ResourceRank};
 pub use metrics::ScheduleMetrics;
 pub use retry::{
-    schedule_kernel_anytime, schedule_kernel_anytime_traced, AnytimeReport, Attempt, RetryPolicy,
+    schedule_kernel_anytime, schedule_kernel_anytime_traced, AnytimeReport, RetryPolicy,
 };
 pub use schedule::{CommDisposition, Route, SchedStats, Schedule, ScheduledOp};
 pub use table::{ResourceTable, Row, TableMode, WriteSearch};

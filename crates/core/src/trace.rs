@@ -241,9 +241,10 @@ pub enum TraceEvent {
         /// attempt limit.
         cancelled: bool,
     },
-    /// The retry ladder advanced to its next relaxation rung.
+    /// The anytime ladder started a rung (rung 0, the caller's
+    /// configuration, included).
     RungAdvanced {
-        /// 1-based attempt number.
+        /// The rung's index, 0–5.
         attempt: u32,
         /// Human-readable description of the cumulative relaxation.
         relaxation: String,

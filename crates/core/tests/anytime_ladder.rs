@@ -4,18 +4,24 @@
 //! the same budget spend — with reject and budget-stop counts equal to
 //! what a sink counts from the traced call's events.
 //!
-//! The grid-wide tests take about a minute under the debug profile, so
-//! they are ignored there; CI runs them with `cargo test --release -p
-//! csched-core --test anytime_ladder -- --include-ignored`. The small
-//! Sort × distributed case runs under every profile, so a debug run
-//! covers the ladder too.
+//! Rungs 3–5 each answer an input on the toy machine that no earlier
+//! rung answers, so every rung of the ladder is pinned by a schedule.
+//!
+//! The grid-wide tests and the rung-5 case take about a minute under the
+//! debug profile, so they are ignored there; CI runs them with `cargo
+//! test --release -p csched-core --test anytime_ladder --
+//! --include-ignored`. The small Sort × distributed case and the rung 3
+//! and 4 cases run under every profile, so a debug run covers the ladder
+//! too.
 
 use csched_core::trace::decision_filter;
 use csched_core::{
-    schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_traced, AnytimeReport,
-    RetryPolicy, SchedError, Schedule, SchedulerConfig, StepBudget, TraceEvent, TraceSink,
+    schedule_kernel_anytime, schedule_kernel_anytime_traced, schedule_kernel_traced, validate,
+    AnytimeReport, RetryPolicy, SchedError, Schedule, SchedulerConfig, StepBudget, TraceEvent,
+    TraceSink,
 };
-use csched_machine::{imagine, Architecture};
+use csched_ir::{Kernel, KernelBuilder};
+use csched_machine::{imagine, toy, Architecture, Opcode};
 
 /// The Table 1 kernels, in the table's order.
 const KERNELS: [&str; 10] = [
@@ -73,7 +79,7 @@ fn untraced_matches_traced(
             arch,
             &w.kernel,
             SchedulerConfig::default(),
-            &RetryPolicy::default(),
+            &RetryPolicy,
             budget,
             sink,
         ),
@@ -81,7 +87,7 @@ fn untraced_matches_traced(
             arch,
             &w.kernel,
             SchedulerConfig::default(),
-            &RetryPolicy::default(),
+            &RetryPolicy,
             budget,
         ),
     };
@@ -105,7 +111,7 @@ fn untraced_matches_traced(
     assert_eq!(report.attempts_spent, budget.spent(), "{label}");
     assert_eq!(report.acquired_spent, report.attempts_spent, "{label}");
     assert_eq!(
-        (report.rejects, report.deadline_events, report.rung()),
+        (report.rejects, report.deadline_events, report.rung),
         (rollup.rejects, rollup.deadline_events, rollup.rung),
         "{label}: the counters differ from the traced events"
     );
@@ -159,7 +165,7 @@ fn a_limit_at_the_spend_answers_degraded_and_one_less_stops() {
     let full = full.expect("Sort schedules on distributed");
     assert_eq!((full.ii(), full.stats().ii_tried), (Some(9), 3));
     assert!(!report.degraded);
-    assert_eq!((report.rung(), report.attempts_spent), (0, 3_166));
+    assert_eq!((report.rung, report.attempts_spent), (0, 3_166));
 
     let (exact, at_spend) = untraced_matches_traced(&arch, "Sort", report.attempts_spent);
     assert_eq!(
@@ -174,7 +180,7 @@ fn a_limit_at_the_spend_answers_degraded_and_one_less_stops() {
         matches!(short, Err(SchedError::DeadlineExceeded { .. })),
         "{short:?}"
     );
-    assert!(!below.degraded && below.budget_exhausted);
+    assert!(!below.degraded);
     assert_eq!(below.deadline_events, 1);
 }
 
@@ -207,13 +213,13 @@ fn single_run_decisions_equal_the_ladder_decisions() {
                 arch,
                 &w.kernel,
                 SchedulerConfig::default(),
-                &RetryPolicy::default(),
+                &RetryPolicy,
                 &StepBudget::new(200_000),
                 &mut ladder,
             );
             let label = format!("{kernel} on {}", arch.name());
             assert!(
-                result.is_ok() && !report.degraded && report.rung() == 0,
+                result.is_ok() && !report.degraded && report.rung == 0,
                 "{label}"
             );
             assert!(ladder.0 == single.0, "{label}");
@@ -222,4 +228,84 @@ fn single_run_decisions_equal_the_ladder_decisions() {
             }
         }
     }
+}
+
+/// A loop whose `n` one-cycle adds form one recurrence through its loop
+/// variable, so no II below `n` can schedule it.
+fn add_recurrence(n: usize) -> Kernel {
+    let mut kb = KernelBuilder::new("recurrence");
+    let lp = kb.loop_block("body");
+    let x = kb.loop_var(lp, 0i64.into());
+    let mut v = x;
+    for _ in 0..n {
+        v = kb.push(lp, Opcode::IAdd, [v.into(), 1i64.into()]);
+    }
+    kb.set_update(x, v.into());
+    kb.build().unwrap()
+}
+
+/// One straight-line block of `n` independent adds.
+fn independent_adds(n: usize) -> Kernel {
+    let mut kb = KernelBuilder::new("adds");
+    let b = kb.straight_block("b");
+    for _ in 0..n {
+        kb.push(b, Opcode::IAdd, [1i64.into(), 2i64.into()]);
+    }
+    kb.build().unwrap()
+}
+
+/// Runs the ladder on the toy machine under `limit` steps and returns
+/// the answer, checked by the validator, with the rung that gave it.
+fn answer_on_toy(kernel: &Kernel, limit: u64) -> (Schedule, u32) {
+    let arch = toy::motivating_example();
+    let (result, report) = schedule_kernel_anytime(
+        &arch,
+        kernel,
+        SchedulerConfig::default(),
+        &RetryPolicy,
+        &StepBudget::new(limit),
+    );
+    let schedule = result.unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
+    validate::validate(&arch, kernel, &schedule).unwrap();
+    (schedule, report.rung)
+}
+
+/// Rung 3 is the first whose II cap (4 × 512) reaches a 600-add
+/// recurrence's II of 600. Rung 4's cycle order is the first to place
+/// 300 independent adds in one block: every earlier rung gives up on the
+/// block, and the call spends 231,252 steps in all, so at the service's
+/// 200,000 the budget stops it inside rung 4.
+#[test]
+fn rungs_3_and_4_answer_inputs_no_earlier_rung_answers() {
+    let (schedule, rung) = answer_on_toy(&add_recurrence(600), 200_000);
+    assert_eq!((rung, schedule.ii()), (3, Some(600)));
+
+    let adds = independent_adds(300);
+    let (schedule, rung) = answer_on_toy(&adds, 4_194_304);
+    assert_eq!((rung, schedule.ii()), (4, None));
+
+    let (result, report) = schedule_kernel_anytime(
+        &toy::motivating_example(),
+        &adds,
+        SchedulerConfig::default(),
+        &RetryPolicy,
+        &StepBudget::new(200_000),
+    );
+    assert!(
+        matches!(result, Err(SchedError::DeadlineExceeded { .. })),
+        "{result:?}"
+    );
+    assert_eq!(report.rung, 4);
+}
+
+/// Rung 5 is the first whose II cap (8 × 512) reaches a 2,100-add
+/// recurrence's II of 2,100.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 20 s under the debug profile; CI runs it under the release profile"
+)]
+fn rung_5_answers_a_recurrence_no_earlier_rung_answers() {
+    let (schedule, rung) = answer_on_toy(&add_recurrence(2_100), 200_000);
+    assert_eq!((rung, schedule.ii()), (5, Some(2_100)));
 }

@@ -278,7 +278,7 @@ fn cell_digest(run: Run, arch: &Architecture, kernel: &str) -> (u64, u64) {
                 arch,
                 &w.kernel,
                 SchedulerConfig::default(),
-                &RetryPolicy::default(),
+                &RetryPolicy,
                 &budget,
                 &mut sink,
             );
@@ -409,7 +409,7 @@ fn anytime_answers_match_the_pinned_digests() {
                     arch,
                     &w.kernel,
                     SchedulerConfig::default(),
-                    &RetryPolicy::default(),
+                    &RetryPolicy,
                     &StepBudget::new(limit),
                 );
                 hash_result(&mut h, &result);

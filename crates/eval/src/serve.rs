@@ -1392,7 +1392,7 @@ fn schedule_request(
             &req.arch,
             &req.kernel,
             SchedulerConfig::default(),
-            &RetryPolicy::default(),
+            &RetryPolicy,
             &budget,
             sink,
         ),
@@ -1400,13 +1400,13 @@ fn schedule_request(
             &req.arch,
             &req.kernel,
             SchedulerConfig::default(),
-            &RetryPolicy::default(),
+            &RetryPolicy,
             &budget,
         ),
     };
     span.rejects = report.rejects;
     span.deadline_events = report.deadline_events;
-    span.rung = report.rung();
+    span.rung = report.rung;
     span.attempts = report.attempts_spent;
     span.degraded = report.degraded;
     let entry = match result {

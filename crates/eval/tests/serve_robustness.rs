@@ -243,6 +243,42 @@ fn exhausted_budget_is_a_typed_deadline_error_and_not_cached() {
     server.shutdown();
 }
 
+/// A limit spent exactly by a failing ladder rung is `ERR deadline`, as
+/// a limit one step either side of it is, not that rung's `ERR sched`.
+/// 300 independent adds in one block fail rung 0 (the service's
+/// configuration, run alone) with `BlockFailed`; at a limit of exactly
+/// that rung's spend no step is left for rung 1.
+#[test]
+fn a_limit_spent_by_a_failing_rung_is_err_deadline() {
+    use csched_core::{schedule_kernel_budgeted, SchedError, SchedulerConfig, StepBudget};
+
+    let mut kb = csched_ir::KernelBuilder::new("adds");
+    let b = kb.straight_block("b");
+    for _ in 0..300 {
+        kb.push(b, csched_machine::Opcode::IAdd, [1i64.into(), 2i64.into()]);
+    }
+    let kernel = csched_ir::text::print(&kb.build().unwrap());
+    let arch = csched_machine::text::print(&csched_machine::toy::motivating_example());
+    let rung0 = StepBudget::unlimited();
+    let first = schedule_kernel_budgeted(
+        &csched_machine::text::parse(&arch).unwrap(),
+        &csched_ir::text::parse(&kernel).unwrap(),
+        SchedulerConfig::default(),
+        &rung0,
+    );
+    assert!(
+        matches!(first, Err(SchedError::BlockFailed { .. })),
+        "{first:?}"
+    );
+    let (server, _) = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    for limit in [rung0.spent() - 1, rung0.spent(), rung0.spent() + 1] {
+        let reply = client_request(&addr, &kernel, &arch, Some(limit), None, TIMEOUT).unwrap();
+        assert!(reply.starts_with("ERR deadline "), "limit {limit}: {reply}");
+    }
+    server.shutdown();
+}
+
 /// A cached answer is served only at the step limit it was computed
 /// under. Sort × distributed spends 3,166 steps, so a fresh server
 /// answers `limit=3000` with `ERR deadline`; after a default-limit

@@ -115,6 +115,11 @@
 
 #![warn(missing_docs)]
 
+// The README's Rust examples, compiled and run as doctests.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
+
 pub use csched_core as core;
 pub use csched_eval as eval;
 pub use csched_ir as ir;
